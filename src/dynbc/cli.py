@@ -18,6 +18,7 @@ from . import fem_oracle, validate
 from .config import RunConfig, default_config, load_config, with_overrides
 from .errors import ConfigError, DynbcError
 from .formats import write_csv, write_json
+from .semigroup import GridState, project
 from .spde import (
     SimConfig,
     ensemble_stats,
@@ -31,9 +32,6 @@ from .spectral import (
     dirichlet_gap,
     normalization_bound,
 )
-
-GRAM_TOL = 1e-6
-ORACLE_REL_TOL = 1e-3
 
 
 def _emit_error(message: str, code: int) -> int:
@@ -68,16 +66,10 @@ def _initial_state(name: str, basis) -> np.ndarray:
         return np.zeros(basis.n_modes)
     x = basis.quad.nodes
     if name == "one":
-        u, v0, v1 = np.ones_like(x), 1.0, 1.0
-    elif name == "parabola":
-        u, v0, v1 = x * (1.0 - x), 0.0, 0.0
-    else:
-        raise ConfigError(f"unknown initial state {name!r}")
-    return (
-        basis.values.T @ (basis.quad.weights * u)
-        + v0 * basis.trace0
-        + v1 * basis.trace1
-    )
+        return project(GridState(u=np.ones_like(x), v0=1.0, v1=1.0), basis)
+    if name == "parabola":
+        return project(GridState(u=x * (1.0 - x), v0=0.0, v1=0.0), basis)
+    raise ConfigError(f"unknown initial state {name!r}")
 
 
 def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
@@ -123,7 +115,8 @@ def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
     in_gap = all(lo < lam < hi for (_, lam, _, _, _, lo, hi, _, _) in rows)
     decreasing = bool(np.all(np.diff(basis.lam) < 0.0))
     max_rel = float(max(rel_errs))
-    passed = in_gap and decreasing and gram_dev <= GRAM_TOL and max_rel <= ORACLE_REL_TOL
+    within_tols = gram_dev <= validate.GRAM_TOL and max_rel <= validate.ORACLE_REL_TOL
+    passed = in_gap and decreasing and within_tols
     summary = {
         "b0": params.b0,
         "b1": params.b1,
@@ -292,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
+        p.add_argument(
+            "--threads", type=int, default=1, help="accepted; has no effect"
+        )
     return parser
 
 

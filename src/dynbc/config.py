@@ -5,6 +5,7 @@ nesting.  Unknown keys are rejected, duplicates are rejected, and every
 numeric constraint of the owning modules is re-validated at parse time.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -74,6 +75,9 @@ def _coerce(key: str, raw: str):
 
 
 def _validate(cfg: RunConfig):
+    for key, kind in _FIELD_TYPES.items():
+        if kind is float and not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite")
     checks = [
         (cfg.b0 > 0.0, "b0 must be positive"),
         (cfg.b1 > 0.0, "b1 must be positive"),

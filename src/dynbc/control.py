@@ -14,21 +14,20 @@ is never solved for; feedback laws are driven by pluggable gradient
 providers that approximate its state gradient.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonUniqueArgminError
+from .semigroup import GridState, project
 from .spde import (
     Coefficients,
     PathRecord,
     SimConfig,
-    galerkin_drift,
-    galerkin_diffusion,
     named_coefficients,
     path_increments,
-    time_grid,
+    step_exp_euler,
+    time_steps,
 )
 from .spectral import BoundaryParams, EigenBasis, build_basis
 
@@ -168,7 +167,7 @@ def boundary_costate(
 def control_drift(t: float, z, coeffs: Coefficients, basis: EigenBasis) -> np.ndarray:
     """Modal drift contributed by control z through the boundary gains."""
     h0, h1 = coeffs.h(t)
-    return h0 * z[0] * basis.trace0 + h1 * z[1] * basis.trace1
+    return boundary_immersion((h0 * z[0], h1 * z[1]), basis)
 
 
 def _grid_candidates(t, state, p, problem, resolution):
@@ -334,9 +333,11 @@ class TerminalProxyGradient:
         return decay * gphi
 
 
-def _fd_gradient(fun, state, rel_bump: float = 1e-6):
-    grad = np.empty(len(state))
-    for k in range(len(state)):
+def _fd_gradient(fun, state, rel_bump: float = 1e-6, n_dirs: int = None):
+    # central differences along the first n_dirs modal directions (all of
+    # them by default); the other entries stay zero
+    grad = np.zeros(len(state))
+    for k in range(len(state) if n_dirs is None else n_dirs):
         bump = rel_bump * (1.0 + abs(state[k]))
         up, down = state.copy(), state.copy()
         up[k] += bump
@@ -378,20 +379,21 @@ class NestedMCGradient:
         self.inner_dt = inner_dt
         self.seed = seed
 
-    def _value(self, t, state, dW_all, dts, times):
-        lam = self.basis.lam
+    def _value(self, state, dW_all, dts, times):
+        # the inner paths are stepped as one block; the running cost is
+        # evaluated per row, since its contract is one state at a time
+        block = np.tile(state, (self.inner_paths, 1))
+        cost = np.zeros(self.inner_paths)
+        zero = np.zeros(2)
+        for i, dt in enumerate(dts):
+            running = [self.problem.running_cost(times[i], a, zero) for a in block]
+            cost += np.array(running) * dt
+            block = step_exp_euler(
+                times[i], block, dW_all[:, i], self.coeffs, self.basis, dt
+            )
         total = 0.0
-        for p in range(self.inner_paths):
-            a = state.copy()
-            cost = 0.0
-            for i, dt in enumerate(dts):
-                cost += self.problem.running_cost(times[i], a, np.zeros(2)) * dt
-                G = galerkin_diffusion(
-                    times[i], a, self.coeffs, self.basis, m_noise=dW_all.shape[2]
-                )
-                drift = galerkin_drift(times[i], a, self.coeffs, self.basis)
-                a = np.exp(lam * dt) * (a + drift * dt + G @ dW_all[p, i])
-            total += cost + self.problem.terminal_cost(a)
+        for c, a in zip(cost, block):
+            total += c + self.problem.terminal_cost(a)
         return total / self.inner_paths
 
     def __call__(self, t, state):
@@ -410,17 +412,12 @@ class NestedMCGradient:
         dW_all = rng.standard_normal((self.inner_paths, n_steps, m)) * np.sqrt(
             dts
         )[None, :, None]
-        grad = np.zeros(self.basis.n_modes)
-        for k in range(self.n_dirs):
-            bump = self.bump_rel * (1.0 + abs(state[k]))
-            up, down = state.copy(), state.copy()
-            up[k] += bump
-            down[k] -= bump
-            grad[k] = (
-                self._value(t, up, dW_all, dts, times)
-                - self._value(t, down, dW_all, dts, times)
-            ) / (2.0 * bump)
-        return grad
+        return _fd_gradient(
+            lambda a: self._value(a, dW_all, dts, times),
+            state,
+            self.bump_rel,
+            self.n_dirs,
+        )
 
 
 def _check_horizon(problem: ControlProblem, config: SimConfig):
@@ -430,14 +427,12 @@ def _check_horizon(problem: ControlProblem, config: SimConfig):
 
 def _controlled_path(policy, problem, config, coeffs, basis, initial, path_index):
     """Simulate one controlled path; returns (record, running-cost integral)."""
-    times = time_grid(config)
-    dts = np.diff(times)
+    times, dts = time_steps(config, basis)
     dW = path_increments(config.seed, path_index, dts, config.m_noise)
     states = np.empty((len(times), config.n_modes))
     states[0] = np.asarray(initial, dtype=float)
     controls = np.empty((len(dts), 2))
     running = 0.0
-    lam = basis.lam
     for i, dt in enumerate(dts):
         t, a = times[i], states[i]
         z = np.asarray(policy(t, a), dtype=float)
@@ -448,31 +443,22 @@ def _controlled_path(policy, problem, config, coeffs, basis, initial, path_index
             )
         controls[i] = z
         running += problem.running_cost(t, a, z) * dt
-        drift = galerkin_drift(t, a, coeffs, basis) + control_drift(
-            t, z, coeffs, basis
+        states[i + 1] = step_exp_euler(
+            t, a, dW[i], coeffs, basis, dt, control_drift(t, z, coeffs, basis)
         )
-        G = galerkin_diffusion(t, a, coeffs, basis, m_noise=config.m_noise)
-        states[i + 1] = np.exp(lam * dt) * (a + drift * dt + G @ dW[i])
     record = PathRecord(times=times, states=states, controls=controls)
     return record, running
 
 
 def _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths, threads):
+    # paths run one after another in index order; ``threads`` changes nothing
+    _check_horizon(problem, config)
     costs = np.empty(n_paths)
-
-    def fill(indices):
-        for p in indices:
-            record, running = _controlled_path(
-                policy, problem, config, coeffs, basis, initial, p
-            )
-            costs[p] = running + problem.terminal_cost(record.states[-1])
-
-    if threads <= 1:
-        fill(range(n_paths))
-    else:
-        chunks = np.array_split(np.arange(n_paths), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
+    for p in range(n_paths):
+        record, running = _controlled_path(
+            policy, problem, config, coeffs, basis, initial, p
+        )
+        costs[p] = running + problem.terminal_cost(record.states[-1])
     return costs
 
 
@@ -494,7 +480,6 @@ def policy_cost(
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    _check_horizon(problem, config)
     costs = _policy_costs(
         policy, problem, config, coeffs, basis, initial, n_paths, threads
     )
@@ -511,12 +496,8 @@ def closed_loop_simulate(
     path_index: int = 0,
 ) -> PathRecord:
     """Simulate the feedback-controlled dynamics, recording the control."""
-    _check_horizon(problem, config)
     policy = FeedbackPolicy(provider, problem, coeffs, basis)
-    record, _ = _controlled_path(
-        policy, problem, config, coeffs, basis, initial, path_index
-    )
-    return record
+    return policy_path(policy, problem, config, coeffs, basis, initial, path_index)
 
 
 def policy_path(
@@ -530,10 +511,9 @@ def policy_path(
 ) -> PathRecord:
     """One controlled trajectory under an arbitrary policy, with controls."""
     _check_horizon(problem, config)
-    record, _ = _controlled_path(
+    return _controlled_path(
         policy, problem, config, coeffs, basis, initial, path_index
-    )
-    return record
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -580,7 +560,6 @@ def compare_policies(
     """
     if len(policies) < 2:
         raise ValueError("need at least 2 policies to compare")
-    _check_horizon(problem, config)
     all_costs = [
         _policy_costs(pol, problem, config, coeffs, basis, initial, n_paths, threads)
         for pol in policies
@@ -648,10 +627,7 @@ def benchmark_bundle(seed: int = 12345) -> BenchmarkBundle:
         T=0.5,
         terminal_gradient=lambda a: 2.0 * a,
     )
-    ones = np.ones(basis.quad.size)
-    initial = (
-        basis.values.T @ (basis.quad.weights * ones) + basis.trace0 + basis.trace1
-    )
+    initial = project(GridState(u=np.ones(basis.quad.size), v0=1.0, v1=1.0), basis)
     return BenchmarkBundle(
         params=params,
         basis=basis,

@@ -13,13 +13,18 @@ owns a disjoint Philox counter block derived from (seed, path index), so
 ensembles are reproducible and order-independent.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+# unused: perfbench/spans.py traces thread pools through this name and
+# refuses to install when no dynbc module binds it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 from .spectral import EigenBasis
+
+# paths that terminal_states steps together; transient memory grows with it
+PATH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -115,20 +120,39 @@ def path_increments(
     return z * np.sqrt(np.asarray(dts))[:, None]
 
 
+def _interior_moments(fv, basis: EigenBasis) -> np.ndarray:
+    # int fv e_k dx for nodal values fv (one row per path) or a constant
+    if np.ndim(fv) == 0:
+        return float(fv) * (basis.values.T @ basis.quad.weights)
+    return (basis.quad.weights * fv) @ basis.values
+
+
+def _apply_diffusion(gv, h, dW, basis: EigenBasis) -> np.ndarray:
+    # G(u) dW row by row without forming G: the interior noise field g dW
+    # projected on the modes, plus the two rank-one boundary terms
+    m = np.shape(dW)[-1]
+    if np.ndim(gv) == 0:
+        interior = float(gv) * (dW @ basis.interior_gram[:m])
+    else:
+        interior = _interior_moments(gv * (dW @ basis.values[:, :m].T), basis)
+    h0, h1 = h
+    return (
+        interior
+        + h0 * (dW @ basis.trace0[:m])[..., None] * basis.trace0
+        + h1 * (dW @ basis.trace1[:m])[..., None] * basis.trace1
+    )
+
+
 def galerkin_drift(
     t: float, state: np.ndarray, coeffs: Coefficients, basis: EigenBasis
 ) -> np.ndarray:
     """Modal drift F_k = int f(t, x, u(x)) e_k(x) dx with u = sum a_k e_k.
 
     The boundary block of the drift is zero: the nonlinearity acts on the
-    interior only.
+    interior only.  ``state`` is one state (N,) or a block of them (P, N).
     """
-    u = basis.values @ state
-    fv = coeffs.f(t, basis.quad.nodes, u)
-    w = basis.quad.weights
-    if np.ndim(fv) == 0:
-        return float(fv) * (basis.values.T @ w)
-    return basis.values.T @ (w * fv)
+    u = state @ basis.values.T
+    return _interior_moments(coeffs.f(t, basis.quad.nodes, u), basis)
 
 
 def galerkin_diffusion(
@@ -147,19 +171,9 @@ def galerkin_diffusion(
     m = n if m_noise is None else m_noise
     if m > n:
         raise ShapeError("m_noise must not exceed the basis size")
-    u = basis.values @ state
-    gv = coeffs.g(t, basis.quad.nodes, u)
-    w = basis.quad.weights
-    if np.ndim(gv) == 0:
-        interior = float(gv) * basis.interior_gram[:, :m]
-    else:
-        interior = basis.values.T @ ((w * gv)[:, None] * basis.values[:, :m])
-    h0, h1 = coeffs.h(t)
-    return (
-        interior
-        + h0 * np.outer(basis.trace0, basis.trace0[:m])
-        + h1 * np.outer(basis.trace1, basis.trace1[:m])
-    )
+    gv = coeffs.g(t, basis.quad.nodes, basis.values @ state)
+    # column j is G applied to the j-th unit noise direction
+    return _apply_diffusion(gv, coeffs.h(t), np.eye(m), basis).T
 
 
 def step_exp_euler(
@@ -173,15 +187,28 @@ def step_exp_euler(
 ) -> np.ndarray:
     """One exponential-Euler step with coefficients frozen at time t.
 
-    ``dW`` entries must be N(0, dt) samples; ``extra_drift`` (used by the
-    control layer) is added to the modal drift before the semigroup is
-    applied.
+    ``state`` is one modal state (N,) or a block of independent paths
+    (P, N), with ``dW`` of shape (m,) or (P, m) holding N(0, dt) samples.
+    ``extra_drift`` (used by the control layer) is added to the modal
+    drift before the semigroup is applied.
     """
-    drift = galerkin_drift(t, state, coeffs, basis)
+    x = basis.quad.nodes
+    u = state @ basis.values.T
+    drift = _interior_moments(coeffs.f(t, x, u), basis)
     if extra_drift is not None:
         drift = drift + extra_drift
-    G = galerkin_diffusion(t, state, coeffs, basis, m_noise=len(dW))
-    return np.exp(basis.lam * dt) * (state + drift * dt + G @ dW)
+    noise = _apply_diffusion(coeffs.g(t, x, u), coeffs.h(t), dW, basis)
+    return np.exp(basis.lam * dt) * (state + drift * dt + noise)
+
+
+def time_steps(config: SimConfig, basis: EigenBasis):
+    """Time grid and step sizes of ``config``, checked against ``basis``."""
+    if basis.n_modes != config.n_modes:
+        raise ShapeError(
+            f"basis has {basis.n_modes} modes, config expects {config.n_modes}"
+        )
+    times = time_grid(config)
+    return times, np.diff(times)
 
 
 def simulate_path(
@@ -193,12 +220,7 @@ def simulate_path(
     record_grid: bool = False,
 ) -> PathRecord:
     """Simulate one trajectory; deterministic given (seed, path_index)."""
-    if basis.n_modes != config.n_modes:
-        raise ShapeError(
-            f"basis has {basis.n_modes} modes, config expects {config.n_modes}"
-        )
-    times = time_grid(config)
-    dts = np.diff(times)
+    times, dts = time_steps(config, basis)
     dW = path_increments(config.seed, path_index, dts, config.m_noise)
     states = np.empty((len(times), config.n_modes))
     states[0] = np.asarray(initial, dtype=float)
@@ -216,19 +238,24 @@ def simulate_path(
 
 
 def terminal_states(config, coeffs, basis, initial, n_paths, threads=1):
-    """Terminal modal states of an ensemble, one row per path index."""
+    """Terminal modal states of an ensemble, one row per path index.
+
+    Paths are stepped ``PATH_BLOCK`` at a time as one (P, N) block; row p
+    draws ``path_increments(seed, p, ...)``, so it depends only on
+    (seed, p).  ``threads`` is accepted for compatibility; it has no effect.
+    """
+    times, dts = time_steps(config, basis)
     out = np.empty((n_paths, config.n_modes))
-
-    def fill(indices):
-        for p in indices:
-            out[p] = simulate_path(config, coeffs, basis, initial, p).states[-1]
-
-    if threads <= 1:
-        fill(range(n_paths))
-    else:
-        chunks = np.array_split(np.arange(n_paths), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
+    noise = np.empty((len(dts), min(PATH_BLOCK, n_paths), config.m_noise))
+    for start in range(0, n_paths, PATH_BLOCK):
+        rows = range(start, min(start + PATH_BLOCK, n_paths))
+        dW = noise[:, : len(rows)]
+        for r, p in enumerate(rows):
+            dW[:, r] = path_increments(config.seed, p, dts, config.m_noise)
+        block = np.tile(np.asarray(initial, dtype=float), (len(rows), 1))
+        for i, dt in enumerate(dts):
+            block = step_exp_euler(times[i], block, dW[i], coeffs, basis, dt)
+        out[rows.start : rows.stop] = block
     return out
 
 
@@ -240,11 +267,8 @@ def ensemble_stats(
     n_paths: int,
     threads: int = 1,
 ) -> EnsembleStats:
-    """Terminal mean/variance over an ensemble, with standard errors.
-
-    Paths are independent work units; statistics are reduced in fixed
-    path-index order, so the result does not depend on thread count.
-    """
+    """Terminal mean/variance over an ensemble, with standard errors,
+    reduced in fixed path-index order (``threads`` changes nothing)."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     terminal = terminal_states(config, coeffs, basis, initial, n_paths, threads)

@@ -386,11 +386,11 @@ def dirichlet_map(lam: float, phi: tuple[float, float]):
 def basis_to_json(basis: EigenBasis) -> str:
     """Serialize (b0, b1, N, per-mode j/lambda/B) losslessly."""
     payload = {
-        "b0": _fmt(basis.params.b0),
-        "b1": _fmt(basis.params.b1),
+        "b0": float(basis.params.b0),
+        "b1": float(basis.params.b1),
         "N": basis.n_modes,
         "modes": [
-            {"j": m.j, "lambda": _fmt(m.lam), "B": _fmt(m.B)} for m in basis.modes
+            {"j": m.j, "lambda": float(m.lam), "B": float(m.B)} for m in basis.modes
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -422,8 +422,3 @@ def basis_from_json(
             )
         )
     return _assemble_basis(params, modes, quad)
-
-
-def _fmt(x: float) -> float:
-    # round-trip via 17 significant digits keeps the decimal form bit-exact
-    return float(f"{x:.17g}")

@@ -22,7 +22,10 @@ from .spectral import (
     find_eigenvalues,
 )
 
-HS_RATIO_BOUND = 2.0
+# relative tolerance on the fitted Weyl coefficient; the largest gap on a
+# log grid of accepted (b0, b1) is 0.105, at b0 = b1 ~ 1.5e3
+HS_WEYL_RTOL = 0.15
+HS_WEYL = (8.0 * np.pi) ** -0.5
 GRAM_TOL = 1e-6
 ASSOCIATION_TOL = 1e-5
 ORACLE_REL_TOL = 1e-3
@@ -84,19 +87,22 @@ def _check_association(ctx):
 
 @_named("hs_rate")
 def _check_hs_rate(ctx):
+    # fit HS^2(t) = c / sqrt(t) + C at small t; Weyl's law gives c = HS_WEYL
     cfg = ctx["config"]
     lams = find_eigenvalues(ctx["params"], cfg.hs_modes)
-    ts = np.logspace(-3, -1, 25)
+    ts = np.logspace(-4, -3, 13)
     tail = np.exp(2.0 * lams[-1] * ts[0])
     if tail > 1e-8:
         raise TruncationError(
-            f"hs_modes={cfg.hs_modes} unresolved at t=1e-3 (tail {tail:.3e})"
+            f"hs_modes={cfg.hs_modes} unresolved at t=1e-4 (tail {tail:.3e})"
         )
-    vals = np.array([np.sqrt(t) * np.exp(2.0 * lams * t).sum() for t in ts])
-    ratio = float(vals.max() / vals.min())
-    return ratio < HS_RATIO_BOUND, (
-        f"sqrt(t)*HS^2 max/min = {ratio:.4f} over t in [1e-3, 1e-1] "
-        f"(bound {HS_RATIO_BOUND})"
+    hs_sq = np.exp(2.0 * np.outer(ts, lams)).sum(axis=1)
+    design = np.column_stack((1.0 / np.sqrt(ts), np.ones_like(ts)))
+    c = float(np.linalg.lstsq(design, hs_sq, rcond=None)[0][0])
+    rel = abs(c / HS_WEYL - 1.0)
+    return rel <= HS_WEYL_RTOL, (
+        f"fitted c = {c:.5f} in HS^2 ~ c/sqrt(t) + C on t in [1e-4, 1e-3], "
+        f"relative gap to 1/sqrt(8 pi) {rel:.3e} (tol {HS_WEYL_RTOL})"
     )
 
 

@@ -74,6 +74,22 @@ class TestConfigParsing:
             with_overrides(cfg, dt=-1.0)
 
 
+FLOAT_KEYS = (
+    "b0", "b1", "dt", "T", "t0", "g_scale", "h0", "h1", "f_scale", "ball_radius",
+)
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_exit_two_with_json_record(self, tmp_path, capsys, key, value):
+        code, out = run_cli(tmp_path, "simulate", f"{key} = {value}\n")
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": f"{key} must be finite", "exit_code": 2}
+        assert not out.exists() or os.listdir(out) == []
+
+
 class TestSpectrumCommand:
     CONFIG = "n_modes = 8\nfd_n = 400\n"
 

@@ -29,7 +29,7 @@ from dynbc import (
     reconstruct,
     simulate_path,
 )
-from dynbc.control import ControlProblem
+from dynbc.control import ControlProblem, control_drift
 from dynbc.errors import NonUniqueArgminError
 
 
@@ -93,6 +93,12 @@ class TestBoundaryImmersion:
             state = reconstruct(w, basis16)
             rhs = state.v0 * z[0] + state.v1 * z[1]
             assert abs(lhs - rhs) < 1e-10
+
+    def test_control_drift_is_immersed_gain_times_control(self, basis16, rng):
+        coeffs = named_coefficients("additive", g_scale=0.2, h0=0.7, h1=-1.3)
+        z = rng.normal(size=2)
+        expected = 0.7 * z[0] * basis16.trace0 + -1.3 * z[1] * basis16.trace1
+        assert np.array_equal(control_drift(0.0, z, coeffs, basis16), expected)
 
     def test_truncated_norm_increases_toward_full(self, params11):
         from dynbc import build_basis
@@ -409,6 +415,22 @@ class TestPolicyCost:
         paired_se = (zero_costs - const_costs).std(ddof=1) / math.sqrt(n)
         indep_se = (zero_costs - const_indep).std(ddof=1) / math.sqrt(n)
         assert paired_se < indep_se
+
+    def test_thread_count_leaves_policy_costs_bitwise(self, bench):
+        from dynbc.control import _policy_costs
+
+        provider = TerminalProxyGradient(bench.problem, bench.basis)
+        policy = FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis)
+        args = (
+            policy,
+            bench.problem,
+            bench.config,
+            bench.coeffs,
+            bench.basis,
+            bench.initial,
+            12,
+        )
+        assert np.array_equal(_policy_costs(*args, 1), _policy_costs(*args, 4))
 
     def test_horizon_mismatch_rejected(self, bench):
         bad = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.4, seed=1)

@@ -18,12 +18,13 @@ from dynbc import (
     time_grid,
 )
 from dynbc.errors import ShapeError
-from dynbc.spde import spot_check_coefficients
+from dynbc.spde import PATH_BLOCK, spot_check_coefficients
 from dynbc.validate import exact_additive_covariance
 
 ZERO = named_coefficients("zero")
 ADDITIVE = named_coefficients("additive", g_scale=0.2, h0=1.0, h1=1.0)
 MULTIPLICATIVE = named_coefficients("multiplicative", g_scale=0.4, h0=1.0, h1=1.0)
+FORCED = named_coefficients("forced", f_scale=1.0, g_scale=0.2, h0=1.0, h1=1.0)
 
 
 def constant_one_state(basis):
@@ -243,12 +244,18 @@ class TestNoise:
         assert abs(inc[0].std() - math.sqrt(1e-2)) < 2e-3
         assert abs(inc[1].std() - math.sqrt(4e-2)) < 4e-3
 
-    def test_prefix_stability_in_mode_count(self):
-        dts = np.full(5, 1e-2)
-        small = path_increments(5, 2, dts, 3)
-        # drawing more modes extends each row block without changing it
-        big = path_increments(5, 2, np.full(5, 1e-2), 3)
-        assert np.array_equal(small, big)
+    def test_terminal_row_depends_only_on_seed_and_index(self, basis8):
+        # row p of a blocked ensemble is path p of its own stream, whatever
+        # block it lands in and however many paths the ensemble has
+        cfg = SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.2, seed=5)
+        a0 = constant_one_state(basis8)
+        small = terminal_states(cfg, ADDITIVE, basis8, a0, PATH_BLOCK + 3)
+        large = terminal_states(cfg, ADDITIVE, basis8, a0, 2 * PATH_BLOCK + 1)
+        for p in (0, PATH_BLOCK - 2, PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 2):
+            single = simulate_path(cfg, ADDITIVE, basis8, a0, path_index=p)
+            scale = np.max(np.abs(single.states[-1]))
+            for terminal in (small, large):
+                assert np.max(np.abs(terminal[p] - single.states[-1])) <= 1e-13 * scale
 
 
 class TestEnsemble:
@@ -309,6 +316,65 @@ class TestEnsemble:
         par = ensemble_stats(cfg, ADDITIVE, basis8, a0, 64, threads=4)
         assert np.array_equal(seq.mean_terminal, par.mean_terminal)
         assert np.array_equal(seq.var_terminal, par.var_terminal)
+
+    def test_thread_count_leaves_terminal_states_bitwise(self, basis8):
+        cfg = SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.2, seed=5)
+        a0 = constant_one_state(basis8)
+        n = PATH_BLOCK + 7
+        seq = terminal_states(cfg, MULTIPLICATIVE, basis8, a0, n, threads=1)
+        par = terminal_states(cfg, MULTIPLICATIVE, basis8, a0, n, threads=4)
+        assert np.array_equal(seq, par)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [ZERO, ADDITIVE, MULTIPLICATIVE, FORCED],
+        ids=["zero", "additive", "multiplicative", "forced"],
+    )
+    def test_block_stepping_matches_single_paths(self, basis8, coeffs):
+        # a partial last block as well as a full one
+        cfg = SimConfig(n_modes=8, m_noise=6, dt=1e-2, T=0.2, seed=8)
+        a0 = constant_one_state(basis8)
+        n = PATH_BLOCK + 5
+        terminal = terminal_states(cfg, coeffs, basis8, a0, n)
+        single = np.array(
+            [
+                simulate_path(cfg, coeffs, basis8, a0, path_index=p).states[-1]
+                for p in range(n)
+            ]
+        )
+        assert np.max(np.abs(terminal - single)) <= 1e-13 * np.max(np.abs(single))
+
+    def test_block_step_matches_row_steps(self, basis8, rng):
+        # one step on a (P, N) block equals P one-path steps, with the
+        # control drift added row by row
+        block = rng.normal(size=(5, 8))
+        dW = rng.normal(size=(5, 6)) * 0.1
+        extra = rng.normal(size=(5, 8))
+        for coeffs in (ZERO, ADDITIVE, MULTIPLICATIVE, FORCED):
+            out = step_exp_euler(0.1, block, dW, coeffs, basis8, 1e-2, extra)
+            for p in range(5):
+                row = step_exp_euler(
+                    0.1, block[p], dW[p], coeffs, basis8, 1e-2, extra[p]
+                )
+                assert np.max(np.abs(out[p] - row)) <= 1e-13 * np.max(np.abs(row))
+
+    def test_projected_noise_matches_explicit_matrix(self, basis8, rng):
+        # the multiplicative step never forms G(u); compare with the matrix
+        # G_km = int g e_m e_k dx + h0 e_m(0) e_k(0) + h1 e_m(1) e_k(1)
+        a = rng.normal(size=8)
+        dW = rng.normal(size=6) * 0.1
+        V, w = basis8.values, basis8.quad.weights
+        gv = MULTIPLICATIVE.g(0.0, basis8.quad.nodes, V @ a)
+        G = (
+            V.T @ ((w * gv)[:, None] * V[:, :6])
+            + np.outer(basis8.trace0, basis8.trace0[:6])
+            + np.outer(basis8.trace1, basis8.trace1[:6])
+        )
+        expected = np.exp(basis8.lam * 1e-2) * (a + G @ dW)
+        out = step_exp_euler(0.0, a, dW, MULTIPLICATIVE, basis8, 1e-2)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+        built = galerkin_diffusion(0.0, a, MULTIPLICATIVE, basis8, m_noise=6)
+        assert np.max(np.abs(built - G)) <= 1e-13
 
     def test_needs_two_paths(self, basis8):
         cfg = SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.2, seed=5)
