@@ -141,7 +141,7 @@ def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
 def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
     _, basis, coeffs, sim = _build_setup(cfg)
     initial = _initial_state(cfg.initial, basis)
-    stats = ensemble_stats(sim, coeffs, basis, initial, cfg.n_paths, threads)
+    stats = ensemble_stats(sim, coeffs, basis, initial, cfg.n_paths)
     payload = {
         "config": cfg.as_dict(),
         "n_paths": stats.n_paths,
@@ -207,17 +207,10 @@ def _sanitize(name: str) -> str:
 def cmd_control(cfg: RunConfig, out: str, threads: int) -> int:
     _, basis, coeffs, sim = _build_setup(cfg)
     initial = _initial_state(cfg.initial, basis)
-    problem = ctl.quadratic_problem(
-        Z=ctl.ball(cfg.ball_radius),
-        state_cost=lambda t, a: float(a @ a),
-        terminal_cost=lambda a: float(a @ a),
-        t0=cfg.t0,
-        T=cfg.T,
-        terminal_gradient=lambda a: 2.0 * a,
-    )
+    problem = ctl.benchmark_problem(cfg.ball_radius, cfg.t0, cfg.T)
     policies = _make_policies(cfg, problem, coeffs, basis)
     report = ctl.compare_policies(
-        problem, policies, sim, coeffs, basis, initial, cfg.n_paths, threads
+        problem, policies, sim, coeffs, basis, initial, cfg.n_paths
     )
     payload = {
         "config": cfg.as_dict(),
@@ -248,7 +241,7 @@ def cmd_control(cfg: RunConfig, out: str, threads: int) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out: str, threads: int) -> int:
-    results = validate.run_all(cfg, threads)
+    results = validate.run_all(cfg)
     for res in results:
         sys.stdout.write(
             f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.measured}\n"
@@ -291,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every command is called as (config, out, threads) and ignores ``threads``:
+# perfbench/child.py wraps the commands and passes --threads through
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "simulate": cmd_simulate,
@@ -309,7 +304,7 @@ def main(argv=None) -> int:
         return _emit_error(str(exc), 2)
     os.makedirs(args.out, exist_ok=True)
     try:
-        return _COMMANDS[args.command](cfg, args.out, max(1, args.threads))
+        return _COMMANDS[args.command](cfg, args.out, args.threads)
     except ConfigError as exc:
         return _emit_error(str(exc), 2)
     except DynbcError as exc:

@@ -41,6 +41,11 @@ class RunConfig:
     fd_n: int = 2000
     hs_modes: int = 200
 
+    def __post_init__(self):
+        # the noise truncation defaults to the full basis
+        if self.m_noise is None:
+            object.__setattr__(self, "m_noise", self.n_modes)
+
     def policy_specs(self) -> list[str]:
         return [p.strip() for p in self.policies.split(",") if p.strip()]
 
@@ -49,18 +54,8 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {
-    "n_modes",
-    "m_noise",
-    "seed",
-    "n_paths",
-    "panels",
-    "nodes_per_panel",
-    "record_paths",
-    "fd_n",
-    "hs_modes",
-}
-_STR_KEYS = {"coefficients", "initial", "control_problem", "policies"}
+_INT_KEYS = {key for key, kind in _FIELD_TYPES.items() if kind is int}
+_STR_KEYS = {key for key, kind in _FIELD_TYPES.items() if kind is str}
 
 
 def _coerce(key: str, raw: str):
@@ -126,8 +121,6 @@ def parse_config(text: str) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _coerce(key, raw)
-    if "m_noise" not in values:
-        values["m_noise"] = values.get("n_modes", RunConfig.n_modes)
     cfg = RunConfig(**values)
     _validate(cfg)
     return cfg
@@ -143,7 +136,7 @@ def load_config(path) -> RunConfig:
 
 
 def default_config() -> RunConfig:
-    cfg = RunConfig(m_noise=RunConfig.n_modes)
+    cfg = RunConfig()
     _validate(cfg)
     return cfg
 

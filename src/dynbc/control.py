@@ -9,23 +9,29 @@ inf_z { running_cost + <costate, z> } has a closed-form minimizer for the
 built-in quadratic cost family (projection of the negated costate onto the
 admissible set) and falls back to an adaptive grid search otherwise.
 
+Every callable acts on blocks: policies map states (P, N) to controls
+(P, 2), gradient providers map (P, N) to (P, N), and costs act on the last
+axis, taking states (..., N) and controls (..., 2) to values (...).
+
 The value function of the underlying infinite-dimensional control problem
 is never solved for; feedback laws are driven by pluggable gradient
 providers that approximate its state gradient.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import NonUniqueArgminError
 from .semigroup import GridState, project
 from .spde import (
+    PATH_BLOCK,
     Coefficients,
     PathRecord,
     SimConfig,
+    block_increments,
     named_coefficients,
-    path_increments,
     step_exp_euler,
     time_steps,
 )
@@ -37,7 +43,10 @@ _ARGMIN_VALUE_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class AdmissibleSet:
-    """Bounded closed convex control set in R^2: a ball or a box."""
+    """Bounded closed convex control set in R^2: a ball or a box.
+
+    ``contains`` and ``project`` act on the last axis of ``z`` (..., 2).
+    """
 
     kind: str
     radius: float = None
@@ -56,26 +65,20 @@ class AdmissibleSet:
         else:
             raise ValueError(f"unknown admissible set kind: {self.kind!r}")
 
-    def contains(self, z, tol: float = 1e-12) -> bool:
+    def contains(self, z, tol: float = 1e-12):
         z = np.asarray(z, dtype=float)
         if self.kind == "ball":
-            return float(np.hypot(z[0], z[1])) <= self.radius + tol
-        (lo0, hi0), (lo1, hi1) = self.bounds
-        return (
-            lo0 - tol <= z[0] <= hi0 + tol and lo1 - tol <= z[1] <= hi1 + tol
-        )
+            return np.hypot(z[..., 0], z[..., 1]) <= self.radius + tol
+        lo, hi = np.transpose(self.bounds)
+        return np.all((lo - tol <= z) & (z <= hi + tol), axis=-1)
 
     def project(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if self.kind == "ball":
-            norm = float(np.hypot(z[0], z[1]))
-            if norm <= self.radius or norm == 0.0:
-                return z.copy()
-            return z * (self.radius / norm)
-        (lo0, hi0), (lo1, hi1) = self.bounds
-        return np.array(
-            [min(max(z[0], lo0), hi0), min(max(z[1], lo1), hi1)]
-        )
+            norm = np.hypot(z[..., 0], z[..., 1])[..., None]
+            return z * (self.radius / np.maximum(norm, self.radius))
+        lo, hi = np.transpose(self.bounds)
+        return np.clip(z, lo, hi)
 
     def bounding_box(self):
         if self.kind == "ball":
@@ -96,8 +99,9 @@ def box(bounds) -> AdmissibleSet:
 class ControlProblem:
     """Cost structure over a fixed horizon [t0, T].
 
-    ``running_cost(t, state, z)`` and ``terminal_cost(state)`` act on modal
-    coefficient vectors.  When ``state_cost`` is set the running cost is
+    ``running_cost(t, state, z)`` and ``terminal_cost(state)`` act on the
+    last axis of modal states (..., N) and controls (..., 2), returning
+    values (...).  When ``state_cost`` is set the running cost is
     declared to be state_cost(t, state) + |z|^2/2, unlocking the
     closed-form Hamiltonian; use ``quadratic_problem`` to build that
     consistently.  ``terminal_gradient`` optionally supplies the modal
@@ -129,7 +133,7 @@ def quadratic_problem(
 
     def running(t, state, z):
         z = np.asarray(z, dtype=float)
-        return state_cost(t, state) + 0.5 * float(z @ z)
+        return state_cost(t, state) + 0.5 * (z * z).sum(axis=-1)
 
     return ControlProblem(
         Z=Z,
@@ -142,9 +146,23 @@ def quadratic_problem(
     )
 
 
+def benchmark_problem(radius: float = 1.0, t0: float = 0.0, T: float = 0.5):
+    """The benchmark costs over the ball of ``radius``: |state|^2 + |z|^2/2
+    running and |state|^2 terminal, with the exact terminal gradient."""
+    return quadratic_problem(
+        Z=ball(radius),
+        state_cost=lambda t, a: (a * a).sum(axis=-1),
+        terminal_cost=lambda a: (a * a).sum(axis=-1),
+        t0=t0,
+        T=T,
+        terminal_gradient=lambda a: 2.0 * a,
+    )
+
+
 def boundary_immersion(z, basis: EigenBasis) -> np.ndarray:
-    """Modal coordinates of (0, z): z0 e_k(0) + z1 e_k(1)."""
-    return z[0] * basis.trace0 + z[1] * basis.trace1
+    """Modal coordinates of (0, z): z0 e_k(0) + z1 e_k(1), for z (..., 2)."""
+    z = np.asarray(z, dtype=float)
+    return z[..., :1] * basis.trace0 + z[..., 1:] * basis.trace1
 
 
 def boundary_costate(
@@ -154,66 +172,56 @@ def boundary_costate(
     coeffs: Coefficients,
     basis: EigenBasis,
 ) -> np.ndarray:
-    """Effective 2-vector multiplying z inside the Hamiltonian.
+    """Effective vector (..., 2) multiplying z inside the Hamiltonian.
 
     Adjoint of (noise gain) o (boundary immersion) applied to the modal
     value-gradient: h(t) componentwise times the boundary traces of the
     gradient.  The interior diffusion block never touches the control.
     """
     h0, h1 = coeffs.h(t)
-    return np.array([h0 * float(grad @ basis.trace0), h1 * float(grad @ basis.trace1)])
+    return np.stack((h0 * (grad @ basis.trace0), h1 * (grad @ basis.trace1)), axis=-1)
 
 
 def control_drift(t: float, z, coeffs: Coefficients, basis: EigenBasis) -> np.ndarray:
     """Modal drift contributed by control z through the boundary gains."""
-    h0, h1 = coeffs.h(t)
-    return boundary_immersion((h0 * z[0], h1 * z[1]), basis)
-
-
-def _grid_candidates(t, state, p, problem, resolution):
-    # grid points outside Z are projected onto it rather than skipped, so
-    # curved boundaries get sampled densely and constrained minimizers are
-    # resolved to second order in the spacing
-    (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
-    z0s = np.linspace(lo0, hi0, resolution)
-    z1s = np.linspace(lo1, hi1, resolution)
-    spacing = max(
-        (hi0 - lo0) / max(resolution - 1, 1), (hi1 - lo1) / max(resolution - 1, 1)
-    )
-    best_val, best_z = np.inf, None
-    points, values = [], []
-    for z0 in z0s:
-        for z1 in z1s:
-            z = problem.Z.project(np.array([z0, z1]))
-            val = problem.running_cost(t, state, z) + float(p @ z)
-            points.append(z)
-            values.append(val)
-            if val < best_val:
-                best_val, best_z = val, z
-    return best_val, best_z, np.array(points), np.array(values), spacing
+    return boundary_immersion(np.multiply(coeffs.h(t), z), basis)
 
 
 def _grid_search(t, state, p, problem, resolution=GRID_RESOLUTION):
     """Adaptive minimization of running_cost + p.z over Z.
 
     Coarse pass over the bounding box of Z, then one local refinement pass
-    around the coarse minimizer.  Returns (value, argmin, coarse distance
-    spread of near-minimal points, coarse spacing).
+    around the coarse minimizer, each one running-cost call over all its
+    candidates; ties go to the first candidate.  Returns (value, argmin,
+    coarse distance spread of near-minimal points, coarse spacing).
     """
-    val, z, points, values, spacing = _grid_candidates(
-        t, state, p, problem, resolution
+
+    def candidates(range0, range1, n):
+        # the n x n grid over range0 x range1 (z0 varying slowest) projected
+        # onto Z, so curved boundaries get sampled densely and constrained
+        # minimizers are resolved to second order in the spacing
+        z0s, z1s = np.linspace(*range0, n), np.linspace(*range1, n)
+        grid = np.stack(np.meshgrid(z0s, z1s, indexing="ij"), axis=-1)
+        points = problem.Z.project(grid.reshape(-1, 2))
+        states = np.broadcast_to(state, (len(points), len(state)))
+        values = problem.running_cost(t, states, points) + (points * p).sum(axis=-1)
+        return points, values
+
+    (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
+    spacing = max(
+        (hi0 - lo0) / max(resolution - 1, 1), (hi1 - lo1) / max(resolution - 1, 1)
     )
+    points, values = candidates((lo0, hi0), (lo1, hi1), resolution)
+    best = np.argmin(values)
+    val, z = values[best], points[best]
     tol = _ARGMIN_VALUE_RTOL * (1.0 + abs(val))
-    near = points[values <= val + tol]
-    spread = float(np.max(np.linalg.norm(near - z, axis=1))) if len(near) else 0.0
-    fine_val, fine_z = val, z
-    for z0 in np.linspace(z[0] - spacing, z[0] + spacing, 41):
-        for z1 in np.linspace(z[1] - spacing, z[1] + spacing, 41):
-            cand = problem.Z.project(np.array([z0, z1]))
-            v = problem.running_cost(t, state, cand) + float(p @ cand)
-            if v < fine_val:
-                fine_val, fine_z = v, cand
-    return fine_val, fine_z, spread, spacing
+    spread = float(np.max(np.linalg.norm(points[values <= val + tol] - z, axis=1)))
+    # refinement: 41 x 41 points within one coarse spacing of z
+    points, values = candidates(*np.add.outer(z, (-spacing, spacing)), 41)
+    best = np.argmin(values)
+    if values[best] < val:
+        val, z = values[best], points[best]
+    return val, z, spread, spacing
 
 
 def hamiltonian(t: float, state: np.ndarray, p, problem: ControlProblem) -> float:
@@ -225,9 +233,8 @@ def hamiltonian(t: float, state: np.ndarray, p, problem: ControlProblem) -> floa
     p = np.asarray(p, dtype=float)
     if problem.is_quadratic:
         z = problem.Z.project(-p)
-        return problem.state_cost(t, state) + 0.5 * float(z @ z) + float(p @ z)
-    val, _, _, _ = _grid_search(t, state, p, problem)
-    return val
+        return problem.running_cost(t, state, z) + (p * z).sum(axis=-1)
+    return _grid_search(t, state, p, problem)[0]
 
 
 def hamiltonian_argmin(
@@ -235,10 +242,10 @@ def hamiltonian_argmin(
 ) -> np.ndarray:
     """Minimizer realizing the Hamiltonian; assumed unique.
 
-    For the quadratic family this is the projection of -p onto Z.  For
-    grid-searched costs, two near-minimal points farther apart than ten
-    grid cells violate the uniqueness assumption and raise instead of
-    silently picking one.
+    For the quadratic family this is the projection of -p onto Z, for
+    costates (..., 2).  For grid-searched costs (one state and costate),
+    two near-minimal points farther apart than ten grid cells violate the
+    uniqueness assumption and raise instead of silently picking one.
     """
     p = np.asarray(p, dtype=float)
     if problem.is_quadratic:
@@ -255,7 +262,7 @@ class ZeroPolicy:
     name = "zero"
 
     def __call__(self, t, state):
-        return np.zeros(2)
+        return np.zeros((len(state), 2))
 
 
 class ConstantPolicy:
@@ -264,7 +271,7 @@ class ConstantPolicy:
         self.name = f"constant({self.z[0]:g},{self.z[1]:g})"
 
     def __call__(self, t, state):
-        return self.z
+        return np.tile(self.z, (len(state), 1))
 
 
 class OpenLoopPolicy:
@@ -274,7 +281,8 @@ class OpenLoopPolicy:
         self.name = name
 
     def __call__(self, t, state):
-        return self.Z.project(np.asarray(self.schedule(t), dtype=float))
+        z = self.Z.project(np.asarray(self.schedule(t), dtype=float))
+        return np.tile(z, (len(state), 1))
 
 
 class FeedbackPolicy:
@@ -291,7 +299,12 @@ class FeedbackPolicy:
     def __call__(self, t, state):
         grad = self.provider(t, state)
         p = boundary_costate(t, state, grad, self.coeffs, self.basis)
-        return hamiltonian_argmin(t, state, p, self.problem)
+        if self.problem.is_quadratic:
+            return hamiltonian_argmin(t, state, p, self.problem)
+        # the grid search minimizes for one state at a time
+        return np.array(
+            [hamiltonian_argmin(t, a, q, self.problem) for a, q in zip(state, p)]
+        )
 
 
 class ZeroGradient:
@@ -304,7 +317,7 @@ class ZeroGradient:
         self.n_modes = n_modes
 
     def __call__(self, t, state):
-        return np.zeros(self.n_modes)
+        return np.zeros((len(state), self.n_modes))
 
 
 class TerminalProxyGradient:
@@ -334,15 +347,17 @@ class TerminalProxyGradient:
 
 
 def _fd_gradient(fun, state, rel_bump: float = 1e-6, n_dirs: int = None):
-    # central differences along the first n_dirs modal directions (all of
-    # them by default); the other entries stay zero
-    grad = np.zeros(len(state))
-    for k in range(len(state) if n_dirs is None else n_dirs):
-        bump = rel_bump * (1.0 + abs(state[k]))
-        up, down = state.copy(), state.copy()
-        up[k] += bump
-        down[k] -= bump
-        grad[k] = (fun(up) - fun(down)) / (2.0 * bump)
+    # central differences of a last-axis ``fun`` along the first n_dirs
+    # modal directions (all of them by default), all 2 n_dirs bumped states
+    # in one call; the other entries stay zero
+    n = np.shape(state)[-1]
+    k = n if n_dirs is None else n_dirs
+    bump = rel_bump * (1.0 + np.abs(state[..., :k]))
+    steps = bump[..., None] * np.eye(k, n)
+    centre = state[..., None, :]
+    values = fun(np.concatenate((centre + steps, centre - steps), axis=-2))
+    grad = np.zeros(np.shape(state))
+    grad[..., :k] = (values[..., :k] - values[..., k:]) / (2.0 * bump)
     return grad
 
 
@@ -379,29 +394,27 @@ class NestedMCGradient:
         self.inner_dt = inner_dt
         self.seed = seed
 
-    def _value(self, state, dW_all, dts, times):
-        # the inner paths are stepped as one block; the running cost is
-        # evaluated per row, since its contract is one state at a time
-        block = np.tile(state, (self.inner_paths, 1))
-        cost = np.zeros(self.inner_paths)
-        zero = np.zeros(2)
+    def _value(self, dW_all, dts, times, states):
+        # every (state, inner path) pair is one row of a single block, and
+        # all states share the inner paths' noise
+        block = np.repeat(states, self.inner_paths, axis=0)
+        dW = np.tile(dW_all, (len(states), 1, 1))
+        zero = np.zeros((len(block), 2))
+        cost = np.zeros(len(block))
         for i, dt in enumerate(dts):
-            running = [self.problem.running_cost(times[i], a, zero) for a in block]
-            cost += np.array(running) * dt
+            cost += self.problem.running_cost(times[i], block, zero) * dt
             block = step_exp_euler(
-                times[i], block, dW_all[:, i], self.coeffs, self.basis, dt
+                times[i], block, dW[:, i], self.coeffs, self.basis, dt
             )
-        total = 0.0
-        for c, a in zip(cost, block):
-            total += c + self.problem.terminal_cost(a)
-        return total / self.inner_paths
+        cost += self.problem.terminal_cost(block)
+        return cost.reshape(len(states), self.inner_paths).mean(axis=1)
 
     def __call__(self, t, state):
         state = np.asarray(state, dtype=float)
         dt = self.inner_dt or 1e-2
         span = self.problem.T - t
         if span <= 0.0:
-            return np.zeros(self.basis.n_modes)
+            return np.zeros(state.shape)
         n_steps = max(1, int(np.ceil(span / dt - 1e-9)))
         dts = np.full(n_steps, span / n_steps)
         times = t + np.concatenate(([0.0], np.cumsum(dts)))[:-1]
@@ -412,54 +425,54 @@ class NestedMCGradient:
         dW_all = rng.standard_normal((self.inner_paths, n_steps, m)) * np.sqrt(
             dts
         )[None, :, None]
-        return _fd_gradient(
-            lambda a: self._value(a, dW_all, dts, times),
-            state,
-            self.bump_rel,
-            self.n_dirs,
+        value = partial(self._value, dW_all, dts, times)
+        # one row at a time: the bumps x inner paths of a row fill a block
+        return np.array(
+            [_fd_gradient(value, a, self.bump_rel, self.n_dirs) for a in state]
         )
 
 
-def _check_horizon(problem: ControlProblem, config: SimConfig):
+def _rollout(policy, problem, config, coeffs, basis, initial, rows):
+    """Step the paths ``rows`` under ``policy`` as one block.
+
+    Row r draws ``path_increments(seed, rows[r], ...)``.  Returns the cost
+    of each row (left-endpoint running-cost integral plus terminal cost),
+    the list of states (P, N) per time and of controls (P, 2) per step.
+    """
     if abs(problem.t0 - config.t0) > 1e-12 or abs(problem.T - config.T) > 1e-12:
         raise ValueError("problem horizon and simulation config disagree")
-
-
-def _controlled_path(policy, problem, config, coeffs, basis, initial, path_index):
-    """Simulate one controlled path; returns (record, running-cost integral)."""
     times, dts = time_steps(config, basis)
-    dW = path_increments(config.seed, path_index, dts, config.m_noise)
-    states = np.empty((len(times), config.n_modes))
-    states[0] = np.asarray(initial, dtype=float)
-    controls = np.empty((len(dts), 2))
-    running = 0.0
+    dW = block_increments(config.seed, rows, dts, config.m_noise)
+    block = np.tile(np.asarray(initial, dtype=float), (len(rows), 1))
+    states, controls = [block], []
+    cost = np.zeros(len(rows))
     for i, dt in enumerate(dts):
-        t, a = times[i], states[i]
-        z = np.asarray(policy(t, a), dtype=float)
-        if not problem.Z.contains(z, tol=1e-9):
+        t = times[i]
+        z = np.asarray(policy(t, block), dtype=float)
+        outside = ~problem.Z.contains(z, tol=1e-9)
+        if outside.any():
+            r = int(np.argmax(outside))
             raise ValueError(
                 f"policy {getattr(policy, 'name', policy)!r} emitted "
-                f"inadmissible control {z} at t={t}"
+                f"inadmissible control {z[r]} at t={t} on path {rows[r]}"
             )
-        controls[i] = z
-        running += problem.running_cost(t, a, z) * dt
-        states[i + 1] = step_exp_euler(
-            t, a, dW[i], coeffs, basis, dt, control_drift(t, z, coeffs, basis)
+        cost += problem.running_cost(t, block, z) * dt
+        block = step_exp_euler(
+            t, block, dW[i], coeffs, basis, dt, control_drift(t, z, coeffs, basis)
         )
-    record = PathRecord(times=times, states=states, controls=controls)
-    return record, running
+        states.append(block)
+        controls.append(z)
+    cost += problem.terminal_cost(block)
+    return cost, states, controls
 
 
-def _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths, threads):
-    # paths run one after another in index order; ``threads`` changes nothing
-    _check_horizon(problem, config)
-    costs = np.empty(n_paths)
-    for p in range(n_paths):
-        record, running = _controlled_path(
-            policy, problem, config, coeffs, basis, initial, p
-        )
-        costs[p] = running + problem.terminal_cost(record.states[-1])
-    return costs
+def _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths):
+    # blocks of PATH_BLOCK paths in index order; row p depends only on
+    # (seed, p), so every policy sees the same noise per path
+    starts = range(0, n_paths, PATH_BLOCK)
+    blocks = [range(s, min(s + PATH_BLOCK, n_paths)) for s in starts]
+    args = (policy, problem, config, coeffs, basis, initial)
+    return np.concatenate([_rollout(*args, rows)[0] for rows in blocks])
 
 
 def policy_cost(
@@ -470,7 +483,6 @@ def policy_cost(
     basis: EigenBasis,
     initial: np.ndarray,
     n_paths: int,
-    threads: int = 1,
 ):
     """Monte Carlo estimate (mean, standard error) of the policy cost.
 
@@ -480,9 +492,7 @@ def policy_cost(
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    costs = _policy_costs(
-        policy, problem, config, coeffs, basis, initial, n_paths, threads
-    )
+    costs = _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths)
     return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(n_paths))
 
 
@@ -509,11 +519,17 @@ def policy_path(
     initial: np.ndarray,
     path_index: int = 0,
 ) -> PathRecord:
-    """One controlled trajectory under an arbitrary policy, with controls."""
-    _check_horizon(problem, config)
-    return _controlled_path(
-        policy, problem, config, coeffs, basis, initial, path_index
-    )[0]
+    """One controlled trajectory under an arbitrary policy, with controls:
+    the rollout of ``_policy_costs`` on the single row ``path_index``."""
+    rows = range(path_index, path_index + 1)
+    _, states, controls = _rollout(
+        policy, problem, config, coeffs, basis, initial, rows
+    )
+    return PathRecord(
+        times=time_steps(config, basis)[0],
+        states=np.array(states)[:, 0],
+        controls=np.array(controls)[:, 0],
+    )
 
 
 @dataclass(frozen=True)
@@ -550,7 +566,6 @@ def compare_policies(
     basis: EigenBasis,
     initial: np.ndarray,
     n_paths: int,
-    threads: int = 1,
 ) -> ComparisonReport:
     """Evaluate policies on shared random numbers and pair the differences.
 
@@ -561,7 +576,7 @@ def compare_policies(
     if len(policies) < 2:
         raise ValueError("need at least 2 policies to compare")
     all_costs = [
-        _policy_costs(pol, problem, config, coeffs, basis, initial, n_paths, threads)
+        _policy_costs(pol, problem, config, coeffs, basis, initial, n_paths)
         for pol in policies
     ]
     results = tuple(
@@ -619,14 +634,7 @@ def benchmark_bundle(seed: int = 12345) -> BenchmarkBundle:
     basis = build_basis(params, n_modes=8)
     coeffs = named_coefficients("additive", g_scale=0.2, h0=1.0, h1=1.0)
     config = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.5, t0=0.0, seed=seed)
-    problem = quadratic_problem(
-        Z=ball(1.0),
-        state_cost=lambda t, a: float(a @ a),
-        terminal_cost=lambda a: float(a @ a),
-        t0=0.0,
-        T=0.5,
-        terminal_gradient=lambda a: 2.0 * a,
-    )
+    problem = benchmark_problem()
     initial = project(GridState(u=np.ones(basis.quad.size), v0=1.0, v1=1.0), basis)
     return BenchmarkBundle(
         params=params,

@@ -120,6 +120,17 @@ def path_increments(
     return z * np.sqrt(np.asarray(dts))[:, None]
 
 
+def block_increments(
+    seed: int, rows: range, dts: np.ndarray, m_noise: int
+) -> np.ndarray:
+    """Increments of the paths ``rows`` as one (steps, len(rows), m_noise)
+    array; row r draws ``path_increments(seed, rows[r], ...)``."""
+    dW = np.empty((len(dts), len(rows), m_noise))
+    for r, p in enumerate(rows):
+        dW[:, r] = path_increments(seed, p, dts, m_noise)
+    return dW
+
+
 def _interior_moments(fv, basis: EigenBasis) -> np.ndarray:
     # int fv e_k dx for nodal values fv (one row per path) or a constant
     if np.ndim(fv) == 0:
@@ -237,21 +248,18 @@ def simulate_path(
     return PathRecord(times=times, states=states, grid_u=grid_u, grid_v=grid_v)
 
 
-def terminal_states(config, coeffs, basis, initial, n_paths, threads=1):
+def terminal_states(config, coeffs, basis, initial, n_paths):
     """Terminal modal states of an ensemble, one row per path index.
 
     Paths are stepped ``PATH_BLOCK`` at a time as one (P, N) block; row p
     draws ``path_increments(seed, p, ...)``, so it depends only on
-    (seed, p).  ``threads`` is accepted for compatibility; it has no effect.
+    (seed, p).
     """
     times, dts = time_steps(config, basis)
     out = np.empty((n_paths, config.n_modes))
-    noise = np.empty((len(dts), min(PATH_BLOCK, n_paths), config.m_noise))
     for start in range(0, n_paths, PATH_BLOCK):
         rows = range(start, min(start + PATH_BLOCK, n_paths))
-        dW = noise[:, : len(rows)]
-        for r, p in enumerate(rows):
-            dW[:, r] = path_increments(config.seed, p, dts, config.m_noise)
+        dW = block_increments(config.seed, rows, dts, config.m_noise)
         block = np.tile(np.asarray(initial, dtype=float), (len(rows), 1))
         for i, dt in enumerate(dts):
             block = step_exp_euler(times[i], block, dW[i], coeffs, basis, dt)
@@ -265,13 +273,12 @@ def ensemble_stats(
     basis: EigenBasis,
     initial: np.ndarray,
     n_paths: int,
-    threads: int = 1,
 ) -> EnsembleStats:
     """Terminal mean/variance over an ensemble, with standard errors,
-    reduced in fixed path-index order (``threads`` changes nothing)."""
+    reduced in fixed path-index order."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    terminal = terminal_states(config, coeffs, basis, initial, n_paths, threads)
+    terminal = terminal_states(config, coeffs, basis, initial, n_paths)
     var = terminal.var(axis=0, ddof=1)
     norms = np.linalg.norm(terminal, axis=1)
     var_norm = norms.var(ddof=1)

@@ -85,21 +85,24 @@ def _check_association(ctx):
     )
 
 
-@_named("hs_rate")
-def _check_hs_rate(ctx):
-    # fit HS^2(t) = c / sqrt(t) + C at small t; Weyl's law gives c = HS_WEYL
-    cfg = ctx["config"]
-    lams = find_eigenvalues(ctx["params"], cfg.hs_modes)
+def weyl_fit(lams):
+    """Fitted c in HS^2(t) = c / sqrt(t) + C on t in [1e-4, 1e-3] from the
+    eigenvalues ``lams``, and its relative gap to Weyl's ``HS_WEYL``."""
     ts = np.logspace(-4, -3, 13)
     tail = np.exp(2.0 * lams[-1] * ts[0])
     if tail > 1e-8:
         raise TruncationError(
-            f"hs_modes={cfg.hs_modes} unresolved at t=1e-4 (tail {tail:.3e})"
+            f"hs_modes={len(lams)} unresolved at t=1e-4 (tail {tail:.3e})"
         )
     hs_sq = np.exp(2.0 * np.outer(ts, lams)).sum(axis=1)
     design = np.column_stack((1.0 / np.sqrt(ts), np.ones_like(ts)))
     c = float(np.linalg.lstsq(design, hs_sq, rcond=None)[0][0])
-    rel = abs(c / HS_WEYL - 1.0)
+    return c, abs(c / HS_WEYL - 1.0)
+
+
+@_named("hs_rate")
+def _check_hs_rate(ctx):
+    c, rel = weyl_fit(find_eigenvalues(ctx["params"], ctx["config"].hs_modes))
     return rel <= HS_WEYL_RTOL, (
         f"fitted c = {c:.5f} in HS^2 ~ c/sqrt(t) + C on t in [1e-4, 1e-3], "
         f"relative gap to 1/sqrt(8 pi) {rel:.3e} (tol {HS_WEYL_RTOL})"
@@ -163,9 +166,7 @@ def _check_ito(ctx):
     )
     initial = np.zeros(basis.n_modes)
     n_paths = min(cfg.n_paths, 4000)
-    terminal = spde.terminal_states(
-        sim, coeffs, basis, initial, n_paths, ctx.get("threads", 1)
-    )
+    terminal = spde.terminal_states(sim, coeffs, basis, initial, n_paths)
     exact = exact_additive_covariance(sim, coeffs, basis)
     sample = np.cov(terminal.T)
     se = np.sqrt(
@@ -181,13 +182,7 @@ def _check_ito(ctx):
 @_named("hamiltonian_oracle")
 def _check_hamiltonian(ctx):
     basis = ctx["basis"]
-    problem = ctl.quadratic_problem(
-        Z=ctl.ball(1.0),
-        state_cost=lambda t, a: float(a @ a),
-        terminal_cost=lambda a: float(a @ a),
-        t0=0.0,
-        T=0.5,
-    )
+    problem = ctl.benchmark_problem()
     grid_problem = ctl.ControlProblem(
         Z=problem.Z,
         running_cost=problem.running_cost,
@@ -241,7 +236,7 @@ _CHECKS = [
 ]
 
 
-def run_all(config: RunConfig, threads: int = 1) -> list[CheckResult]:
+def run_all(config: RunConfig) -> list[CheckResult]:
     params = BoundaryParams(config.b0, config.b1)
     ctx = {
         "config": config,
@@ -250,7 +245,6 @@ def run_all(config: RunConfig, threads: int = 1) -> list[CheckResult]:
             params, config.n_modes, config.panels, config.nodes_per_panel
         ),
         "fd_op": fem_oracle.build(config.fd_n, params),
-        "threads": threads,
     }
     results = []
     for check in _CHECKS:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynbc.cli import main
-from dynbc.config import default_config, parse_config, with_overrides
+from dynbc.config import RunConfig, default_config, parse_config, with_overrides
 from dynbc.errors import ConfigError
 
 
@@ -43,6 +43,11 @@ class TestConfigParsing:
     def test_m_noise_defaults_to_n_modes(self):
         cfg = parse_config("n_modes = 6\n")
         assert cfg.m_noise == 6
+        assert parse_config("n_modes = 4").m_noise == 4
+
+    def test_bare_run_config_is_the_default(self):
+        assert RunConfig() == default_config()
+        assert with_overrides(RunConfig(), seed=1).m_noise == 16
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nb0 = 3.0  # inline\n")
@@ -236,6 +241,22 @@ class TestControlCommand:
         code2, out2 = run_cli(tmp_path, "control", config)
         assert code == code2 == 0
         assert first == read_files(out2)
+
+    def test_threads_flag_changes_no_byte(self, tmp_path):
+        config = (
+            "n_modes = 8\nm_noise = 8\ndt = 1e-2\nT = 0.2\nn_paths = 70\n"
+            "coefficients = multiplicative\n"
+            "policies = zero, feedback:terminal_proxy\nseed = 11\n"
+        )
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out_{threads}"
+            argv = ["control", "--config", str(cfg_path), "--out", str(out)]
+            assert main(argv + ["--threads", threads]) == 0
+            outputs.append(read_files(out))
+        assert outputs[0] == outputs[1]
 
     def test_unknown_policy_rejected(self, tmp_path, capsys):
         code, _ = run_cli(

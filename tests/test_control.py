@@ -29,8 +29,16 @@ from dynbc import (
     reconstruct,
     simulate_path,
 )
-from dynbc.control import ControlProblem, control_drift
+from dynbc.control import (
+    _ARGMIN_VALUE_RTOL,
+    GRID_RESOLUTION,
+    ControlProblem,
+    _grid_search,
+    _policy_costs,
+    control_drift,
+)
 from dynbc.errors import NonUniqueArgminError
+from dynbc.spde import PATH_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,44 @@ def _grid_oracle(t, state, p, problem, resolution=2001):
             if val < best:
                 best, argbest = val, z
     return best, argbest
+
+
+def _loop_grid_candidates(t, state, p, problem, resolution):
+    # the scalar double loop _grid_search replaced, kept as its reference
+    (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
+    z0s = np.linspace(lo0, hi0, resolution)
+    z1s = np.linspace(lo1, hi1, resolution)
+    spacing = max(
+        (hi0 - lo0) / max(resolution - 1, 1), (hi1 - lo1) / max(resolution - 1, 1)
+    )
+    best_val, best_z = np.inf, None
+    points, values = [], []
+    for z0 in z0s:
+        for z1 in z1s:
+            z = problem.Z.project(np.array([z0, z1]))
+            val = problem.running_cost(t, state, z) + float(p @ z)
+            points.append(z)
+            values.append(val)
+            if val < best_val:
+                best_val, best_z = val, z
+    return best_val, best_z, np.array(points), np.array(values), spacing
+
+
+def _loop_grid_search(t, state, p, problem, resolution=GRID_RESOLUTION):
+    val, z, points, values, spacing = _loop_grid_candidates(
+        t, state, p, problem, resolution
+    )
+    tol = _ARGMIN_VALUE_RTOL * (1.0 + abs(val))
+    near = points[values <= val + tol]
+    spread = float(np.max(np.linalg.norm(near - z, axis=1))) if len(near) else 0.0
+    fine_val, fine_z = val, z
+    for z0 in np.linspace(z[0] - spacing, z[0] + spacing, 41):
+        for z1 in np.linspace(z[1] - spacing, z[1] + spacing, 41):
+            cand = problem.Z.project(np.array([z0, z1]))
+            v = problem.running_cost(t, state, cand) + float(p @ cand)
+            if v < fine_val:
+                fine_val, fine_z = v, cand
+    return fine_val, fine_z, spread, spacing
 
 
 class TestAdmissibleSet:
@@ -184,6 +230,38 @@ class TestHamiltonian:
             assert abs(v1 - v2) <= 1e-3
             assert np.linalg.norm(z1 - z2) <= 1e-3
 
+    @pytest.mark.parametrize(
+        "Z", [ball(1.0), box(((-1.0, 0.5), (-0.25, 1.0)))], ids=["ball", "box"]
+    )
+    def test_grid_search_matches_scalar_loop(self, Z):
+        quad = quadratic_problem(
+            Z, lambda t, a: (a * a).sum(axis=-1), lambda a: 0.0, 0.0, 1.0
+        )
+        problems = [
+            ControlProblem(Z, quad.running_cost, quad.terminal_cost, 0.0, 1.0),
+            ControlProblem(
+                Z,
+                lambda t, a, z: (np.hypot(z[..., 0], z[..., 1]) - 0.5) ** 2,
+                lambda a: 0.0,
+                0.0,
+                1.0,
+            ),
+        ]
+        # 100 pairs, the two costs taking turns
+        rng = np.random.Generator(np.random.Philox(key=77))
+        for i in range(100):
+            state = rng.normal(size=8)
+            p = rng.normal(scale=1.5, size=2)
+            problem = problems[i % 2]
+            val, z, spread, spacing = _grid_search(0.0, state, p, problem)
+            ref_val, ref_z, ref_spread, ref_spacing = _loop_grid_search(
+                0.0, state, p, problem
+            )
+            assert abs(val - ref_val) <= 1e-12 * (1.0 + abs(ref_val))
+            assert np.max(np.abs(z - ref_z)) <= 1e-12
+            assert abs(spread - ref_spread) <= 1e-12
+            assert spacing == ref_spacing
+
     def test_infimum_property(self, bench, rng):
         state = rng.normal(size=8)
         p = rng.normal(size=2)
@@ -225,7 +303,7 @@ class TestHamiltonian:
         # ring-shaped cost with p = 0 has a circle of minimizers
         ring = ControlProblem(
             Z=ball(1.0),
-            running_cost=lambda t, a, z: (np.hypot(z[0], z[1]) - 0.5) ** 2,
+            running_cost=lambda t, a, z: (np.hypot(z[..., 0], z[..., 1]) - 0.5) ** 2,
             terminal_cost=lambda a: 0.0,
             t0=0.0,
             T=1.0,
@@ -247,7 +325,7 @@ class TestGradientProviders:
         problem = quadratic_problem(
             ball(1.0),
             lambda t, a: 0.0,
-            lambda a: float(a @ a),
+            lambda a: (a * a).sum(axis=-1),
             0.0,
             0.5,
         )
@@ -267,8 +345,8 @@ class TestGradientProviders:
             inner_dt=5e-2,
             seed=4,
         )
-        g1 = provider(0.1, bench.initial)
-        g2 = provider(0.1, bench.initial)
+        g1 = provider(0.1, bench.initial[None])[0]
+        g2 = provider(0.1, bench.initial[None])[0]
         assert np.array_equal(g1, g2)
         assert np.all(g1[3:] == 0.0)
 
@@ -285,7 +363,7 @@ class TestGradientProviders:
             inner_dt=2e-2,
             seed=9,
         )
-        nested = provider(0.0, bench.initial)
+        nested = provider(0.0, bench.initial[None])[0]
         proxy = TerminalProxyGradient(bench.problem, bench.basis)(0.0, bench.initial)
         assert nested[0] > 0.0
         assert proxy[0] > 0.0
@@ -295,11 +373,11 @@ class TestGradientProviders:
 class TestPolicies:
     def test_constant_policy_projected(self):
         pol = ConstantPolicy((3.0, 4.0), ball(1.0))
-        assert np.allclose(pol(0.0, None), (0.6, 0.8))
+        assert np.allclose(pol(0.0, np.zeros((3, 8))), (0.6, 0.8))
 
     def test_open_loop_projected(self):
         pol = OpenLoopPolicy(lambda t: (2.0 * t, 0.0), ball(1.0))
-        assert np.allclose(pol(1.0, None), (1.0, 0.0))
+        assert np.allclose(pol(1.0, np.zeros((3, 8))), (1.0, 0.0))
 
     def test_every_emitted_control_admissible(self, bench):
         provider = TerminalProxyGradient(bench.problem, bench.basis)
@@ -319,7 +397,7 @@ class TestPolicies:
             name = "rogue"
 
             def __call__(self, t, state):
-                return np.array([5.0, 0.0])
+                return np.tile([5.0, 0.0], (len(state), 1))
 
         with pytest.raises(ValueError, match="inadmissible"):
             policy_path(
@@ -336,7 +414,7 @@ class TestPolicyCost:
     def test_zero_policy_zero_cost(self, bench):
         problem = ControlProblem(
             Z=ball(1.0),
-            running_cost=lambda t, a, z: float(z[0] ** 2 + z[1] ** 2),
+            running_cost=lambda t, a, z: z[..., 0] ** 2 + z[..., 1] ** 2,
             terminal_cost=lambda a: 0.0,
             t0=0.0,
             T=0.5,
@@ -374,7 +452,6 @@ class TestPolicyCost:
         assert se == 0.0
 
     def test_common_random_numbers_shrink_paired_se(self, bench):
-        from dynbc.control import _policy_costs
         from dynbc.spde import SimConfig
 
         n = 200
@@ -386,7 +463,6 @@ class TestPolicyCost:
             bench.basis,
             bench.initial,
             n,
-            1,
         )
         const = ConstantPolicy((0.3, 0.3), bench.problem.Z)
         const_costs = _policy_costs(
@@ -397,7 +473,6 @@ class TestPolicyCost:
             bench.basis,
             bench.initial,
             n,
-            1,
         )
         other_cfg = SimConfig(
             n_modes=8, m_noise=8, dt=5e-3, T=0.5, t0=0.0, seed=999
@@ -410,27 +485,10 @@ class TestPolicyCost:
             bench.basis,
             bench.initial,
             n,
-            1,
         )
         paired_se = (zero_costs - const_costs).std(ddof=1) / math.sqrt(n)
         indep_se = (zero_costs - const_indep).std(ddof=1) / math.sqrt(n)
         assert paired_se < indep_se
-
-    def test_thread_count_leaves_policy_costs_bitwise(self, bench):
-        from dynbc.control import _policy_costs
-
-        provider = TerminalProxyGradient(bench.problem, bench.basis)
-        policy = FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis)
-        args = (
-            policy,
-            bench.problem,
-            bench.config,
-            bench.coeffs,
-            bench.basis,
-            bench.initial,
-            12,
-        )
-        assert np.array_equal(_policy_costs(*args, 1), _policy_costs(*args, 4))
 
     def test_horizon_mismatch_rejected(self, bench):
         bad = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.4, seed=1)
@@ -443,6 +501,54 @@ class TestPolicyCost:
                 bench.basis,
                 bench.initial,
                 n_paths=4,
+            )
+
+
+class TestBatchedRollout:
+    N_PATHS = PATH_BLOCK + 5
+
+    @pytest.fixture(scope="class")
+    def setup(self, bench):
+        coeffs = named_coefficients("multiplicative", g_scale=0.2, h0=1.0, h1=1.0)
+        provider = TerminalProxyGradient(bench.problem, bench.basis)
+        policy = FeedbackPolicy(provider, bench.problem, coeffs, bench.basis)
+        return coeffs, policy
+
+    def test_block_rows_match_single_path_costs(self, bench, setup):
+        coeffs, policy = setup
+        args = (bench.problem, bench.config, coeffs, bench.basis, bench.initial)
+        costs = _policy_costs(policy, *args, self.N_PATHS)
+        for p in (0, PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1):
+            record = policy_path(policy, *args, p)
+            single = 0.0
+            for i, dt in enumerate(np.diff(record.times)):
+                single += bench.problem.running_cost(
+                    record.times[i], record.states[i], record.controls[i]
+                ) * dt
+            single += bench.problem.terminal_cost(record.states[-1])
+            assert abs(costs[p] - single) <= 1e-13 * abs(single)
+
+    def test_inadmissible_row_named(self, bench, setup):
+        coeffs, _ = setup
+
+        class OneBadRow:
+            name = "one_bad_row"
+
+            def __call__(self, t, state):
+                z = np.zeros((len(state), 2))
+                if len(state) == 5:
+                    z[2] = (5.0, 0.0)
+                return z
+
+        with pytest.raises(ValueError, match=f"inadmissible.*path {PATH_BLOCK + 2}$"):
+            _policy_costs(
+                OneBadRow(),
+                bench.problem,
+                bench.config,
+                coeffs,
+                bench.basis,
+                bench.initial,
+                self.N_PATHS,
             )
 
 
@@ -543,7 +649,7 @@ class TestComparePolicies:
         # deterministic amount |z|^2 (T - t0) with zero paired variance
         problem = ControlProblem(
             Z=ball(1.0),
-            running_cost=lambda t, a, z: float(z @ z),
+            running_cost=lambda t, a, z: (z * z).sum(axis=-1),
             terminal_cost=lambda a: 0.0,
             t0=0.0,
             T=0.5,
@@ -565,7 +671,8 @@ class TestComparePolicies:
     def test_grid_policies_cover_half_the_set(self):
         policies = constant_grid_policies(ball(1.0), 3)
         assert len(policies) == 9
-        values = sorted(tuple(np.round(p(0.0, None), 6)) for p in policies)
+        state = np.zeros((1, 8))
+        values = sorted(tuple(np.round(p(0.0, state)[0], 6)) for p in policies)
         assert (-0.5, -0.5) in values and (0.5, 0.5) in values and (0.0, 0.0) in values
 
     def test_report_deterministic_given_seed(self, bench):

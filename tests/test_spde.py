@@ -309,22 +309,6 @@ class TestEnsemble:
             se = exact * math.sqrt(2.0 / (n_paths - 1))
             assert abs(sample_var - exact) <= 3.0 * se
 
-    def test_thread_count_does_not_change_results(self, basis8):
-        cfg = SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.2, seed=5)
-        a0 = constant_one_state(basis8)
-        seq = ensemble_stats(cfg, ADDITIVE, basis8, a0, 64, threads=1)
-        par = ensemble_stats(cfg, ADDITIVE, basis8, a0, 64, threads=4)
-        assert np.array_equal(seq.mean_terminal, par.mean_terminal)
-        assert np.array_equal(seq.var_terminal, par.var_terminal)
-
-    def test_thread_count_leaves_terminal_states_bitwise(self, basis8):
-        cfg = SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.2, seed=5)
-        a0 = constant_one_state(basis8)
-        n = PATH_BLOCK + 7
-        seq = terminal_states(cfg, MULTIPLICATIVE, basis8, a0, n, threads=1)
-        par = terminal_states(cfg, MULTIPLICATIVE, basis8, a0, n, threads=4)
-        assert np.array_equal(seq, par)
-
     @pytest.mark.parametrize(
         "coeffs",
         [ZERO, ADDITIVE, MULTIPLICATIVE, FORCED],
