@@ -86,6 +86,7 @@ def _validate(cfg: RunConfig):
         (cfg.nodes_per_panel >= 2, "nodes_per_panel must be >= 2"),
         (cfg.record_paths >= 0, "record_paths must be >= 0"),
         (8 <= cfg.fd_n <= 4001, "fd_n must be in [8, 4001]"),
+        (cfg.n_modes <= cfg.fd_n, "n_modes must be <= fd_n"),
         (cfg.hs_modes >= 1, "hs_modes must be >= 1"),
         (cfg.ball_radius > 0.0, "ball_radius must be positive"),
         (

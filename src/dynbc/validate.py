@@ -197,8 +197,9 @@ def _check_hamiltonian(ctx):
         p = rng.normal(scale=1.5, size=2)
         v_closed = ctl.hamiltonian(0.0, state, p, problem)
         z_closed = ctl.hamiltonian_argmin(0.0, state, p, problem)
-        v_grid = ctl.hamiltonian(0.0, state, p, grid_problem)
+        # one grid search per pair: its value is the cost at its argmin
         z_grid = ctl.hamiltonian_argmin(0.0, state, p, grid_problem)
+        v_grid = grid_problem.running_cost(0.0, state, z_grid) + (z_grid * p).sum()
         worst_v = max(worst_v, abs(v_closed - v_grid))
         worst_z = max(worst_z, float(np.linalg.norm(z_closed - z_grid)))
     ok = worst_v <= HAMILTONIAN_TOL and worst_z <= HAMILTONIAN_TOL

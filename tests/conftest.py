@@ -7,6 +7,13 @@ from dynbc import fem_oracle
 ACCEPTANCE_PARAM_SETS = ((1.0, 1.0), (0.5, 2.0), (10.0, 0.1))
 
 
+def densify(band):
+    """Dense symmetric tridiagonal matrix from the oracle's upper band form
+    (row 0 superdiagonal with an unused first entry, row 1 diagonal)."""
+    off = band[0, 1:]
+    return np.diag(band[1]) + np.diag(off, 1) + np.diag(off, -1)
+
+
 @pytest.fixture(scope="session")
 def params11():
     return BoundaryParams(1.0, 1.0)

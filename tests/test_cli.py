@@ -132,6 +132,13 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "b0 must be positive" in err
 
+    def test_more_modes_than_elements_rejected(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "spectrum", "fd_n = 8\nn_modes = 12\n")
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "n_modes must be <= fd_n", "exit_code": 2}
+        assert not out.exists() or os.listdir(out) == []
+
     def test_rerun_byte_identical(self, tmp_path):
         code1, out = run_cli(tmp_path, "spectrum", self.CONFIG)
         first = read_files(out)

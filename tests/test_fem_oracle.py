@@ -6,16 +6,26 @@ import scipy.linalg
 
 from dynbc import dirichlet_gap, find_eigenvalues
 from dynbc import fem_oracle
-from dynbc.errors import DomainError, ShapeError
+from dynbc.errors import DomainError, ShapeError, TruncationError
+from dynbc.spectral import BoundaryParams
 
-from conftest import ACCEPTANCE_PARAM_SETS
+from conftest import ACCEPTANCE_PARAM_SETS, densify
+
+# acceptance sets plus the criterion-01 sets whose doubled Dirichlet gap is
+# not the first (k* = 2 and 3)
+REFERENCE_PARAM_SETS = ACCEPTANCE_PARAM_SETS + ((50.0, 50.0), (300.0, 1.0))
+
+
+def dense_reference(op):
+    """All generalized eigenpairs of the densified bands, by dense eigh."""
+    return scipy.linalg.eigh(densify(op.stiffness), densify(op.mass))
 
 
 class TestBuild:
     def test_stiffness_row_sums_without_boundary_terms(self, params11):
         # the form kills constants once the damping additions are removed
         op = fem_oracle.build(64, params11)
-        bare = op.stiffness.copy()
+        bare = densify(op.stiffness)
         bare[0, 0] -= params11.b0
         bare[-1, -1] -= params11.b1
         assert np.max(np.abs(bare.sum(axis=1))) < 1e-12
@@ -25,21 +35,22 @@ class TestBuild:
         # point masses
         for n in (8, 33, 200):
             op = fem_oracle.build(n, params11)
-            assert abs(op.mass.sum() - 3.0) < 1e-12
+            assert abs(densify(op.mass).sum() - 3.0) < 1e-12
 
     def test_matrices_symmetric_and_definite(self, params11):
         op = fem_oracle.build(100, params11)
-        assert np.array_equal(op.stiffness, op.stiffness.T)
-        assert np.array_equal(op.mass, op.mass.T)
-        assert np.all(scipy.linalg.eigh(op.mass, eigvals_only=True) > 0.0)
+        stiffness, mass = densify(op.stiffness), densify(op.mass)
+        assert np.array_equal(stiffness, stiffness.T)
+        assert np.array_equal(mass, mass.T)
+        assert np.all(scipy.linalg.eigh(mass, eigvals_only=True) > 0.0)
         assert np.all(
-            scipy.linalg.eigh(op.stiffness, eigvals_only=True) > -1e-12
+            scipy.linalg.eigh(stiffness, eigvals_only=True) > -1e-12
         )
 
     def test_interior_block_recovers_dirichlet_spectrum(self, params11):
         op = fem_oracle.build(500, params11)
-        k_in = op.stiffness[1:-1, 1:-1]
-        m_in = op.mass[1:-1, 1:-1].copy()
+        k_in = densify(op.stiffness)[1:-1, 1:-1]
+        m_in = densify(op.mass)[1:-1, 1:-1].copy()
         mu = scipy.linalg.eigh(k_in, m_in, eigvals_only=True)
         for k in range(1, 5):
             assert abs(-mu[k - 1] + math.pi**2 * k**2) < 1e-3 * math.pi**2 * k**2
@@ -74,13 +85,46 @@ class TestEigensolve:
     def test_mass_orthonormality(self, params11):
         op = fem_oracle.build(300, params11)
         _, vecs = fem_oracle.eigensolve(op, 12)
-        gram = vecs.T @ op.mass @ vecs
+        gram = vecs.T @ densify(op.mass) @ vecs
         assert np.max(np.abs(gram - np.eye(12))) <= 1e-8
 
     def test_mode_count_capped(self, params11):
         op = fem_oracle.build(8, params11)
         with pytest.raises(ValueError):
             fem_oracle.eigensolve(op, 11)
+        with pytest.raises(ValueError):
+            fem_oracle.eigensolve(op, 9)
+        assert fem_oracle.eigensolve(op, 8)[0].shape == (8,)
+
+    @pytest.mark.parametrize("b0, b1", REFERENCE_PARAM_SETS)
+    def test_matches_dense_reference(self, b0, b1):
+        op = fem_oracle.build(300, BoundaryParams(b0, b1))
+        lams, vecs = fem_oracle.eigensolve(op, 16)
+        mu, ref = dense_reference(op)
+        mu, ref = mu[:16], ref[:, :16]
+        assert np.max(np.abs((-lams - mu) / mu)) <= 1e-8
+        signs = np.sign(np.sum(vecs * ref, axis=0))
+        assert np.max(np.abs(vecs * signs - ref)) <= 1e-8
+        gram = vecs.T @ densify(op.mass) @ vecs
+        assert np.max(np.abs(gram - np.eye(16))) <= 1e-12
+
+    def test_pairs_independent_of_solve_order(self):
+        # a fixed ARPACK start vector: no solver state carries over
+        specs = {
+            "a": (200, BoundaryParams(1.0, 1.0)),
+            "b": (300, BoundaryParams(50.0, 50.0)),
+        }
+
+        def solve(order):
+            return {
+                key: fem_oracle.eigensolve(fem_oracle.build(*specs[key]), 10)
+                for key in order
+            }
+
+        first, second = solve("ab"), solve("ba")
+        for key in "ab":
+            for x, y in zip(first[key], second[key]):
+                assert np.array_equal(x, y)
 
 
 class TestExpmApply:
@@ -108,20 +152,38 @@ class TestExpmApply:
         with pytest.raises(ShapeError):
             fem_oracle.expm_apply(op, 1.0, np.zeros(50))
 
+    @pytest.mark.parametrize("b0, b1", REFERENCE_PARAM_SETS)
+    def test_matches_dense_reference(self, b0, b1, rng):
+        op = fem_oracle.build(300, BoundaryParams(b0, b1))
+        mu, vecs = dense_reference(op)
+        state = rng.normal(size=op.n + 1)
+        for t in (1e-3, 1e-2, 0.1, 1.0):
+            ref = vecs @ (np.exp(-mu * t) * (vecs.T @ densify(op.mass) @ state))
+            out = fem_oracle.expm_apply(op, t, state)
+            assert op.mass_norm(out - ref) <= 1e-9 * op.mass_norm(state)
+
+    def test_unresolvable_time_rejected(self, params11):
+        # t = 1e-4 needs 1 + ceil(sqrt(log(2^53) / (pi^2 1e-4))) = 194
+        # expansion modes, more than 100 elements carry
+        op = fem_oracle.build(100, params11)
+        with pytest.raises(TruncationError, match="t=0.0001.*n=100"):
+            fem_oracle.expm_apply(op, 1e-4, np.ones(101))
+
     def test_source_response_matches_time_stepping(self, params11):
         # independent check of the closed-form source integral: compare
         # against fine Crank-Nicolson integration of M u' = -K u + load,
         # where the load excludes the endpoint point masses
         op = fem_oracle.build(64, params11)
         q = np.cos(math.pi * op.nodes)
-        load = op.mass @ q
+        stiffness, mass = densify(op.stiffness), densify(op.mass)
+        load = mass @ q
         load[0] -= q[0]
         load[-1] -= q[-1]
         t, steps = 0.4, 4000
         dt = t / steps
         u = np.zeros(op.n + 1)
-        lhs = op.mass + 0.5 * dt * op.stiffness
-        rhs_mat = op.mass - 0.5 * dt * op.stiffness
+        lhs = mass + 0.5 * dt * stiffness
+        rhs_mat = mass - 0.5 * dt * stiffness
         lu = scipy.linalg.lu_factor(lhs)
         for _ in range(steps):
             u = scipy.linalg.lu_solve(lu, rhs_mat @ u + dt * load)
