@@ -8,6 +8,7 @@ failure, 2 config error.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -163,6 +164,16 @@ def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
     return 0
 
 
+def _spec_number(parse, text: str, spec: str):
+    try:
+        value = parse(text)
+    except ValueError:
+        raise ConfigError(f"invalid number {text!r} in policy {spec!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text!r} in policy {spec!r}")
+    return value
+
+
 def _make_policies(cfg: RunConfig, problem, coeffs, basis):
     policies = []
     for spec in cfg.policy_specs():
@@ -171,11 +182,13 @@ def _make_policies(cfg: RunConfig, problem, coeffs, basis):
         if kind == "zero" and len(parts) == 1:
             policies.append(ctl.ZeroPolicy())
         elif kind == "constant" and len(parts) == 3:
-            policies.append(
-                ctl.ConstantPolicy((float(parts[1]), float(parts[2])), problem.Z)
-            )
+            z = [_spec_number(float, part, spec) for part in parts[1:]]
+            policies.append(ctl.ConstantPolicy(z, problem.Z))
         elif kind == "grid" and len(parts) == 2:
-            policies.extend(ctl.constant_grid_policies(problem.Z, int(parts[1])))
+            per_axis = _spec_number(int, parts[1], spec)
+            if per_axis < 1:
+                raise ConfigError(f"grid size must be >= 1 in policy {spec!r}")
+            policies.extend(ctl.constant_grid_policies(problem.Z, per_axis))
         elif kind == "feedback" and len(parts) == 2:
             name = parts[1]
             if name == "zero":
@@ -197,6 +210,8 @@ def _make_policies(cfg: RunConfig, problem, coeffs, basis):
             policies.append(ctl.FeedbackPolicy(provider, problem, coeffs, basis))
         else:
             raise ConfigError(f"unknown policy spec {spec!r}")
+    if len(policies) < 2:
+        raise ConfigError(f"need at least 2 policies to compare, got {len(policies)}")
     return policies
 
 
@@ -302,7 +317,10 @@ def main(argv=None) -> int:
             cfg = with_overrides(cfg, seed=args.seed)
     except ConfigError as exc:
         return _emit_error(str(exc), 2)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _emit_error(f"cannot use --out {args.out}: {exc}", 2)
     try:
         return _COMMANDS[args.command](cfg, args.out, args.threads)
     except ConfigError as exc:

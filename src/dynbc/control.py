@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import NonUniqueArgminError
 from .semigroup import GridState, project
@@ -419,8 +420,7 @@ class NestedMCGradient:
         dts = np.full(n_steps, span / n_steps)
         times = t + np.concatenate(([0.0], np.cumsum(dts)))[:-1]
         t_bits = int(np.float64(t).view(np.uint64))
-        bitgen = np.random.Philox(key=[self.seed, t_bits])
-        rng = np.random.Generator(bitgen)
+        rng = Generator(Philox(key=[self.seed, t_bits]))
         m = self.basis.n_modes
         dW_all = rng.standard_normal((self.inner_paths, n_steps, m)) * np.sqrt(
             dts

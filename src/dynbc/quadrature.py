@@ -9,6 +9,7 @@ the first/last panel, since Gauss nodes exclude the interval ends.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ShapeError
 
@@ -68,7 +69,7 @@ def gauss_legendre_rule(
     """Build the composite rule on [0, 1] with the given panel layout."""
     if panels < 1 or nodes_per_panel < 2:
         raise ValueError("need at least 1 panel and 2 nodes per panel")
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = leggauss(nodes_per_panel)
     edges = np.linspace(0.0, 1.0, panels + 1)
     nodes = np.concatenate(
         [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(edges, edges[1:])]

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import ShapeError
 from .spectral import EigenBasis
@@ -114,8 +115,7 @@ def path_increments(
     (counter = path_index << 128), so paths are independent and any subset
     can be regenerated without simulating the others.
     """
-    bitgen = np.random.Philox(key=seed, counter=int(path_index) << 128)
-    rng = np.random.Generator(bitgen)
+    rng = Generator(Philox(key=seed, counter=int(path_index) << 128))
     z = rng.standard_normal((len(dts), m_noise))
     return z * np.sqrt(np.asarray(dts))[:, None]
 
@@ -301,7 +301,7 @@ def spot_check_coefficients(
     Raises ValueError on a violated bound; a passing check is evidence,
     not proof.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = Generator(Philox(key=seed))
     slack = 1e-9
     for _ in range(samples):
         t = float(rng.uniform(0.0, t_max))

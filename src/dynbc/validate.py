@@ -10,6 +10,7 @@ failure rather than aborting the suite.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import control as ctl
 from . import fem_oracle, semigroup, spde
@@ -190,7 +191,7 @@ def _check_hamiltonian(ctx):
         t0=0.0,
         T=0.5,
     )
-    rng = np.random.Generator(np.random.Philox(key=ctx["config"].seed))
+    rng = Generator(Philox(key=ctx["config"].seed))
     worst_v = worst_z = 0.0
     for _ in range(100):
         state = rng.normal(size=basis.n_modes)

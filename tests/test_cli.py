@@ -1,11 +1,19 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynbc.cli import main
+import dynbc
+from dynbc import BoundaryParams, build_basis, named_coefficients
+from dynbc import control as ctl
+from dynbc.cli import _make_policies, main
 from dynbc.config import RunConfig, default_config, parse_config, with_overrides
 from dynbc.errors import ConfigError
 
@@ -271,6 +279,131 @@ class TestControlCommand:
         )
         assert code == 2
         assert "unknown policy" in capsys.readouterr().err
+
+
+class TestPolicySpecs:
+    CONFIG = "n_paths = 4\nn_modes = 4\nfd_n = 16\nT = 0.02\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("zero", "need at least 2 policies to compare, got 1"),
+            ("constant:foo:1", "invalid number 'foo' in policy 'constant:foo:1'"),
+            ("grid:x", "invalid number 'x' in policy 'grid:x'"),
+            ("zero, grid:-3", "grid size must be >= 1 in policy 'grid:-3'"),
+            ("grid:1", "need at least 2 policies to compare, got 1"),
+            (
+                "zero, constant:nan:0",
+                "non-finite number 'nan' in policy 'constant:nan:0'",
+            ),
+        ],
+    )
+    def test_exit_two_with_json_record(self, tmp_path, capsys, spec, message):
+        code, out = run_cli(tmp_path, "control", self.CONFIG + f"policies = {spec}\n")
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": message, "exit_code": 2}
+        assert os.listdir(out) == []
+
+
+def test_out_naming_a_file_exits_two(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    code = main(["simulate", "--out", str(target)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["exit_code"] == 2
+    assert record["error"].startswith(f"cannot use --out {target}: ")
+    assert target.read_text() == "not a directory\n"
+
+
+# every key of the config grammar, with text a user might put there
+_NUMBER_TEXT = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "-", "many", "1e400", "-0", "0x10", "1_0", "nan", "-inf"]),
+)
+_POLICY_SPEC = st.one_of(
+    st.sampled_from(
+        [
+            "zero",
+            "feedback:zero",
+            "feedback:terminal_proxy",
+            "feedback:nested_mc",
+            "feedback:oracle",
+            "constant",
+            "grid",
+            "zero:1",
+        ]
+    ),
+    st.builds("constant:{}:{}".format, _NUMBER_TEXT, _NUMBER_TEXT),
+    st.builds("grid:{}".format, st.one_of(st.integers(-3, 4).map(str), _NUMBER_TEXT)),
+    st.text(alphabet="azcgr:.,-01 ", max_size=12),
+)
+_POLICIES_TEXT = st.lists(_POLICY_SPEC, max_size=4).map(", ".join)
+_CONFIG_LINE = st.tuples(
+    st.sampled_from([f.name for f in fields(RunConfig)]),
+    st.one_of(_NUMBER_TEXT, _POLICIES_TEXT, st.sampled_from(["one", "additive"])),
+)
+
+
+@pytest.fixture(scope="module")
+def policy_parts():
+    basis = build_basis(BoundaryParams(1.0, 1.0), 2)
+    return basis, named_coefficients("additive", g_scale=0.2, h0=1.0, h1=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_CONFIG_LINE, max_size=6),
+    policies=st.one_of(st.none(), _POLICIES_TEXT),
+)
+def test_config_and_policies_parse_or_raise_config_error(policy_parts, lines, policies):
+    # parse layer only: a config either yields at least two policies or is
+    # rejected with ConfigError, never another exception
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    if policies is not None:
+        text += f"policies = {policies}\n"
+    basis, coeffs = policy_parts
+    try:
+        cfg = parse_config(text)
+        problem = ctl.benchmark_problem(cfg.ball_radius, cfg.t0, cfg.T)
+        built = _make_policies(cfg, problem, coeffs, basis)
+    except ConfigError:
+        return
+    assert len(built) >= 2
+
+
+NO_SCIPY_SCRIPT = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from dynbc.cli import main
+work = sys.argv[2]
+config = os.path.join(work, "run.cfg")
+with open(config, "w") as fh:
+    fh.write("fd_n = 64\\nn_modes = 4\\nhs_modes = 16\\nn_paths = 8\\nT = 0.02\\n")
+codes = [
+    main([command, "--config", config, "--out", os.path.join(work, command)])
+    for command in ("spectrum", "simulate", "control", "validate")
+]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter: what the four commands import, and nothing else
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dynbc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, src, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(result["codes"]) <= {0, 1}
+    assert result["scipy"] == []
 
 
 FAST_VALIDATE = (

@@ -6,14 +6,35 @@ import scipy.linalg
 
 from dynbc import dirichlet_gap, find_eigenvalues
 from dynbc import fem_oracle
-from dynbc.errors import DomainError, ShapeError, TruncationError
+from dynbc.errors import ConvergenceError, DomainError, ShapeError, TruncationError
 from dynbc.spectral import BoundaryParams
 
 from conftest import ACCEPTANCE_PARAM_SETS, densify
 
-# acceptance sets plus the criterion-01 sets whose doubled Dirichlet gap is
-# not the first (k* = 2 and 3)
-REFERENCE_PARAM_SETS = ACCEPTANCE_PARAM_SETS + ((50.0, 50.0), (300.0, 1.0))
+# acceptance sets, the criterion-01 sets whose doubled Dirichlet gap is not
+# the first (k* = 2 and 3), and a strongly lopsided pair
+REFERENCE_PARAM_SETS = ACCEPTANCE_PARAM_SETS + (
+    (50.0, 50.0),
+    (300.0, 1.0),
+    (1e5, 1e-3),
+)
+# nearly Neumann: K is close to singular, mu_0 ~ (b0 + b1) / 3, and dense eigh
+# resolves mu_0 only to about eps ||K|| / mu_0 (3e-8 at n = 300), so this set
+# is checked by residuals, not against the dense reference
+RESIDUAL_PARAM_SETS = REFERENCE_PARAM_SETS + ((1e-3, 1e-3),)
+# relative residual ||K x - mu M x|| / (||K||_1 ||x||) allowed for a returned
+# pair: about n eps at the largest n (4001 x 2.2e-16 = 8.9e-13)
+RESIDUAL_TOL = 1e-12
+
+
+def band_apply(band, vecs):
+    """Band matrix times each column of vecs, without a dense matrix."""
+    return np.stack([fem_oracle._band_apply(band, vec) for vec in vecs.T], axis=1)
+
+
+def norm_1(band):
+    """||.||_1 of a symmetric band matrix: its largest absolute row sum."""
+    return float(fem_oracle._band_apply(np.abs(band), np.ones(band.shape[1])).max())
 
 
 def dense_reference(op):
@@ -109,7 +130,7 @@ class TestEigensolve:
         assert np.max(np.abs(gram - np.eye(16))) <= 1e-12
 
     def test_pairs_independent_of_solve_order(self):
-        # a fixed ARPACK start vector: no solver state carries over
+        # a fixed Lanczos start vector: no solver state carries over
         specs = {
             "a": (200, BoundaryParams(1.0, 1.0)),
             "b": (300, BoundaryParams(50.0, 50.0)),
@@ -125,6 +146,38 @@ class TestEigensolve:
         for key in "ab":
             for x, y in zip(first[key], second[key]):
                 assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("n", [8, 300, 2000, 4001])
+    def test_pair_residuals(self, n):
+        worst = 0.0
+        for b0, b1 in RESIDUAL_PARAM_SETS:
+            op = fem_oracle.build(n, BoundaryParams(b0, b1))
+            lams, vecs = fem_oracle.eigensolve(op, min(16, n))
+            residual = band_apply(op.stiffness, vecs) + lams * band_apply(op.mass, vecs)
+            rel = np.linalg.norm(residual, axis=0) / (
+                norm_1(op.stiffness) * np.linalg.norm(vecs, axis=0)
+            )
+            worst = max(worst, float(rel.max()))
+        assert worst <= RESIDUAL_TOL
+
+    def test_unconverged_solve_raises(self, params11):
+        # 16 pairs need about 40 Lanczos vectors; 20 cannot converge
+        op = fem_oracle.build(300, params11)
+        with pytest.raises(ConvergenceError, match="16 Lanczos pairs.*n=300"):
+            fem_oracle._lanczos(op, 16, 20)
+
+
+class TestStiffnessSolve:
+    @pytest.mark.parametrize("b0, b1", RESIDUAL_PARAM_SETS)
+    def test_backward_error(self, b0, b1, rng):
+        # a backward stable solve leaves ||K x - f|| at a few eps ||K|| ||x||
+        # for smooth and for rough right-hand sides alike
+        op = fem_oracle.build(2000, BoundaryParams(b0, b1))
+        solve = fem_oracle._stiffness_solver(op)
+        for rhs in (np.cos(3.0 * op.nodes), rng.normal(size=op.n + 1)):
+            x = solve(rhs)
+            residual = np.linalg.norm(fem_oracle._band_apply(op.stiffness, x) - rhs)
+            assert residual <= 1e-14 * norm_1(op.stiffness) * np.linalg.norm(x)
 
 
 class TestExpmApply:
