@@ -188,47 +188,65 @@ def control_drift(t: float, z, coeffs: Coefficients, basis: EigenBasis) -> np.nd
     return boundary_immersion(np.multiply(coeffs.h(t), z), basis)
 
 
+def _grid_candidates(Z, range0, range1, n):
+    # the n x n grid over range0 x range1 (z0 varying slowest) projected onto
+    # Z, so curved boundaries get sampled densely and constrained minimizers
+    # are resolved to second order in the spacing
+    z0s, z1s = np.linspace(*range0, n), np.linspace(*range1, n)
+    grid = np.stack(np.meshgrid(z0s, z1s, indexing="ij"), axis=-1)
+    return Z.project(grid.reshape(-1, 2))
+
+
 def _grid_search(t, state, p, problem, resolution=GRID_RESOLUTION):
     """Adaptive minimization of running_cost + p.z over Z.
 
-    Coarse pass over the bounding box of Z, then one local refinement pass
-    around the coarse minimizer, each one running-cost call over all its
-    candidates; ties go to the first candidate.  Returns (value, argmin,
-    coarse distance spread of near-minimal points, coarse spacing).
+    ``state`` (..., N) and ``p`` (..., 2) broadcast over their leading
+    axes; each row is searched on its own.  A coarse pass over the bounding
+    box of Z, whose candidates are built once per call, then one local
+    refinement pass around the row's coarse minimizer, each pass one
+    running-cost call on the row's state; ties go to the first candidate.
+    Returns (value (...), argmin (..., 2), coarse distance spread of
+    near-minimal points (...), coarse spacing).
     """
-
-    def candidates(range0, range1, n):
-        # the n x n grid over range0 x range1 (z0 varying slowest) projected
-        # onto Z, so curved boundaries get sampled densely and constrained
-        # minimizers are resolved to second order in the spacing
-        z0s, z1s = np.linspace(*range0, n), np.linspace(*range1, n)
-        grid = np.stack(np.meshgrid(z0s, z1s, indexing="ij"), axis=-1)
-        points = problem.Z.project(grid.reshape(-1, 2))
-        states = np.broadcast_to(state, (len(points), len(state)))
-        values = problem.running_cost(t, states, points) + (points * p).sum(axis=-1)
-        return points, values
-
+    state, p = np.asarray(state, dtype=float), np.asarray(p, dtype=float)
+    lead = np.broadcast_shapes(state.shape[:-1], p.shape[:-1])
+    n = state.shape[-1]
+    states = np.broadcast_to(state, lead + (n,)).reshape(-1, n)
+    costates = np.broadcast_to(p, lead + (2,)).reshape(-1, 2)
     (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
     spacing = max(
         (hi0 - lo0) / max(resolution - 1, 1), (hi1 - lo1) / max(resolution - 1, 1)
     )
-    points, values = candidates((lo0, hi0), (lo1, hi1), resolution)
-    best = np.argmin(values)
-    val, z = values[best], points[best]
-    tol = _ARGMIN_VALUE_RTOL * (1.0 + abs(val))
-    spread = float(np.max(np.linalg.norm(points[values <= val + tol] - z, axis=1)))
-    # refinement: 41 x 41 points within one coarse spacing of z
-    points, values = candidates(*np.add.outer(z, (-spacing, spacing)), 41)
-    best = np.argmin(values)
-    if values[best] < val:
-        val, z = values[best], points[best]
-    return val, z, spread, spacing
+    coarse = _grid_candidates(problem.Z, (lo0, hi0), (lo1, hi1), resolution)
+    vals, spreads = np.empty(len(states)), np.empty(len(states))
+    zs = np.empty((len(states), 2))
+    for r, (a, q) in enumerate(zip(states, costates)):
+        values = problem.running_cost(t, a, coarse) + (coarse * q).sum(axis=-1)
+        best = np.argmin(values)
+        val, z = values[best], coarse[best]
+        tol = _ARGMIN_VALUE_RTOL * (1.0 + abs(val))
+        spreads[r] = np.max(np.linalg.norm(coarse[values <= val + tol] - z, axis=1))
+        # refinement: 41 x 41 points within one coarse spacing of z
+        fine = _grid_candidates(problem.Z, *np.add.outer(z, (-spacing, spacing)), 41)
+        values = problem.running_cost(t, a, fine) + (fine * q).sum(axis=-1)
+        best = np.argmin(values)
+        if values[best] < val:
+            val, z = values[best], fine[best]
+        vals[r], zs[r] = val, z
+    # [()] turns the arrays of one pair into scalars
+    return (
+        vals.reshape(lead)[()],
+        zs.reshape(lead + (2,)),
+        spreads.reshape(lead)[()],
+        spacing,
+    )
 
 
 def hamiltonian(t: float, state: np.ndarray, p, problem: ControlProblem) -> float:
     """inf over Z of running_cost(t, state, z) + p . z.
 
-    Closed form for the quadratic family; adaptive grid search otherwise.
+    States (..., N) and costates (..., 2) give values (...).  Closed form
+    for the quadratic family; adaptive grid search otherwise.
     The admissible set is bounded, so the infimum is attained.
     """
     p = np.asarray(p, dtype=float)
@@ -243,18 +261,22 @@ def hamiltonian_argmin(
 ) -> np.ndarray:
     """Minimizer realizing the Hamiltonian; assumed unique.
 
-    For the quadratic family this is the projection of -p onto Z, for
-    costates (..., 2).  For grid-searched costs (one state and costate),
-    two near-minimal points farther apart than ten grid cells violate the
-    uniqueness assumption and raise instead of silently picking one.
+    States (..., N) and costates (..., 2) give controls (..., 2).  For the
+    quadratic family this is the projection of -p onto Z.  For
+    grid-searched costs, two near-minimal points farther apart than ten
+    grid cells violate the uniqueness assumption: the first such row, in
+    C order over the leading axes, raises instead of silently picking one.
     """
     p = np.asarray(p, dtype=float)
     if problem.is_quadratic:
         return problem.Z.project(-p)
     _, z, spread, spacing = _grid_search(t, state, p, problem)
-    if spread > 10.0 * spacing:
+    bad = np.flatnonzero(spread > 10.0 * spacing)
+    if len(bad):
+        row = bad[0]
         raise NonUniqueArgminError(
-            f"two minimizers separated by {spread:.3e} (> 10 grid cells)"
+            f"two minimizers separated by {np.ravel(spread)[row]:.3e} "
+            f"(> 10 grid cells) in row {row}"
         )
     return z
 
@@ -300,12 +322,7 @@ class FeedbackPolicy:
     def __call__(self, t, state):
         grad = self.provider(t, state)
         p = boundary_costate(t, state, grad, self.coeffs, self.basis)
-        if self.problem.is_quadratic:
-            return hamiltonian_argmin(t, state, p, self.problem)
-        # the grid search minimizes for one state at a time
-        return np.array(
-            [hamiltonian_argmin(t, a, q, self.problem) for a, q in zip(state, p)]
-        )
+        return hamiltonian_argmin(t, state, p, self.problem)
 
 
 class ZeroGradient:

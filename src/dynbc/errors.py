@@ -53,5 +53,9 @@ class NonUniqueArgminError(DynbcError):
     """Hamiltonian grid search found two well-separated minimizers."""
 
 
+class NonFiniteError(DynbcError, ValueError):
+    """A result to be written overflowed to inf or nan."""
+
+
 class ConfigError(DynbcError):
     """Malformed or invalid run configuration."""

@@ -145,8 +145,8 @@ def _lanczos(op: DiscreteOperator, k: int, max_dim: int):
     ``RITZ_TOL`` theta for each of the k largest theta.  When m reaches
     n + 1 the basis spans every dof, beta_m is 0 and the pairs are exact.
     ``ConvergenceError`` is raised if neither happens within ``max_dim``
-    vectors.  The eigenvalues returned are 1/theta; the vectors are the
-    Ritz vectors after ``_refine``.
+    vectors, or if the coefficients overflow.  The eigenvalues returned are
+    1/theta; the vectors are the Ritz vectors after ``_refine``.
     """
     dofs = op.n + 1
     solve = _stiffness_solver(op)
@@ -171,6 +171,12 @@ def _lanczos(op: DiscreteOperator, k: int, max_dim: int):
         if m < k or (m % RITZ_CHECK_EVERY and m < max_dim and m < dofs):
             continue
         tridiag = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1)
+        if not np.all(np.isfinite(tridiag)):
+            # K's LDL^T factors overflow once b0 h n reaches about 1e154
+            raise ConvergenceError(
+                f"Lanczos coefficients not finite (n={op.n}, "
+                f"b0={op.params.b0}, b1={op.params.b1})"
+            )
         theta, ritz = np.linalg.eigh(tridiag, UPLO="U")
         theta, ritz = theta[: -k - 1 : -1], ritz[:, : -k - 1 : -1]
         if np.all(norm * np.abs(ritz[-1]) <= RITZ_TOL * theta):

@@ -7,11 +7,13 @@ decimal round-trip.
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 
 def fmt_float(x) -> str:
     x = float(x)
     if not np.isfinite(x):
-        raise ValueError(f"refusing to serialize non-finite value {x}")
+        raise NonFiniteError(f"refusing to serialize non-finite value {x}")
     return format(x, ".17g")
 
 
@@ -46,8 +48,9 @@ def to_json_text(obj, indent: int = 0) -> str:
 
 
 def write_json(path, obj):
+    text = to_json_text(obj) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(to_json_text(obj) + "\n")
+        fh.write(text)
 
 
 def write_csv(path, header, rows):
@@ -62,7 +65,6 @@ def write_csv(path, header, rows):
             return fmt_float(v)
         return str(v)
 
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")

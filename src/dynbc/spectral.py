@@ -37,6 +37,9 @@ _POLE_RTOL = 1e-13
 _DIRICHLET_RTOL = 1e-9
 _BISECT_RTOL = 1e-6
 _REFINE_RTOL = 1e-12
+# Dirichlet gaps sampled per scan call: bounds the scan's temporaries (a
+# 64 x 256 block is 128 KiB per array) at any n_modes
+_SCAN_GAPS = 64
 
 
 @dataclass(frozen=True)
@@ -108,81 +111,76 @@ def characteristic_regularized(lam, params: BoundaryParams):
     return float(val) if np.isscalar(lam) else val
 
 
-def _refine_root(f, lo: float, hi: float) -> float:
-    """Bisection to a coarse width, then bracket-safeguarded secant."""
+def _refine_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Root of ``f`` in every bracket (lo[i], hi[i]), refined in lockstep.
+
+    Each bracket follows the same steps: bisection to relative width
+    ``_BISECT_RTOL``, then a bracket-safeguarded secant to ``_REFINE_RTOL``
+    with a forced bisection whenever a secant step fails to halve the
+    bracket; an exact zero of ``f`` ends a bracket early.  ``f`` is called
+    once per round on the points of all unfinished brackets.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    scale = 1.0 + max(abs(lo), abs(hi))
-    while hi - lo > _BISECT_RTOL * scale:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    while hi - lo > _REFINE_RTOL * scale:
-        width = hi - lo
-        denom = fhi - flo
-        x = 0.5 * (lo + hi) if denom == 0.0 else hi - fhi * (hi - lo) / denom
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+    root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
+    scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
+    width = hi - lo
+    # phase of each bracket: 0 bisection, 1 secant, 2 forced bisection,
+    # -1 finished
+    phase = np.where(width > _REFINE_RTOL * scale, 1, -1)
+    phase[width > _BISECT_RTOL * scale] = 0
+    phase[(flo == 0.0) | (fhi == 0.0)] = -1
+    while True:
+        i = np.flatnonzero(phase >= 0)
+        if not len(i):
+            return root
+        a, b, fa, fb, ph = lo[i], hi[i], flo[i], fhi[i], phase[i]
+        mid = 0.5 * (a + b)
+        secant = ph == 1
+        width[i[secant]] = (b - a)[secant]
+        denom = fb - fa
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(denom == 0.0, mid, b - fb * (b - a) / denom)
+        x = np.where(secant & (a < x) & (x < b), x, mid)
         fx = f(x)
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        if hi - lo > 0.5 * width:
-            # secant stalled against one endpoint; force a bisection step
-            mid = 0.5 * (lo + hi)
-            fmid = f(mid)
-            if fmid == 0.0:
-                return mid
-            if flo * fmid < 0.0:
-                hi, fhi = mid, fmid
-            else:
-                lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+        left = fa * fx < 0.0
+        lo[i], flo[i] = np.where(left, a, x), np.where(left, fa, fx)
+        hi[i], fhi[i] = np.where(left, x, b), np.where(left, fx, fb)
+        a, b = lo[i], hi[i]
+        # the next phase, as the scalar loops would reach it
+        refine = b - a > _REFINE_RTOL * scale[i]
+        nxt = np.where(refine, 1, -1)
+        nxt = np.where((ph == 0) & (b - a > _BISECT_RTOL * scale[i]), 0, nxt)
+        nxt = np.where(secant & (b - a > 0.5 * width[i]), 2, nxt)
+        done = nxt == -1
+        root[i[done]] = 0.5 * (a + b)[done]
+        zero = fx == 0.0
+        root[i[zero]] = x[zero]
+        phase[i] = np.where(zero, -1, nxt)
 
 
-def _gap_roots(params: BoundaryParams, k: int, samples: int) -> list[float]:
-    """All characteristic roots inside the Dirichlet gap number k."""
+def _gap_brackets(params: BoundaryParams, k: np.ndarray, samples: int):
+    """Sign-change brackets of the regularized characteristic function in
+    the Dirichlet gaps numbered ``k``, as arrays (lo, hi, gap number).
+
+    Each gap is sampled on ``samples`` points and subdivided at the poles
+    -b0 and -b1 falling inside it, where the determinant flips sign
+    without a root; all gaps are evaluated in one call.
+    """
     hi = -math.pi**2 * k**2
     lo = -math.pi**2 * (k + 1) ** 2
-    eps = 1e-9 * (1.0 + abs(hi))
-    grid = list(np.linspace(lo + eps, hi - eps, samples))
-    # subdivide at the characteristic-function poles falling inside the gap,
-    # where the determinant flips sign without a root
+    eps = 1e-9 * (1.0 + np.abs(hi))
+    rows = list(np.linspace(lo + eps, hi - eps, samples, axis=1))
     for b in (-params.b0, -params.b1):
-        if lo + eps < b < hi - eps:
+        for g in np.flatnonzero((lo + eps < b) & (b < hi - eps)):
             delta = 1e-7 * (1.0 + abs(b))
-            grid.extend((b - delta, b, b + delta))
-    xs = np.array(sorted(set(grid)))
+            rows[g] = np.array(sorted({*rows[g].tolist(), b - delta, b, b + delta}))
+    xs = np.concatenate(rows)
+    gap = np.repeat(k, [len(row) for row in rows])
     ys = characteristic_regularized(xs, params)
-    roots = []
     sign = np.sign(ys)
-    for i in np.nonzero(np.diff(sign) != 0)[0]:
-        root = _refine_root(
-            lambda x: characteristic_regularized(float(x), params),
-            float(xs[i]),
-            float(xs[i + 1]),
-        )
-        roots.append(root)
-    exclude_tol = 1e-8
-    kept = []
-    for r in sorted(roots, reverse=True):
-        rel = exclude_tol * (1.0 + abs(r))
-        near_pole = min(abs(r + params.b0), abs(r + params.b1)) <= rel
-        near_dirichlet = min(abs(r - lo), abs(r - hi)) <= rel or abs(r) <= 1e-10
-        if not (near_pole or near_dirichlet):
-            kept.append(r)
-    return kept
+    i = np.flatnonzero((np.diff(sign) != 0) & (gap[1:] == gap[:-1]))
+    return xs[i], xs[i + 1], gap[i]
 
 
 def find_eigenvalues(
@@ -190,26 +188,39 @@ def find_eigenvalues(
 ) -> np.ndarray:
     """First ``n_modes`` eigenvalues, in decreasing order (all negative).
 
-    Scans the Dirichlet gaps (-pi^2 (k+1)^2, -pi^2 k^2) in order, locating
-    sign changes of the regularized characteristic function on a fine grid
-    subdivided at -b0 and -b1, and refines each to relative width 1e-12.
-    Every gap holds exactly one root except the gap containing -(b0+b1)/2,
-    which holds two.
+    Scans the first ``n_modes + 5`` Dirichlet gaps (-pi^2 (k+1)^2,
+    -pi^2 k^2), up to ``_SCAN_GAPS`` of them per array, locating sign
+    changes of the regularized characteristic function on a fine grid
+    subdivided at -b0 and -b1, and refines all brackets together to
+    relative width 1e-12.  Roots within 1e-8 relative of a pole or a
+    Dirichlet point are dropped.  Every gap holds exactly one root except
+    the gap containing -(b0+b1)/2, which holds two; ``BracketError`` when
+    fewer than ``n_modes`` roots remain.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    roots: list[float] = []
-    for k in range(n_modes + 5):
-        roots.extend(_gap_roots(params, k, samples_per_gap))
-        if len(roots) >= n_modes:
-            break
-    if len(roots) < n_modes:
+    gaps = np.arange(n_modes + 5)
+    blocks = np.split(gaps, range(_SCAN_GAPS, len(gaps), _SCAN_GAPS))
+    lo, hi, gap = (
+        np.concatenate(part)
+        for part in zip(*(_gap_brackets(params, k, samples_per_gap) for k in blocks))
+    )
+    roots = _refine_roots(lambda x: characteristic_regularized(x, params), lo, hi)
+    rel = 1e-8 * (1.0 + np.abs(roots))
+    gap_hi = -math.pi**2 * gap**2
+    gap_lo = -math.pi**2 * (gap + 1) ** 2
+    near_pole = np.minimum(np.abs(roots + params.b0), np.abs(roots + params.b1)) <= rel
+    near_dirichlet = (
+        np.minimum(np.abs(roots - gap_lo), np.abs(roots - gap_hi)) <= rel
+    ) | (np.abs(roots) <= 1e-10)
+    kept = roots[~(near_pole | near_dirichlet)]
+    if len(kept) < n_modes:
         raise BracketError(
-            f"found only {len(roots)} roots of {n_modes} requested for "
+            f"found only {len(kept)} roots of {n_modes} requested for "
             f"b0={params.b0}, b1={params.b1}; parameter degeneracy or "
             f"insufficient samples_per_gap"
         )
-    return np.array(roots[:n_modes])
+    return np.sort(kept)[::-1][:n_modes].copy()
 
 
 @dataclass(frozen=True)

@@ -192,17 +192,18 @@ def _check_hamiltonian(ctx):
         T=0.5,
     )
     rng = Generator(Philox(key=ctx["config"].seed))
-    worst_v = worst_z = 0.0
-    for _ in range(100):
-        state = rng.normal(size=basis.n_modes)
-        p = rng.normal(scale=1.5, size=2)
-        v_closed = ctl.hamiltonian(0.0, state, p, problem)
-        z_closed = ctl.hamiltonian_argmin(0.0, state, p, problem)
-        # one grid search per pair: its value is the cost at its argmin
-        z_grid = ctl.hamiltonian_argmin(0.0, state, p, grid_problem)
-        v_grid = grid_problem.running_cost(0.0, state, z_grid) + (z_grid * p).sum()
-        worst_v = max(worst_v, abs(v_closed - v_grid))
-        worst_z = max(worst_z, float(np.linalg.norm(z_closed - z_grid)))
+    pairs = [
+        (rng.normal(size=basis.n_modes), rng.normal(scale=1.5, size=2))
+        for _ in range(100)
+    ]
+    states, ps = (np.array(column) for column in zip(*pairs))
+    v_closed = ctl.hamiltonian(0.0, states, ps, problem)
+    z_closed = ctl.hamiltonian_argmin(0.0, states, ps, problem)
+    # one grid search per pair: its value is the cost at its argmin
+    z_grid = ctl.hamiltonian_argmin(0.0, states, ps, grid_problem)
+    v_grid = grid_problem.running_cost(0.0, states, z_grid) + (z_grid * ps).sum(axis=-1)
+    worst_v = float(np.max(np.abs(v_closed - v_grid)))
+    worst_z = float(np.max(np.linalg.norm(z_closed - z_grid, axis=-1)))
     ok = worst_v <= HAMILTONIAN_TOL and worst_z <= HAMILTONIAN_TOL
     return ok, (
         f"closed form vs grid search: value gap {worst_v:.2e}, "

@@ -374,6 +374,127 @@ def test_config_and_policies_parse_or_raise_config_error(policy_parts, lines, po
     assert len(built) >= 2
 
 
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# every key, with values that keep a config small enough to run: at most
+# 6 modes, fd_n 64, 32 hs modes, 8 paths and 20 steps.  Magnitudes and
+# signs vary where they cost nothing to run.
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_RUNNABLE_VALUES = {
+    "b0": st.one_of(_floats(1e-3, 1e5), _ANY_FLOAT),
+    "b1": st.one_of(_floats(1e-3, 1e5), _ANY_FLOAT),
+    "n_modes": st.integers(1, 6).map(str),
+    "m_noise": st.integers(1, 6).map(str),
+    "dt": _floats(1e-3, 0.05),
+    "T": _floats(1e-3, 0.02),
+    "t0": _floats(0.0, 0.02),
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "n_paths": st.integers(2, 8).map(str),
+    "panels": st.integers(1, 16).map(str),
+    "nodes_per_panel": st.integers(2, 8).map(str),
+    "coefficients": st.sampled_from(["zero", "additive", "multiplicative", "forced"]),
+    "g_scale": st.one_of(_floats(-2.0, 2.0), _ANY_FLOAT),
+    "h0": st.one_of(_floats(-2.0, 2.0), _ANY_FLOAT),
+    "h1": st.one_of(_floats(-2.0, 2.0), _ANY_FLOAT),
+    "f_scale": st.one_of(_floats(-2.0, 2.0), _ANY_FLOAT),
+    "initial": st.sampled_from(["one", "parabola", "zero"]),
+    "control_problem": st.just("benchmark"),
+    "ball_radius": st.one_of(_floats(1e-3, 10.0), _ANY_FLOAT),
+    "policies": _POLICIES_TEXT,
+    "record_paths": st.integers(0, 3).map(str),
+    "fd_n": st.sampled_from(["8", "13", "64", "4002"]),
+    "hs_modes": st.integers(1, 32).map(str),
+}
+# at most one key gets text the parser or the validator must reject
+_BAD_VALUE = st.tuples(
+    st.sampled_from(sorted(_RUNNABLE_VALUES)),
+    st.sampled_from(["", "many", "nan", "-inf", "1e400", "0x10", "-1", "0"]),
+)
+_SMALL_BASE = {
+    "fd_n": "64",
+    "n_modes": "4",
+    "hs_modes": "32",
+    "n_paths": "8",
+    "T": "0.02",
+}
+_OVERRIDES = st.tuples(
+    st.lists(st.sampled_from(sorted(_RUNNABLE_VALUES)), unique=True, max_size=8),
+    st.one_of(st.none(), _BAD_VALUE),
+).flatmap(
+    lambda drawn: st.fixed_dictionaries(
+        {key: _RUNNABLE_VALUES[key] for key in drawn[0]}
+    ).map(lambda values: {**values, **dict([drawn[1]] if drawn[1] else [])})
+)
+
+
+def _assert_clean_exit(command, overrides):
+    # main returns 0, 1 or 2 and raises nothing; every _emit_error call
+    # writes one JSON record with its code, and every exit but validate's
+    # failed checks (FAIL lines, exit 1) goes through _emit_error
+    import contextlib
+    import io
+    import tempfile
+
+    import dynbc.cli as cli
+
+    text = "".join(f"{k} = {v}\n" for k, v in {**_SMALL_BASE, **overrides}.items())
+    emitted = []
+    stderr = io.StringIO()
+    real_emit = cli._emit_error
+
+    def spy(message, code):
+        emitted.append(code)
+        return real_emit(message, code)
+
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_emit_error", spy)
+        cfg_path = os.path.join(work, "run.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(text)
+        argv = [command, "--config", cfg_path, "--out", os.path.join(work, "out")]
+        quiet = contextlib.redirect_stdout(io.StringIO())
+        with quiet, contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2), text
+    lines = stderr.getvalue().splitlines()
+    records = [json.loads(line) for line in lines if line.startswith("{")]
+    assert [r["exit_code"] for r in records] == emitted, text
+    with_record = code == 2 or (code == 1 and (command != "validate" or emitted))
+    assert emitted == ([code] if with_record else []), text
+    return code
+
+
+_COMMANDS = ["spectrum", "simulate", "control", "validate"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@settings(max_examples=50, deadline=None)
+@given(overrides=_OVERRIDES)
+def test_every_config_exits_cleanly_through_main(command, overrides):
+    _assert_clean_exit(command, overrides)
+
+
+# the noise variance overflows: non-finite artifacts are refused
+_HUGE_NOISE = {"T": "0.015625", "dt": "0.03125", "g_scale": "6.513791901796354e+154"}
+# the FEM oracle's stiffness factors overflow
+_HUGE_B0 = {"coefficients": "zero", "b0": "4.6362137547439115e+155"}
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("simulate", _HUGE_NOISE),
+        ("control", _HUGE_NOISE),
+        ("spectrum", _HUGE_B0),
+        ("validate", _HUGE_B0),
+    ],
+)
+def test_overflow_exits_one(command, overrides):
+    assert _assert_clean_exit(command, overrides) == 1
+
+
 NO_SCIPY_SCRIPT = """
 import json, os, sys
 sys.path.insert(0, sys.argv[1])

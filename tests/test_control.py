@@ -312,6 +312,95 @@ class TestHamiltonian:
             hamiltonian_argmin(0.0, np.zeros(2), (0.0, 0.0), ring)
 
 
+def _ring_problem(Z):
+    return ControlProblem(
+        Z,
+        lambda t, a, z: (np.hypot(z[..., 0], z[..., 1]) - 0.5) ** 2,
+        lambda a: 0.0,
+        0.0,
+        1.0,
+    )
+
+
+class TestBatchedGridSearch:
+    @pytest.mark.parametrize(
+        "Z", [ball(1.0), box(((-1.0, 0.5), (-0.25, 1.0)))], ids=["ball", "box"]
+    )
+    @pytest.mark.parametrize("cost", ["quadratic", "ring"])
+    def test_rows_equal_single_pair_calls(self, Z, cost):
+        quad = quadratic_problem(
+            Z, lambda t, a: (a * a).sum(axis=-1), lambda a: 0.0, 0.0, 1.0
+        )
+        problem = (
+            ControlProblem(Z, quad.running_cost, quad.terminal_cost, 0.0, 1.0)
+            if cost == "quadratic"
+            else _ring_problem(Z)
+        )
+        rng = np.random.Generator(np.random.Philox(key=91))
+        states = rng.normal(size=(2, 3, 8))
+        # nonzero costates keep the ring's minimizer unique
+        ps = rng.normal(scale=1.5, size=(2, 3, 2)) + 0.5
+        vals, zs, spreads, spacing = _grid_search(0.3, states, ps, problem)
+        assert vals.shape == spreads.shape == (2, 3)
+        assert zs.shape == (2, 3, 2)
+        argmins = hamiltonian_argmin(0.3, states, ps, problem)
+        values = hamiltonian(0.3, states, ps, problem)
+        for i in range(2):
+            for j in range(3):
+                val, z, spread, ref_spacing = _grid_search(
+                    0.3, states[i, j], ps[i, j], problem
+                )
+                assert vals[i, j].tobytes() == val.tobytes()
+                assert zs[i, j].tobytes() == z.tobytes()
+                assert spreads[i, j].tobytes() == spread.tobytes()
+                assert spacing == ref_spacing
+                single = hamiltonian_argmin(0.3, states[i, j], ps[i, j], problem)
+                assert argmins[i, j].tobytes() == single.tobytes()
+                assert values[i, j] == hamiltonian(0.3, states[i, j], ps[i, j], problem)
+
+    def test_state_broadcasts_against_costates(self):
+        problem = _ring_problem(ball(1.0))
+        rng = np.random.Generator(np.random.Philox(key=92))
+        state = rng.normal(size=8)
+        ps = rng.normal(scale=1.5, size=(4, 2)) + 0.5
+        zs = hamiltonian_argmin(0.0, state, ps, problem)
+        for q, z in zip(ps, zs):
+            assert z.tobytes() == hamiltonian_argmin(0.0, state, q, problem).tobytes()
+
+    def test_non_unique_row_named(self):
+        ring = _ring_problem(ball(1.0))
+        ps = np.array([[3.0, 0.0], [0.0, -2.0], [0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(NonUniqueArgminError, match="in row 2$"):
+            hamiltonian_argmin(0.0, np.zeros((4, 2)), ps, ring)
+        # the unique rows on their own pass
+        hamiltonian_argmin(0.0, np.zeros((3, 2)), ps[[0, 1, 3]], ring)
+
+    def test_feedback_policy_matches_per_row_loop(self, bench):
+        # a non-quadratic running cost that reads the state
+        def running(t, a, z):
+            zz = (z * z).sum(axis=-1)
+            return (a * a).sum(axis=-1) + 0.5 * zz + 0.3 * a[..., 0] * zz**2
+
+        problem = ControlProblem(
+            bench.problem.Z,
+            running,
+            bench.problem.terminal_cost,
+            bench.problem.t0,
+            bench.problem.T,
+            terminal_gradient=bench.problem.terminal_gradient,
+        )
+        provider = TerminalProxyGradient(problem, bench.basis)
+        policy = FeedbackPolicy(provider, problem, bench.coeffs, bench.basis)
+        rng = np.random.Generator(np.random.Philox(key=93))
+        block = bench.initial + rng.normal(scale=0.5, size=(6, 8))
+        t = 0.1
+        p = boundary_costate(t, block, provider(t, block), bench.coeffs, bench.basis)
+        loop = np.array(
+            [hamiltonian_argmin(t, a, q, problem) for a, q in zip(block, p)]
+        )
+        assert policy(t, block).tobytes() == loop.tobytes()
+
+
 class TestGradientProviders:
     def test_terminal_proxy_formula(self, bench):
         provider = TerminalProxyGradient(bench.problem, bench.basis)

@@ -162,9 +162,218 @@ class TestFindEigenvalues:
     def test_bracket_error_surfaces(self, params11, monkeypatch):
         import dynbc.spectral as spectral
 
-        monkeypatch.setattr(spectral, "_gap_roots", lambda *a, **k: [])
+        # the scan finds no sign change in any gap
+        no_brackets = (np.empty(0), np.empty(0), np.empty(0, dtype=int))
+        monkeypatch.setattr(spectral, "_gap_brackets", lambda *a, **k: no_brackets)
         with pytest.raises(BracketError):
             spectral.find_eigenvalues(params11, 4)
+
+
+# The scalar root solve that the array scan and the lockstep refiner
+# replaced, kept verbatim as their bitwise reference.
+_BISECT_RTOL = 1e-6
+_REFINE_RTOL = 1e-12
+
+
+def _refine_root(f, lo: float, hi: float) -> float:
+    """Bisection to a coarse width, then bracket-safeguarded secant."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    scale = 1.0 + max(abs(lo), abs(hi))
+    while hi - lo > _BISECT_RTOL * scale:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0.0:
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+    while hi - lo > _REFINE_RTOL * scale:
+        width = hi - lo
+        denom = fhi - flo
+        x = 0.5 * (lo + hi) if denom == 0.0 else hi - fhi * (hi - lo) / denom
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if flo * fx < 0.0:
+            hi, fhi = x, fx
+        else:
+            lo, flo = x, fx
+        if hi - lo > 0.5 * width:
+            # secant stalled against one endpoint; force a bisection step
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            if fmid == 0.0:
+                return mid
+            if flo * fmid < 0.0:
+                hi, fhi = mid, fmid
+            else:
+                lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _gap_roots(params: BoundaryParams, k: int, samples: int) -> list[float]:
+    """All characteristic roots inside the Dirichlet gap number k."""
+    hi = -math.pi**2 * k**2
+    lo = -math.pi**2 * (k + 1) ** 2
+    eps = 1e-9 * (1.0 + abs(hi))
+    grid = list(np.linspace(lo + eps, hi - eps, samples))
+    # subdivide at the characteristic-function poles falling inside the gap,
+    # where the determinant flips sign without a root
+    for b in (-params.b0, -params.b1):
+        if lo + eps < b < hi - eps:
+            delta = 1e-7 * (1.0 + abs(b))
+            grid.extend((b - delta, b, b + delta))
+    xs = np.array(sorted(set(grid)))
+    ys = characteristic_regularized(xs, params)
+    roots = []
+    sign = np.sign(ys)
+    for i in np.nonzero(np.diff(sign) != 0)[0]:
+        root = _refine_root(
+            lambda x: characteristic_regularized(float(x), params),
+            float(xs[i]),
+            float(xs[i + 1]),
+        )
+        roots.append(root)
+    exclude_tol = 1e-8
+    kept = []
+    for r in sorted(roots, reverse=True):
+        rel = exclude_tol * (1.0 + abs(r))
+        near_pole = min(abs(r + params.b0), abs(r + params.b1)) <= rel
+        near_dirichlet = min(abs(r - lo), abs(r - hi)) <= rel or abs(r) <= 1e-10
+        if not (near_pole or near_dirichlet):
+            kept.append(r)
+    return kept
+
+
+def _loop_find_eigenvalues(params, n_modes, samples_per_gap=256):
+    roots: list[float] = []
+    for k in range(n_modes + 5):
+        roots.extend(_gap_roots(params, k, samples_per_gap))
+        if len(roots) >= n_modes:
+            break
+    return np.array(roots[:n_modes])
+
+
+def _recording(f):
+    """``f`` that logs every point it is called at, in call order."""
+    seen = []
+
+    def wrapped(x):
+        seen.extend(np.atleast_1d(x).tolist())
+        return f(x)
+
+    return wrapped, seen
+
+
+class TestRootSolveReference:
+    @pytest.mark.parametrize("n_modes", [16, 200])
+    def test_bitwise_equal_on_log_grid(self, n_modes):
+        bs = np.logspace(-3, 5, 6)
+        for b0 in bs:
+            for b1 in bs:
+                params = BoundaryParams(float(b0), float(b1))
+                lams = find_eigenvalues(params, n_modes)
+                ref = _loop_find_eigenvalues(params, n_modes)
+                assert lams.tobytes() == ref.tobytes(), (b0, b1)
+
+    @pytest.mark.parametrize(
+        "b0, b1", [*ACCEPTANCE_PARAM_SETS, (50.0, 50.0), (300.0, 1.0), (1e5, 1e-3)]
+    )
+    def test_bitwise_equal_with_poles_inside_gaps(self, b0, b1):
+        params = BoundaryParams(b0, b1)
+        for n_modes in (16, 200):
+            assert (
+                find_eigenvalues(params, n_modes).tobytes()
+                == _loop_find_eigenvalues(params, n_modes).tobytes()
+            )
+
+    def test_scan_split_into_gap_blocks(self, monkeypatch):
+        import dynbc.spectral as spectral
+
+        # blocks of 7 gaps, with both poles inside the scanned range
+        monkeypatch.setattr(spectral, "_SCAN_GAPS", 7)
+        params = BoundaryParams(50.0, 3000.0)
+        assert (
+            spectral.find_eigenvalues(params, 40).tobytes()
+            == _loop_find_eigenvalues(params, 40).tobytes()
+        )
+
+    def test_poles_fall_inside_gaps(self):
+        # the sets above exercise the subdivision at -b0 / -b1
+        for b in (50.0, 300.0, 1e5):
+            k, lo, hi = dirichlet_gap(-b)
+            eps = 1e-9 * (1.0 + abs(hi))
+            assert lo + eps < -b < hi - eps
+
+    def test_exact_zero_exits(self):
+        from dynbc.spectral import _refine_roots
+
+        f = lambda x: np.subtract(x, 0.375)  # noqa: E731
+        # a root at the first and at the third bisection midpoint, and one
+        # at a bracket endpoint
+        brackets = [(0.0, 0.75), (0.0, 1.0), (0.375, 1.0), (-1.0, 0.375)]
+        lo, hi = (np.array(side) for side in zip(*brackets))
+        ref = [_refine_root(f, a, b) for a, b in brackets]
+        assert ref == [0.375] * 4
+        assert _refine_roots(f, lo, hi).tolist() == ref
+        for a, b in brackets:
+            scalar_f, scalar_seen = _recording(f)
+            array_f, array_seen = _recording(f)
+            _refine_root(scalar_f, a, b)
+            _refine_roots(array_f, np.array([a]), np.array([b]))
+            assert array_seen == scalar_seen
+
+    def test_stalled_secant_forces_bisection(self):
+        from dynbc.spectral import _refine_roots
+
+        # convex and increasing: every secant point lands left of the root,
+        # so only a forced bisection can evaluate right of it after the
+        # bisection phase
+        f = lambda x: np.expm1(3e6 * np.asarray(x))  # noqa: E731
+        a, b = -1e-5, 2e-5
+        scalar_f, scalar_seen = _recording(f)
+        array_f, array_seen = _recording(f)
+        root = _refine_root(scalar_f, a, b)
+        assert _refine_roots(array_f, np.array([a]), np.array([b])).tolist() == [root]
+        assert array_seen == scalar_seen
+        n_bisect, width = 0, b - a
+        while width > _BISECT_RTOL * (1.0 + max(abs(a), abs(b))):
+            width *= 0.5
+            n_bisect += 1
+        after_bisection = np.array(scalar_seen[2 + n_bisect :])
+        assert np.any(f(after_bisection) > 0.0)
+        assert abs(root) < 1e-11
+
+    def test_lockstep_matches_scalar_on_mixed_brackets(self):
+        from dynbc.spectral import _refine_roots
+
+        # one piecewise function whose brackets take different branches,
+        # refined together
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(over="ignore"):
+                stiff = np.expm1(3e6 * (x - 5.0))
+            return np.where(
+                x < 2.0, x - 0.375, np.where(x < 10.0, stiff, np.sin(x - 20.0))
+            )
+
+        brackets = [
+            (0.0, 1.0),
+            (0.375, 1.5),
+            (5.0 - 1e-5, 5.0 + 2e-5),
+            (18.5, 21.25),
+            (3.0, 7.0),
+        ]
+        lo, hi = (np.array(side) for side in zip(*brackets))
+        ref = [_refine_root(f, a, b) for a, b in brackets]
+        assert _refine_roots(f, lo, hi).tolist() == [float(r) for r in ref]
 
 
 class TestBuildMode:
