@@ -18,7 +18,6 @@ from .control import (
     boundary_costate,
     boundary_immersion,
     box,
-    closed_loop_simulate,
     compare_policies,
     constant_grid_policies,
     hamiltonian,

@@ -20,12 +20,7 @@ from .config import RunConfig, default_config, load_config, with_overrides
 from .errors import ConfigError, DynbcError
 from .formats import write_csv, write_json
 from .semigroup import GridState, project
-from .spde import (
-    SimConfig,
-    ensemble_stats,
-    named_coefficients,
-    simulate_path,
-)
+from .spde import ensemble_stats, named_coefficients, sim_config, simulate_path
 from .spectral import (
     BoundaryParams,
     basis_to_json,
@@ -45,21 +40,9 @@ def _build_setup(cfg: RunConfig):
     params = BoundaryParams(cfg.b0, cfg.b1)
     basis = build_basis(params, cfg.n_modes, cfg.panels, cfg.nodes_per_panel)
     coeffs = named_coefficients(
-        cfg.coefficients,
-        g_scale=cfg.g_scale,
-        h0=cfg.h0,
-        h1=cfg.h1,
-        f_scale=cfg.f_scale,
+        cfg.coefficients, g_scale=cfg.g_scale, h0=cfg.h0, h1=cfg.h1, f_scale=cfg.f_scale
     )
-    sim = SimConfig(
-        n_modes=cfg.n_modes,
-        m_noise=cfg.m_noise,
-        dt=cfg.dt,
-        T=cfg.T,
-        t0=cfg.t0,
-        seed=cfg.seed,
-    )
-    return params, basis, coeffs, sim
+    return params, basis, coeffs, sim_config(cfg)
 
 
 def _initial_state(name: str, basis) -> np.ndarray:
@@ -77,45 +60,17 @@ def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
     params = BoundaryParams(cfg.b0, cfg.b1)
     basis = build_basis(params, cfg.n_modes, cfg.panels, cfg.nodes_per_panel)
     op = fem_oracle.build(cfg.fd_n, params)
-    fd_lams, _ = fem_oracle.eigensolve(op, basis.n_modes)
-    rows, rel_errs = [], []
-    for mode in basis.modes:
-        _, lo, hi = dirichlet_gap(mode.lam)
-        fd_lam = fd_lams[mode.j]
-        rel = abs((mode.lam - fd_lam) / fd_lam)
-        rel_errs.append(rel)
-        rows.append(
-            (
-                mode.j,
-                mode.lam,
-                mode.B,
-                mode.trace0,
-                mode.trace1,
-                lo,
-                hi,
-                fd_lam,
-                rel,
-            )
-        )
-    write_csv(
-        os.path.join(out, "spectrum.csv"),
-        [
-            "j",
-            "lambda",
-            "B",
-            "trace0",
-            "trace1",
-            "bracket_lo",
-            "bracket_hi",
-            "fd_lambda",
-            "rel_err",
-        ],
-        rows,
-    )
-    gram_dev = float(np.abs(basis.gram_matrix() - np.eye(basis.n_modes)).max())
-    in_gap = all(lo < lam < hi for (_, lam, _, _, _, lo, hi, _, _) in rows)
+    fd_lams, rel_errs = validate.oracle_gaps(basis, op, basis.n_modes)
+    rows = [
+        (m.j, m.lam, m.B, m.trace0, m.trace1, *dirichlet_gap(m.lam)[1:], fd, rel)
+        for m, fd, rel in zip(basis.modes, fd_lams, rel_errs)
+    ]
+    header = "j lambda B trace0 trace1 bracket_lo bracket_hi fd_lambda rel_err"
+    write_csv(os.path.join(out, "spectrum.csv"), header.split(), rows)
+    gram_dev = validate.gram_deviation(basis)
+    in_gap = bool(np.all(validate.gap_margins(basis.lam) > 0.0))
     decreasing = bool(np.all(np.diff(basis.lam) < 0.0))
-    max_rel = float(max(rel_errs))
+    max_rel = float(rel_errs.max())
     within_tols = gram_dev <= validate.GRAM_TOL and max_rel <= validate.ORACLE_REL_TOL
     passed = in_gap and decreasing and within_tols
     summary = {
@@ -126,9 +81,7 @@ def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
         "max_rel_err_vs_fd": max_rel,
         "eigenvalues_in_dirichlet_gaps": in_gap,
         "eigenvalues_decreasing": decreasing,
-        "normalization_bound_holds": [
-            normalization_bound(m) for m in basis.modes
-        ],
+        "normalization_bound_holds": [normalization_bound(m) for m in basis.modes],
         "passed": passed,
     }
     write_json(os.path.join(out, "spectrum.json"), summary)

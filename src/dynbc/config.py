@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .spde import MAX_BLOCK_NOISE_BYTES, block_noise_fits
 
 _INITIAL_STATES = ("one", "parabola", "zero")
 _COEFFICIENT_FAMILIES = ("zero", "additive", "multiplicative", "forced")
@@ -106,6 +107,12 @@ def _validate(cfg: RunConfig):
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
+    # after the checks above, so that dt > 0 and t0 < T
+    if not block_noise_fits(cfg.T - cfg.t0, cfg.dt, cfg.m_noise):
+        raise ConfigError(
+            f"dt = {cfg.dt!r} takes too many steps: one block of paths would "
+            f"draw more than {MAX_BLOCK_NOISE_BYTES} bytes of noise"
+        )
 
 
 def parse_config(text: str) -> RunConfig:

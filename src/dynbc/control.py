@@ -13,6 +13,11 @@ Every callable acts on blocks: policies map states (P, N) to controls
 (P, 2), gradient providers map (P, N) to (P, N), and costs act on the last
 axis, taking states (..., N) and controls (..., 2) to values (...).
 
+Controlled paths and the inner paths of ``NestedMCGradient`` are stepped
+by ``spde.rollout``, the control entering through its drift hook, over
+the blocks of ``spde.path_blocks``; costs and paired differences are
+reduced by ``spde.mean_var_se``.
+
 The value function of the underlying infinite-dimensional control problem
 is never solved for; feedback laws are driven by pluggable gradient
 providers that approximate its state gradient.
@@ -20,25 +25,29 @@ providers that approximate its state gradient.
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import NonUniqueArgminError
+from .errors import InadmissibleControlError, NonUniqueArgminError
 from .semigroup import GridState, project
 from .spde import (
-    PATH_BLOCK,
     Coefficients,
     PathRecord,
     SimConfig,
     block_increments,
+    mean_var_se,
     named_coefficients,
-    step_exp_euler,
+    path_blocks,
+    rollout,
     time_steps,
 )
 from .spectral import BoundaryParams, EigenBasis, build_basis
 
 GRID_RESOLUTION = 101
+# relative bump of the nested Monte Carlo finite differences
+NESTED_BUMP_REL = 1e-2
 _ARGMIN_VALUE_RTOL = 1e-6
 
 
@@ -197,7 +206,7 @@ def _grid_candidates(Z, range0, range1, n):
     return Z.project(grid.reshape(-1, 2))
 
 
-def _grid_search(t, state, p, problem, resolution=GRID_RESOLUTION):
+def _grid_search(t, state, p, problem):
     """Adaptive minimization of running_cost + p.z over Z.
 
     ``state`` (..., N) and ``p`` (..., 2) broadcast over their leading
@@ -214,10 +223,8 @@ def _grid_search(t, state, p, problem, resolution=GRID_RESOLUTION):
     states = np.broadcast_to(state, lead + (n,)).reshape(-1, n)
     costates = np.broadcast_to(p, lead + (2,)).reshape(-1, 2)
     (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
-    spacing = max(
-        (hi0 - lo0) / max(resolution - 1, 1), (hi1 - lo1) / max(resolution - 1, 1)
-    )
-    coarse = _grid_candidates(problem.Z, (lo0, hi0), (lo1, hi1), resolution)
+    spacing = max(hi0 - lo0, hi1 - lo1) / (GRID_RESOLUTION - 1)
+    coarse = _grid_candidates(problem.Z, (lo0, hi0), (lo1, hi1), GRID_RESOLUTION)
     vals, spreads = np.empty(len(states)), np.empty(len(states))
     zs = np.empty((len(states), 2))
     for r, (a, q) in enumerate(zip(states, costates)):
@@ -383,7 +390,7 @@ class NestedMCGradient:
     """Central finite differences of a nested Monte Carlo value estimate.
 
     The value at (t, state) is estimated by zero-policy rollouts to the
-    horizon; bumps of size bump_rel*(1+|a_k|) along the first ``n_dirs``
+    horizon; bumps of size NESTED_BUMP_REL*(1+|a_k|) along the first ``n_dirs``
     modal directions share the same inner noise (common random numbers).
     Deterministic given (seed, t, state).  Oracle-quality but slow; meant
     for desk-scale runs, with ``inner_dt`` optionally coarser than the
@@ -398,7 +405,6 @@ class NestedMCGradient:
         coeffs: Coefficients,
         basis: EigenBasis,
         inner_paths: int = 256,
-        bump_rel: float = 1e-2,
         n_dirs: int = 8,
         inner_dt: float = None,
         seed: int = 0,
@@ -407,7 +413,6 @@ class NestedMCGradient:
         self.coeffs = coeffs
         self.basis = basis
         self.inner_paths = inner_paths
-        self.bump_rel = bump_rel
         self.n_dirs = min(n_dirs, 8, basis.n_modes)
         self.inner_dt = inner_dt
         self.seed = seed
@@ -416,15 +421,13 @@ class NestedMCGradient:
         # every (state, inner path) pair is one row of a single block, and
         # all states share the inner paths' noise
         block = np.repeat(states, self.inner_paths, axis=0)
-        dW = np.tile(dW_all, (len(states), 1, 1))
+        dW = np.tile(dW_all, (len(states), 1, 1)).transpose(1, 0, 2)
+        path = rollout(times, dts, block, dW, self.coeffs, self.basis)
         zero = np.zeros((len(block), 2))
         cost = np.zeros(len(block))
-        for i, dt in enumerate(dts):
-            cost += self.problem.running_cost(times[i], block, zero) * dt
-            block = step_exp_euler(
-                times[i], block, dW[:, i], self.coeffs, self.basis, dt
-            )
-        cost += self.problem.terminal_cost(block)
+        for t, dt, a in zip(times, dts, path):
+            cost += self.problem.running_cost(t, a, zero) * dt
+        cost += self.problem.terminal_cost(path[-1])
         return cost.reshape(len(states), self.inner_paths).mean(axis=1)
 
     def __call__(self, t, state):
@@ -435,7 +438,7 @@ class NestedMCGradient:
             return np.zeros(state.shape)
         n_steps = max(1, int(np.ceil(span / dt - 1e-9)))
         dts = np.full(n_steps, span / n_steps)
-        times = t + np.concatenate(([0.0], np.cumsum(dts)))[:-1]
+        times = t + np.concatenate(([0.0], np.cumsum(dts)))
         t_bits = int(np.float64(t).view(np.uint64))
         rng = Generator(Philox(key=[self.seed, t_bits]))
         m = self.basis.n_modes
@@ -445,7 +448,7 @@ class NestedMCGradient:
         value = partial(self._value, dW_all, dts, times)
         # one row at a time: the bumps x inner paths of a row fill a block
         return np.array(
-            [_fd_gradient(value, a, self.bump_rel, self.n_dirs) for a in state]
+            [_fd_gradient(value, a, NESTED_BUMP_REL, self.n_dirs) for a in state]
         )
 
 
@@ -454,42 +457,45 @@ def _rollout(policy, problem, config, coeffs, basis, initial, rows):
 
     Row r draws ``path_increments(seed, rows[r], ...)``.  Returns the cost
     of each row (left-endpoint running-cost integral plus terminal cost),
-    the list of states (P, N) per time and of controls (P, 2) per step.
+    the states (steps + 1, P, N) and the controls (steps, P, 2).
     """
     if abs(problem.t0 - config.t0) > 1e-12 or abs(problem.T - config.T) > 1e-12:
         raise ValueError("problem horizon and simulation config disagree")
     times, dts = time_steps(config, basis)
     dW = block_increments(config.seed, rows, dts, config.m_noise)
-    block = np.tile(np.asarray(initial, dtype=float), (len(rows), 1))
-    states, controls = [block], []
-    cost = np.zeros(len(rows))
-    for i, dt in enumerate(dts):
-        t = times[i]
-        z = np.asarray(policy(t, block), dtype=float)
+    controls = []
+
+    def drift(t, state):
+        z = np.asarray(policy(t, state), dtype=float)
         outside = ~problem.Z.contains(z, tol=1e-9)
         if outside.any():
             r = int(np.argmax(outside))
-            raise ValueError(
+            raise InadmissibleControlError(
                 f"policy {getattr(policy, 'name', policy)!r} emitted "
                 f"inadmissible control {z[r]} at t={t} on path {rows[r]}"
             )
-        cost += problem.running_cost(t, block, z) * dt
-        block = step_exp_euler(
-            t, block, dW[i], coeffs, basis, dt, control_drift(t, z, coeffs, basis)
-        )
-        states.append(block)
         controls.append(z)
-    cost += problem.terminal_cost(block)
-    return cost, states, controls
+        return control_drift(t, z, coeffs, basis)
+
+    states = rollout(times, dts, initial, dW, coeffs, basis, drift)
+    # an accumulator, since running_cost may return a scalar
+    cost = np.zeros(len(rows))
+    for t, dt, a, z in zip(times, dts, states, controls):
+        cost += problem.running_cost(t, a, z) * dt
+    cost += problem.terminal_cost(states[-1])
+    return cost, states, np.array(controls)
 
 
 def _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths):
-    # blocks of PATH_BLOCK paths in index order; row p depends only on
-    # (seed, p), so every policy sees the same noise per path
-    starts = range(0, n_paths, PATH_BLOCK)
-    blocks = [range(s, min(s + PATH_BLOCK, n_paths)) for s in starts]
+    # row p depends only on (seed, p), so every policy sees the same noise
+    # per path
     args = (policy, problem, config, coeffs, basis, initial)
-    return np.concatenate([_rollout(*args, rows)[0] for rows in blocks])
+    return np.concatenate([_rollout(*args, rows)[0] for rows in path_blocks(n_paths)])
+
+
+def _mean_se(costs):
+    mean, _, se = mean_var_se(costs)
+    return float(mean), float(se)
 
 
 def policy_cost(
@@ -509,22 +515,9 @@ def policy_cost(
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    costs = _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths)
-    return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(n_paths))
-
-
-def closed_loop_simulate(
-    problem: ControlProblem,
-    provider,
-    config: SimConfig,
-    coeffs: Coefficients,
-    basis: EigenBasis,
-    initial: np.ndarray,
-    path_index: int = 0,
-) -> PathRecord:
-    """Simulate the feedback-controlled dynamics, recording the control."""
-    policy = FeedbackPolicy(provider, problem, coeffs, basis)
-    return policy_path(policy, problem, config, coeffs, basis, initial, path_index)
+    return _mean_se(
+        _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths)
+    )
 
 
 def policy_path(
@@ -544,8 +537,8 @@ def policy_path(
     )
     return PathRecord(
         times=time_steps(config, basis)[0],
-        states=np.array(states)[:, 0],
-        controls=np.array(controls)[:, 0],
+        states=states[:, 0],
+        controls=controls[:, 0],
     )
 
 
@@ -592,32 +585,17 @@ def compare_policies(
     """
     if len(policies) < 2:
         raise ValueError("need at least 2 policies to compare")
-    all_costs = [
-        _policy_costs(pol, problem, config, coeffs, basis, initial, n_paths)
+    runs = [
+        (pol.name, _policy_costs(pol, problem, config, coeffs, basis, initial, n_paths))
         for pol in policies
     ]
-    results = tuple(
-        PolicyResult(
-            name=pol.name,
-            J=float(c.mean()),
-            se=float(c.std(ddof=1) / np.sqrt(n_paths)),
-        )
-        for pol, c in zip(policies, all_costs)
+    results = tuple(PolicyResult(name, *_mean_se(c)) for name, c in runs)
+    pairs = tuple(
+        PairResult(a, b, *_mean_se(ca - cb))
+        for (a, ca), (b, cb) in combinations(runs, 2)
     )
-    pairs = []
-    for i in range(len(policies)):
-        for j in range(i + 1, len(policies)):
-            d = all_costs[i] - all_costs[j]
-            pairs.append(
-                PairResult(
-                    a=policies[i].name,
-                    b=policies[j].name,
-                    diff=float(d.mean()),
-                    paired_se=float(d.std(ddof=1) / np.sqrt(n_paths)),
-                )
-            )
     return ComparisonReport(
-        policies=results, pairwise=tuple(pairs), seed=config.seed, n_paths=n_paths
+        policies=results, pairwise=pairs, seed=config.seed, n_paths=n_paths
     )
 
 

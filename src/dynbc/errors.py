@@ -53,6 +53,10 @@ class NonUniqueArgminError(DynbcError):
     """Hamiltonian grid search found two well-separated minimizers."""
 
 
+class InadmissibleControlError(DynbcError, ValueError):
+    """A policy emitted a control outside the admissible set (or nan)."""
+
+
 class NonFiniteError(DynbcError, ValueError):
     """A result to be written overflowed to inf or nan."""
 

@@ -11,6 +11,12 @@ identity covariance on X (the standard cylindrical choice), so expanding
 it in the eigenbasis is exact in law.  Noise is counter-based: each path
 owns a disjoint Philox counter block derived from (seed, path index), so
 ensembles are reproducible and order-independent.
+
+``rollout`` is the one stepping loop: single paths, path blocks, the
+controlled paths of the control layer and the inner paths of its nested
+Monte Carlo provider all advance through it.  ``path_blocks`` is the one
+partition of an ensemble into blocks and ``mean_var_se`` the one
+mean/standard-error estimator.
 """
 
 # unused: perfbench/spans.py traces thread pools through this name and
@@ -24,8 +30,26 @@ from numpy.random import Generator, Philox
 from .errors import ShapeError
 from .spectral import EigenBasis
 
-# paths that terminal_states steps together; transient memory grows with it
+# paths stepped together as one block; transient memory grows with it
 PATH_BLOCK = 64
+# largest noise array one block may draw: steps x m_noise x PATH_BLOCK doubles
+MAX_BLOCK_NOISE_BYTES = 2**30
+
+
+def block_noise_fits(span: float, dt: float, m_noise: int) -> bool:
+    """Whether a block's noise over ``span`` in steps of ``dt`` stays within
+    ``MAX_BLOCK_NOISE_BYTES``.  The step count is a float, so a ``dt`` small
+    enough to overflow it gives inf and is rejected."""
+    steps = span / dt + 1.0
+    return steps * m_noise * PATH_BLOCK * 8 <= MAX_BLOCK_NOISE_BYTES
+
+
+def path_blocks(n_paths: int) -> list:
+    """Consecutive ranges of at most ``PATH_BLOCK`` path indices, in index
+    order, covering range(n_paths)."""
+    return [
+        range(s, min(s + PATH_BLOCK, n_paths)) for s in range(0, n_paths, PATH_BLOCK)
+    ]
 
 
 @dataclass(frozen=True)
@@ -92,6 +116,12 @@ class EnsembleStats:
     mean_norm: float
     var_norm: float
     se_norm: float
+
+
+def sim_config(run) -> SimConfig:
+    """The ``SimConfig`` of a run configuration: its truncation sizes, time
+    grid and seed."""
+    return SimConfig(run.n_modes, run.m_noise, run.dt, run.T, run.t0, run.seed)
 
 
 def time_grid(config: SimConfig) -> np.ndarray:
@@ -222,6 +252,24 @@ def time_steps(config: SimConfig, basis: EigenBasis):
     return times, np.diff(times)
 
 
+def rollout(times, dts, initial, dW, coeffs, basis, drift=None) -> np.ndarray:
+    """States (steps + 1, *dW.shape[1:-1], N) of the exponential-Euler scheme.
+
+    ``times`` holds the steps + 1 grid points, ``dts`` the step sizes and
+    ``dW`` the increments (steps, ..., m); ``initial`` broadcasts against
+    one state row.  ``drift(t, state)``, when given, returns the extra
+    modal drift of each step (the control hook).
+    """
+    states = np.empty((len(times), *np.shape(dW)[1:-1], basis.n_modes))
+    states[0] = initial
+    for i, dt in enumerate(dts):
+        extra = None if drift is None else drift(times[i], states[i])
+        states[i + 1] = step_exp_euler(
+            times[i], states[i], dW[i], coeffs, basis, dt, extra
+        )
+    return states
+
+
 def simulate_path(
     config: SimConfig,
     coeffs: Coefficients,
@@ -233,12 +281,7 @@ def simulate_path(
     """Simulate one trajectory; deterministic given (seed, path_index)."""
     times, dts = time_steps(config, basis)
     dW = path_increments(config.seed, path_index, dts, config.m_noise)
-    states = np.empty((len(times), config.n_modes))
-    states[0] = np.asarray(initial, dtype=float)
-    for i, dt in enumerate(dts):
-        states[i + 1] = step_exp_euler(
-            times[i], states[i], dW[i], coeffs, basis, dt
-        )
+    states = rollout(times, dts, initial, dW, coeffs, basis)
     grid_u = grid_v = None
     if record_grid:
         grid_u = states @ basis.values.T
@@ -251,20 +294,25 @@ def simulate_path(
 def terminal_states(config, coeffs, basis, initial, n_paths):
     """Terminal modal states of an ensemble, one row per path index.
 
-    Paths are stepped ``PATH_BLOCK`` at a time as one (P, N) block; row p
-    draws ``path_increments(seed, p, ...)``, so it depends only on
-    (seed, p).
+    Paths are stepped block by block (``path_blocks``); row p draws
+    ``path_increments(seed, p, ...)``, so it depends only on (seed, p).
     """
     times, dts = time_steps(config, basis)
     out = np.empty((n_paths, config.n_modes))
-    for start in range(0, n_paths, PATH_BLOCK):
-        rows = range(start, min(start + PATH_BLOCK, n_paths))
+    for rows in path_blocks(n_paths):
         dW = block_increments(config.seed, rows, dts, config.m_noise)
-        block = np.tile(np.asarray(initial, dtype=float), (len(rows), 1))
-        for i, dt in enumerate(dts):
-            block = step_exp_euler(times[i], block, dW[i], coeffs, basis, dt)
-        out[rows.start : rows.stop] = block
+        # copy the last row: the block's history is freed before the next
+        out[rows.start : rows.stop] = rollout(
+            times, dts, initial, dW, coeffs, basis
+        )[-1]
     return out
+
+
+def mean_var_se(samples: np.ndarray):
+    """Mean, unbiased variance and standard error of the mean over axis 0,
+    reduced in index order."""
+    var = samples.var(axis=0, ddof=1)
+    return samples.mean(axis=0), var, np.sqrt(var / len(samples))
 
 
 def ensemble_stats(
@@ -279,18 +327,8 @@ def ensemble_stats(
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     terminal = terminal_states(config, coeffs, basis, initial, n_paths)
-    var = terminal.var(axis=0, ddof=1)
-    norms = np.linalg.norm(terminal, axis=1)
-    var_norm = norms.var(ddof=1)
-    return EnsembleStats(
-        n_paths=n_paths,
-        mean_terminal=terminal.mean(axis=0),
-        var_terminal=var,
-        se_terminal=np.sqrt(var / n_paths),
-        mean_norm=float(norms.mean()),
-        var_norm=float(var_norm),
-        se_norm=float(np.sqrt(var_norm / n_paths)),
-    )
+    norm_stats = map(float, mean_var_se(np.linalg.norm(terminal, axis=1)))
+    return EnsembleStats(n_paths, *mean_var_se(terminal), *norm_stats)
 
 
 def spot_check_coefficients(

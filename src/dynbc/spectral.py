@@ -37,6 +37,8 @@ _POLE_RTOL = 1e-13
 _DIRICHLET_RTOL = 1e-9
 _BISECT_RTOL = 1e-6
 _REFINE_RTOL = 1e-12
+# sample points per Dirichlet gap in the sign-change scan
+_SAMPLES_PER_GAP = 256
 # Dirichlet gaps sampled per scan call: bounds the scan's temporaries (a
 # 64 x 256 block is 128 KiB per array) at any n_modes
 _SCAN_GAPS = 64
@@ -183,19 +185,17 @@ def _gap_brackets(params: BoundaryParams, k: np.ndarray, samples: int):
     return xs[i], xs[i + 1], gap[i]
 
 
-def find_eigenvalues(
-    params: BoundaryParams, n_modes: int, samples_per_gap: int = 256
-) -> np.ndarray:
+def find_eigenvalues(params: BoundaryParams, n_modes: int) -> np.ndarray:
     """First ``n_modes`` eigenvalues, in decreasing order (all negative).
 
     Scans the first ``n_modes + 5`` Dirichlet gaps (-pi^2 (k+1)^2,
     -pi^2 k^2), up to ``_SCAN_GAPS`` of them per array, locating sign
-    changes of the regularized characteristic function on a fine grid
-    subdivided at -b0 and -b1, and refines all brackets together to
-    relative width 1e-12.  Roots within 1e-8 relative of a pole or a
-    Dirichlet point are dropped.  Every gap holds exactly one root except
-    the gap containing -(b0+b1)/2, which holds two; ``BracketError`` when
-    fewer than ``n_modes`` roots remain.
+    changes of the regularized characteristic function on
+    ``_SAMPLES_PER_GAP`` points per gap, subdivided at -b0 and -b1, and
+    refines all brackets together to relative width 1e-12.  Roots within
+    1e-8 relative of a pole or a Dirichlet point are dropped.  Every gap
+    holds exactly one root except the gap containing -(b0+b1)/2, which
+    holds two; ``BracketError`` when fewer than ``n_modes`` roots remain.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -203,7 +203,7 @@ def find_eigenvalues(
     blocks = np.split(gaps, range(_SCAN_GAPS, len(gaps), _SCAN_GAPS))
     lo, hi, gap = (
         np.concatenate(part)
-        for part in zip(*(_gap_brackets(params, k, samples_per_gap) for k in blocks))
+        for part in zip(*(_gap_brackets(params, k, _SAMPLES_PER_GAP) for k in blocks))
     )
     roots = _refine_roots(lambda x: characteristic_regularized(x, params), lo, hi)
     rel = 1e-8 * (1.0 + np.abs(roots))
@@ -218,7 +218,7 @@ def find_eigenvalues(
         raise BracketError(
             f"found only {len(kept)} roots of {n_modes} requested for "
             f"b0={params.b0}, b1={params.b1}; parameter degeneracy or "
-            f"insufficient samples_per_gap"
+            f"a root pair closer than the scan grid resolves"
         )
     return np.sort(kept)[::-1][:n_modes].copy()
 
@@ -350,11 +350,9 @@ def build_basis(
     n_modes: int = 16,
     panels: int = DEFAULT_PANELS,
     nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
-    quad: QuadratureRule = None,
 ) -> EigenBasis:
     """Solve the eigenproblem and assemble the first ``n_modes`` modes."""
-    if quad is None:
-        quad = gauss_legendre_rule(panels, nodes_per_panel)
+    quad = gauss_legendre_rule(panels, nodes_per_panel)
     lams = find_eigenvalues(params, n_modes)
     modes = [build_mode(lam, j, params) for j, lam in enumerate(lams)]
     return _assemble_basis(params, modes, quad)

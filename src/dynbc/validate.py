@@ -7,7 +7,7 @@ value.  A raised package error inside a check is surfaced as a named
 failure rather than aborting the suite.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -50,20 +50,34 @@ def _named(name):
     return wrap
 
 
+def gap_margins(lams: np.ndarray) -> np.ndarray:
+    """Relative margin min(lam - lo, hi - lam) / (1 + |lam|) of each
+    eigenvalue inside its Dirichlet gap (lo, hi); positive inside."""
+    lo, hi = np.array([dirichlet_gap(lam)[1:] for lam in lams]).T
+    return np.minimum(lams - lo, hi - lams) / (1.0 + np.abs(lams))
+
+
+def gram_deviation(basis) -> float:
+    """max |G - I| over the Gram matrix G of the basis."""
+    return float(np.abs(basis.gram_matrix() - np.eye(basis.n_modes)).max())
+
+
+def oracle_gaps(basis, op, n: int):
+    """The first ``n`` FEM-oracle eigenvalues of ``op`` and the relative
+    gaps of the basis eigenvalues to them."""
+    fd_lams, _ = fem_oracle.eigensolve(op, n)
+    return fd_lams, np.abs((basis.lam[:n] - fd_lams) / fd_lams)
+
+
 @_named("spectral_brackets")
 def _check_brackets(ctx):
-    margins = []
-    for lam in ctx["basis"].lam:
-        _, lo, hi = dirichlet_gap(lam)
-        margins.append(min(lam - lo, hi - lam) / (1.0 + abs(lam)))
-    worst = min(margins)
+    worst = float(gap_margins(ctx["basis"].lam).min())
     return worst > 0.0, f"min relative gap margin {worst:.3e}"
 
 
 @_named("gram_orthonormality")
 def _check_gram(ctx):
-    basis = ctx["basis"]
-    dev = float(np.abs(basis.gram_matrix() - np.eye(basis.n_modes)).max())
+    dev = gram_deviation(ctx["basis"])
     return dev <= GRAM_TOL, f"max |G - I| = {dev:.3e} (tol {GRAM_TOL})"
 
 
@@ -113,9 +127,7 @@ def _check_hs_rate(ctx):
 @_named("fd_eigenvalues")
 def _check_fd_eigenvalues(ctx):
     basis = ctx["basis"]
-    n = min(8, basis.n_modes)
-    fd_lams, _ = fem_oracle.eigensolve(ctx["fd_op"], n)
-    rel = float(np.max(np.abs((basis.lam[:n] - fd_lams) / fd_lams)))
+    rel = float(oracle_gaps(basis, ctx["fd_op"], min(8, basis.n_modes))[1].max())
     return rel <= ORACLE_REL_TOL, (
         f"max relative eigenvalue gap vs FEM oracle = {rel:.3e} "
         f"(tol {ORACLE_REL_TOL})"
@@ -157,14 +169,7 @@ def _check_ito(ctx):
     coeffs = spde.named_coefficients(
         "additive", g_scale=cfg.g_scale, h0=cfg.h0, h1=cfg.h1
     )
-    sim = spde.SimConfig(
-        n_modes=basis.n_modes,
-        m_noise=cfg.m_noise,
-        dt=cfg.dt,
-        T=cfg.T,
-        t0=cfg.t0,
-        seed=cfg.seed,
-    )
+    sim = spde.sim_config(cfg)
     initial = np.zeros(basis.n_modes)
     n_paths = min(cfg.n_paths, 4000)
     terminal = spde.terminal_states(sim, coeffs, basis, initial, n_paths)
@@ -184,13 +189,7 @@ def _check_ito(ctx):
 def _check_hamiltonian(ctx):
     basis = ctx["basis"]
     problem = ctl.benchmark_problem()
-    grid_problem = ctl.ControlProblem(
-        Z=problem.Z,
-        running_cost=problem.running_cost,
-        terminal_cost=problem.terminal_cost,
-        t0=0.0,
-        T=0.5,
-    )
+    grid_problem = replace(problem, state_cost=None)
     rng = Generator(Philox(key=ctx["config"].seed))
     pairs = [
         (rng.normal(size=basis.n_modes), rng.normal(scale=1.5, size=2))

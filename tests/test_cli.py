@@ -16,6 +16,7 @@ from dynbc import control as ctl
 from dynbc.cli import _make_policies, main
 from dynbc.config import RunConfig, default_config, parse_config, with_overrides
 from dynbc.errors import ConfigError
+from dynbc.spde import block_noise_fits
 
 
 def run_cli(tmp_path, command, config_text, extra=None):
@@ -101,6 +102,24 @@ class TestNonFiniteConfig:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": f"{key} must be finite", "exit_code": 2}
         assert not out.exists() or os.listdir(out) == []
+
+
+class TestStepCountBound:
+    @pytest.mark.parametrize("command", ["simulate", "control", "validate"])
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-6"])
+    def test_noise_block_too_large_exits_two(self, tmp_path, capsys, command, dt):
+        # 1e-300 overflows nothing but needs 5e299 steps; 1e-6 needs a
+        # 4 GB noise block at the default 16 noise modes
+        code, out = run_cli(tmp_path, command, f"dt = {dt}\n")
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["exit_code"] == 2
+        assert record["error"].startswith(f"dt = {float(dt)!r} takes too many steps")
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_default_passes(self, tmp_path):
+        assert block_noise_fits(0.5, 5e-3, 16)
+        assert main(["spectrum", "--out", str(tmp_path / "out")]) == 0
 
 
 class TestSpectrumCommand:
@@ -480,6 +499,8 @@ def test_every_config_exits_cleanly_through_main(command, overrides):
 _HUGE_NOISE = {"T": "0.015625", "dt": "0.03125", "g_scale": "6.513791901796354e+154"}
 # the FEM oracle's stiffness factors overflow
 _HUGE_B0 = {"coefficients": "zero", "b0": "4.6362137547439115e+155"}
+# the feedback costate overflows and the policy emits a nan control
+_HUGE_GAIN = {"coefficients": "additive", "seed": "0", "h1": "2.0196748782078042e+154"}
 
 
 @pytest.mark.parametrize(
@@ -489,6 +510,7 @@ _HUGE_B0 = {"coefficients": "zero", "b0": "4.6362137547439115e+155"}
         ("control", _HUGE_NOISE),
         ("spectrum", _HUGE_B0),
         ("validate", _HUGE_B0),
+        ("control", _HUGE_GAIN),
     ],
 )
 def test_overflow_exits_one(command, overrides):

@@ -17,7 +17,6 @@ from dynbc import (
     boundary_costate,
     boundary_immersion,
     box,
-    closed_loop_simulate,
     compare_policies,
     constant_grid_policies,
     hamiltonian,
@@ -37,8 +36,15 @@ from dynbc.control import (
     _policy_costs,
     control_drift,
 )
+from dynbc.control import _rollout
 from dynbc.errors import NonUniqueArgminError
-from dynbc.spde import PATH_BLOCK
+from dynbc.spde import (
+    PATH_BLOCK,
+    block_increments,
+    path_blocks,
+    step_exp_euler,
+    time_steps,
+)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +103,52 @@ def _loop_grid_search(t, state, p, problem, resolution=GRID_RESOLUTION):
             if v < fine_val:
                 fine_val, fine_z = v, cand
     return fine_val, fine_z, spread, spacing
+
+
+def _loop_rollout(policy, problem, config, coeffs, basis, initial, rows):
+    # the hand-written stepping loop _rollout replaced, kept as its reference
+    if abs(problem.t0 - config.t0) > 1e-12 or abs(problem.T - config.T) > 1e-12:
+        raise ValueError("problem horizon and simulation config disagree")
+    times, dts = time_steps(config, basis)
+    dW = block_increments(config.seed, rows, dts, config.m_noise)
+    block = np.tile(np.asarray(initial, dtype=float), (len(rows), 1))
+    states, controls = [block], []
+    cost = np.zeros(len(rows))
+    for i, dt in enumerate(dts):
+        t = times[i]
+        z = np.asarray(policy(t, block), dtype=float)
+        outside = ~problem.Z.contains(z, tol=1e-9)
+        if outside.any():
+            r = int(np.argmax(outside))
+            raise ValueError(
+                f"policy {getattr(policy, 'name', policy)!r} emitted "
+                f"inadmissible control {z[r]} at t={t} on path {rows[r]}"
+            )
+        cost += problem.running_cost(t, block, z) * dt
+        block = step_exp_euler(
+            t, block, dW[i], coeffs, basis, dt, control_drift(t, z, coeffs, basis)
+        )
+        states.append(block)
+        controls.append(z)
+    cost += problem.terminal_cost(block)
+    return cost, states, controls
+
+
+class _LoopNestedMC(NestedMCGradient):
+    # the provider with the stepping loop its _value had before it called
+    # spde.rollout, kept as its reference
+    def _value(self, dW_all, dts, times, states):
+        block = np.repeat(states, self.inner_paths, axis=0)
+        dW = np.tile(dW_all, (len(states), 1, 1))
+        zero = np.zeros((len(block), 2))
+        cost = np.zeros(len(block))
+        for i, dt in enumerate(dts):
+            cost += self.problem.running_cost(times[i], block, zero) * dt
+            block = step_exp_euler(
+                times[i], block, dW[:, i], self.coeffs, self.basis, dt
+            )
+        cost += self.problem.terminal_cost(block)
+        return cost.reshape(len(states), self.inner_paths).mean(axis=1)
 
 
 class TestAdmissibleSet:
@@ -470,9 +522,9 @@ class TestPolicies:
 
     def test_every_emitted_control_admissible(self, bench):
         provider = TerminalProxyGradient(bench.problem, bench.basis)
-        record = closed_loop_simulate(
+        record = policy_path(
+            FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis),
             bench.problem,
-            provider,
             bench.config,
             bench.coeffs,
             bench.basis,
@@ -646,9 +698,9 @@ class TestClosedLoop:
         problem = quadratic_problem(
             ball(1.0), lambda t, a: 0.0, lambda a: 0.0, 0.0, 0.5
         )
-        record = closed_loop_simulate(
+        record = policy_path(
+            FeedbackPolicy(ZeroGradient(8), problem, bench.coeffs, bench.basis),
             problem,
-            ZeroGradient(8),
             bench.config,
             bench.coeffs,
             bench.basis,
@@ -661,9 +713,9 @@ class TestClosedLoop:
     def test_zero_gains_kill_any_provider_bitwise(self, bench):
         coeffs = named_coefficients("additive", g_scale=0.2, h0=0.0, h1=0.0)
         provider = TerminalProxyGradient(bench.problem, bench.basis)
-        record = closed_loop_simulate(
+        record = policy_path(
+            FeedbackPolicy(provider, bench.problem, coeffs, bench.basis),
             bench.problem,
-            provider,
             bench.config,
             coeffs,
             bench.basis,
@@ -789,3 +841,57 @@ class TestBenchmarkBundle:
         assert abs(state.v0 - 1.0) < 1e-3
         assert abs(state.v1 - 1.0) < 1e-3
         assert np.max(np.abs(state.u - 1.0)) < 0.05
+
+
+class TestRolloutReference:
+    """``_rollout`` and ``NestedMCGradient`` step through ``spde.rollout``;
+    both must reproduce their old hand-written loops bit for bit."""
+
+    N_PATHS = PATH_BLOCK + 5
+
+    def _assert_matches_loop(self, policy, problem, config, coeffs, bench, ref=None):
+        args = (problem, config, coeffs, bench.basis, bench.initial)
+        for rows in path_blocks(self.N_PATHS):
+            cost, states, controls = _rollout(policy, *args, rows)
+            ref_cost, ref_states, ref_controls = _loop_rollout(
+                ref or policy, *args, rows
+            )
+            assert np.array_equal(cost, ref_cost)
+            assert np.array_equal(states, np.array(ref_states))
+            assert np.array_equal(controls, np.array(ref_controls))
+
+    @pytest.mark.parametrize("family", ["additive", "multiplicative"])
+    def test_terminal_proxy_feedback(self, bench, family):
+        coeffs = named_coefficients(family, g_scale=0.2, h0=1.0, h1=1.0)
+        provider = TerminalProxyGradient(bench.problem, bench.basis)
+        policy = FeedbackPolicy(provider, bench.problem, coeffs, bench.basis)
+        self._assert_matches_loop(policy, bench.problem, bench.config, coeffs, bench)
+
+    def test_scalar_running_cost(self, bench):
+        problem = ControlProblem(
+            Z=ball(1.0),
+            running_cost=lambda t, a, z: 1.0,
+            terminal_cost=lambda a: 0.0,
+            t0=0.0,
+            T=0.5,
+        )
+        policy = ConstantPolicy((0.3, 0.1), problem.Z)
+        self._assert_matches_loop(policy, problem, bench.config, bench.coeffs, bench)
+
+    def test_nested_mc_feedback(self, bench):
+        args = (bench.problem, bench.coeffs, bench.basis)
+        kwargs = dict(inner_paths=8, n_dirs=2, inner_dt=0.1, seed=3)
+        new = NestedMCGradient(*args, **kwargs)
+        ref = _LoopNestedMC(*args, **kwargs)
+        states = bench.initial + 0.1 * np.arange(3)[:, None]
+        for t in (0.0, 0.23, 0.45):
+            assert np.array_equal(new(t, states), ref(t, states))
+        coarse = SimConfig(n_modes=8, m_noise=8, dt=5e-2, T=0.5, seed=12345)
+        self._assert_matches_loop(
+            FeedbackPolicy(new, *args),
+            bench.problem,
+            coarse,
+            bench.coeffs,
+            bench,
+            ref=FeedbackPolicy(ref, *args),
+        )

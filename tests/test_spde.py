@@ -18,7 +18,14 @@ from dynbc import (
     time_grid,
 )
 from dynbc.errors import ShapeError
-from dynbc.spde import PATH_BLOCK, spot_check_coefficients
+from dynbc.spde import (
+    PATH_BLOCK,
+    block_increments,
+    path_blocks,
+    rollout,
+    spot_check_coefficients,
+    time_steps,
+)
 from dynbc.validate import exact_additive_covariance
 
 from conftest import densify
@@ -259,6 +266,58 @@ class TestNoise:
             scale = np.max(np.abs(single.states[-1]))
             for terminal in (small, large):
                 assert np.max(np.abs(terminal[p] - single.states[-1])) <= 1e-13 * scale
+
+
+def _loop_terminal_states(config, coeffs, basis, initial, n_paths):
+    # the hand-written block loop terminal_states had before it called
+    # rollout, kept as its reference
+    times, dts = time_steps(config, basis)
+    out = np.empty((n_paths, config.n_modes))
+    for start in range(0, n_paths, PATH_BLOCK):
+        rows = range(start, min(start + PATH_BLOCK, n_paths))
+        dW = block_increments(config.seed, rows, dts, config.m_noise)
+        block = np.tile(np.asarray(initial, dtype=float), (len(rows), 1))
+        for i, dt in enumerate(dts):
+            block = step_exp_euler(times[i], block, dW[i], coeffs, basis, dt)
+        out[rows.start : rows.stop] = block
+    return out
+
+
+class TestRollout:
+    def test_path_blocks_partition(self):
+        for n in (1, PATH_BLOCK, PATH_BLOCK + 5, 3 * PATH_BLOCK):
+            blocks = path_blocks(n)
+            assert [p for rows in blocks for p in rows] == list(range(n))
+            assert all(0 < len(rows) <= PATH_BLOCK for rows in blocks)
+
+    @pytest.mark.parametrize(
+        "coeffs", [ADDITIVE, MULTIPLICATIVE], ids=["additive", "multiplicative"]
+    )
+    def test_terminal_states_match_block_loop(self, basis8, coeffs):
+        cfg = SimConfig(n_modes=8, m_noise=6, dt=1e-2, T=0.2, seed=8)
+        a0 = constant_one_state(basis8)
+        n = PATH_BLOCK + 5
+        assert np.array_equal(
+            terminal_states(cfg, coeffs, basis8, a0, n),
+            _loop_terminal_states(cfg, coeffs, basis8, a0, n),
+        )
+
+    def test_initial_broadcasts_and_drift_hook_sees_each_step(self, basis8, rng):
+        times = np.linspace(0.0, 0.1, 6)
+        dts = np.diff(times)
+        dW = rng.normal(size=(5, 3, 8)) * 0.1
+        seen = []
+
+        def drift(t, state):
+            seen.append((t, state.copy()))
+            return np.ones_like(state)
+
+        states = rollout(times, dts, np.ones(8), dW, ADDITIVE, basis8, drift)
+        assert states.shape == (6, 3, 8)
+        assert np.all(states[0] == 1.0)
+        assert [t for t, _ in seen] == list(times[:-1])
+        for i, (_, state) in enumerate(seen):
+            assert np.array_equal(state, states[i])
 
 
 class TestEnsemble:
