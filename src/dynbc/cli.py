@@ -57,8 +57,7 @@ def _initial_state(name: str, basis) -> np.ndarray:
 
 
 def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
-    params = BoundaryParams(cfg.b0, cfg.b1)
-    basis = build_basis(params, cfg.n_modes, cfg.panels, cfg.nodes_per_panel)
+    params, basis, _, _ = _build_setup(cfg)
     op = fem_oracle.build(cfg.fd_n, params)
     fd_lams, rel_errs = validate.oracle_gaps(basis, op, basis.n_modes)
     rows = [

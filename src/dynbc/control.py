@@ -425,9 +425,10 @@ class NestedMCGradient:
         path = rollout(times, dts, block, dW, self.coeffs, self.basis)
         zero = np.zeros((len(block), 2))
         cost = np.zeros(len(block))
+        # zip ends on the exhausted dts before it draws the terminal state
         for t, dt, a in zip(times, dts, path):
             cost += self.problem.running_cost(t, a, zero) * dt
-        cost += self.problem.terminal_cost(path[-1])
+        cost += self.problem.terminal_cost(next(path))
         return cost.reshape(len(states), self.inner_paths).mean(axis=1)
 
     def __call__(self, t, state):
@@ -452,20 +453,25 @@ class NestedMCGradient:
         )
 
 
-def _rollout(policy, problem, config, coeffs, basis, initial, rows):
+def _rollout(policy, problem, config, coeffs, basis, initial, rows, record=False):
     """Step the paths ``rows`` under ``policy`` as one block.
 
     Row r draws ``path_increments(seed, rows[r], ...)``.  Returns the cost
     of each row (left-endpoint running-cost integral plus terminal cost),
-    the states (steps + 1, P, N) and the controls (steps, P, 2).
+    then the states (steps + 1, P, N) and the controls (steps, P, 2) if
+    ``record`` is set; otherwise these are empty and no history is kept.
     """
     if abs(problem.t0 - config.t0) > 1e-12 or abs(problem.T - config.T) > 1e-12:
         raise ValueError("problem horizon and simulation config disagree")
     times, dts = time_steps(config, basis)
     dW = block_increments(config.seed, rows, dts, config.m_noise)
-    controls = []
+    step_dts = iter(dts)
+    # an accumulator, since running_cost may return a scalar
+    cost = np.zeros(len(rows))
+    states, controls = [], []
 
     def drift(t, state):
+        nonlocal cost
         z = np.asarray(policy(t, state), dtype=float)
         outside = ~problem.Z.contains(z, tol=1e-9)
         if outside.any():
@@ -474,16 +480,17 @@ def _rollout(policy, problem, config, coeffs, basis, initial, rows):
                 f"policy {getattr(policy, 'name', policy)!r} emitted "
                 f"inadmissible control {z[r]} at t={t} on path {rows[r]}"
             )
-        controls.append(z)
+        # left-endpoint running cost, sampled before the step leaves state
+        cost += problem.running_cost(t, state, z) * next(step_dts)
+        if record:
+            controls.append(z)
         return control_drift(t, z, coeffs, basis)
 
-    states = rollout(times, dts, initial, dW, coeffs, basis, drift)
-    # an accumulator, since running_cost may return a scalar
-    cost = np.zeros(len(rows))
-    for t, dt, a, z in zip(times, dts, states, controls):
-        cost += problem.running_cost(t, a, z) * dt
-    cost += problem.terminal_cost(states[-1])
-    return cost, states, np.array(controls)
+    for state in rollout(times, dts, initial, dW, coeffs, basis, drift):
+        if record:
+            states.append(state)
+    cost += problem.terminal_cost(state)
+    return cost, np.array(states), np.array(controls)
 
 
 def _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths):
@@ -533,7 +540,7 @@ def policy_path(
     the rollout of ``_policy_costs`` on the single row ``path_index``."""
     rows = range(path_index, path_index + 1)
     _, states, controls = _rollout(
-        policy, problem, config, coeffs, basis, initial, rows
+        policy, problem, config, coeffs, basis, initial, rows, record=True
     )
     return PathRecord(
         times=time_steps(config, basis)[0],

@@ -252,22 +252,23 @@ def time_steps(config: SimConfig, basis: EigenBasis):
     return times, np.diff(times)
 
 
-def rollout(times, dts, initial, dW, coeffs, basis, drift=None) -> np.ndarray:
-    """States (steps + 1, *dW.shape[1:-1], N) of the exponential-Euler scheme.
+def rollout(times, dts, initial, dW, coeffs, basis, drift=None):
+    """Yield the states of the exponential-Euler scheme, ``initial`` first.
 
     ``times`` holds the steps + 1 grid points, ``dts`` the step sizes and
-    ``dW`` the increments (steps, ..., m); ``initial`` broadcasts against
-    one state row.  ``drift(t, state)``, when given, returns the extra
-    modal drift of each step (the control hook).
+    ``dW`` the increments (steps, ..., m); each state has shape
+    (*dW.shape[1:-1], N), and ``initial`` broadcasts against it.
+    ``drift(t, state)``, when given, returns the extra modal drift of each
+    step (the control hook).  Only the current state is held; a caller
+    keeps what it needs of the history.
     """
-    states = np.empty((len(times), *np.shape(dW)[1:-1], basis.n_modes))
-    states[0] = initial
+    state = np.empty((*np.shape(dW)[1:-1], basis.n_modes))
+    state[...] = initial
+    yield state
     for i, dt in enumerate(dts):
-        extra = None if drift is None else drift(times[i], states[i])
-        states[i + 1] = step_exp_euler(
-            times[i], states[i], dW[i], coeffs, basis, dt, extra
-        )
-    return states
+        extra = None if drift is None else drift(times[i], state)
+        state = step_exp_euler(times[i], state, dW[i], coeffs, basis, dt, extra)
+        yield state
 
 
 def simulate_path(
@@ -281,7 +282,8 @@ def simulate_path(
     """Simulate one trajectory; deterministic given (seed, path_index)."""
     times, dts = time_steps(config, basis)
     dW = path_increments(config.seed, path_index, dts, config.m_noise)
-    states = rollout(times, dts, initial, dW, coeffs, basis)
+    path = rollout(times, dts, initial, dW, coeffs, basis)
+    states = np.fromiter(path, (float, config.n_modes), len(times))
     grid_u = grid_v = None
     if record_grid:
         grid_u = states @ basis.values.T
@@ -301,10 +303,9 @@ def terminal_states(config, coeffs, basis, initial, n_paths):
     out = np.empty((n_paths, config.n_modes))
     for rows in path_blocks(n_paths):
         dW = block_increments(config.seed, rows, dts, config.m_noise)
-        # copy the last row: the block's history is freed before the next
-        out[rows.start : rows.stop] = rollout(
-            times, dts, initial, dW, coeffs, basis
-        )[-1]
+        for state in rollout(times, dts, initial, dW, coeffs, basis):
+            pass
+        out[rows.start : rows.stop] = state
     return out
 
 

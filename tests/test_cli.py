@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -117,9 +118,29 @@ class TestStepCountBound:
         assert record["error"].startswith(f"dt = {float(dt)!r} takes too many steps")
         assert not out.exists() or os.listdir(out) == []
 
-    def test_default_passes(self, tmp_path):
-        assert block_noise_fits(0.5, 5e-3, 16)
-        assert main(["spectrum", "--out", str(tmp_path / "out")]) == 0
+    def test_default_passes(self):
+        cfg = default_config()
+        assert parse_config("") == cfg
+        assert block_noise_fits(cfg.T - cfg.t0, cfg.dt, cfg.m_noise)
+
+    @pytest.mark.parametrize("command", ["simulate", "control"])
+    def test_block_keeps_no_history(self, tmp_path, command):
+        # at m_noise = 1 the bound admits a noise block 16 times smaller
+        # than a (steps + 1, 64, 16) history, so a block must hold only
+        # its current state
+        text = (
+            "n_modes = 16\nm_noise = 1\ndt = 5e-4\nn_paths = 64\n"
+            "record_paths = 0\npolicies = zero, constant:0.1:0.1\n"
+        )
+        history = 1001 * 64 * 16 * 8
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(tmp_path, command, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < history / 2
 
 
 class TestSpectrumCommand:

@@ -852,11 +852,12 @@ class TestRolloutReference:
     def _assert_matches_loop(self, policy, problem, config, coeffs, bench, ref=None):
         args = (problem, config, coeffs, bench.basis, bench.initial)
         for rows in path_blocks(self.N_PATHS):
-            cost, states, controls = _rollout(policy, *args, rows)
+            cost, states, controls = _rollout(policy, *args, rows, record=True)
             ref_cost, ref_states, ref_controls = _loop_rollout(
                 ref or policy, *args, rows
             )
             assert np.array_equal(cost, ref_cost)
+            assert np.array_equal(_rollout(policy, *args, rows)[0], ref_cost)
             assert np.array_equal(states, np.array(ref_states))
             assert np.array_equal(controls, np.array(ref_controls))
 

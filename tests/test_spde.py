@@ -312,7 +312,9 @@ class TestRollout:
             seen.append((t, state.copy()))
             return np.ones_like(state)
 
-        states = rollout(times, dts, np.ones(8), dW, ADDITIVE, basis8, drift)
+        states = np.array(
+            list(rollout(times, dts, np.ones(8), dW, ADDITIVE, basis8, drift))
+        )
         assert states.shape == (6, 3, 8)
         assert np.all(states[0] == 1.0)
         assert [t for t, _ in seen] == list(times[:-1])
