@@ -5,6 +5,8 @@ environment-dependent content, fixed float formatting with lossless
 decimal round-trip.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NonFiniteError
@@ -12,7 +14,7 @@ from .errors import NonFiniteError
 
 def fmt_float(x) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise NonFiniteError(f"refusing to serialize non-finite value {x}")
     return format(x, ".17g")
 

@@ -14,15 +14,22 @@ ensembles are reproducible and order-independent.
 
 ``rollout`` is the one stepping loop: single paths, path blocks, the
 controlled paths of the control layer and the inner paths of its nested
-Monte Carlo provider all advance through it.  ``path_blocks`` is the one
-partition of an ensemble into blocks and ``mean_var_se`` the one
-mean/standard-error estimator.
+Monte Carlo provider all advance through it.  For state-free coefficients
+(Lipschitz constant ``L == 0``: f and g do not read u) F and G dW do not
+depend on the state, so ``rollout`` computes them a chunk of steps at a
+time (``chunk_steps``) and never builds the nodal field u; only the
+control hook and the update exp(lambda dt) * (a + F dt + G dW) stay in the
+per-step loop.  State-dependent coefficients step one ``step_exp_euler``
+at a time.  ``path_blocks`` is the one partition of an ensemble into
+blocks and ``mean_var_se`` the one mean/standard-error estimator.
 """
 
 # unused: perfbench/spans.py traces thread pools through this name and
 # refuses to install when no dynbc module binds it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -34,6 +41,16 @@ from .spectral import EigenBasis
 PATH_BLOCK = 64
 # largest noise array one block may draw: steps x m_noise x PATH_BLOCK doubles
 MAX_BLOCK_NOISE_BYTES = 2**30
+# largest array of state-free step terms one chunk may precompute:
+# steps x paths x n_modes doubles
+MAX_CHUNK_BYTES = 2**17
+
+
+def chunk_steps(rows: int, n_modes: int) -> int:
+    """Steps whose state-free terms ``rollout`` precomputes at once for
+    ``rows`` paths: a (steps, rows, n_modes) array of doubles stays within
+    ``MAX_CHUNK_BYTES``, one step at the least."""
+    return max(1, MAX_CHUNK_BYTES // (rows * n_modes * 8))
 
 
 def block_noise_fits(span: float, dt: float, m_noise: int) -> bool:
@@ -61,6 +78,11 @@ class Coefficients:
     noise gains.  ``K`` bounds |f|, |g| and |h|; ``L`` is the Lipschitz
     constant of f, g in u.  The bounds are declared, spot-checked by
     ``spot_check_coefficients``, not proven.
+
+    ``L == 0`` is a contract the stepper relies on: f and g must then not
+    depend on u at all.  They are called with a zero nodal field of shape
+    (nodes,) in place of u, and their noise and drift terms are computed
+    ahead of the states they would otherwise see.
     """
 
     f: callable
@@ -161,27 +183,45 @@ def block_increments(
     return dW
 
 
+@lru_cache
+def _zero_field(nodes: int) -> np.ndarray:
+    # the read-only u handed to state-free coefficients (L == 0)
+    u = np.zeros(nodes)
+    u.flags.writeable = False
+    return u
+
+
 def _interior_moments(fv, basis: EigenBasis) -> np.ndarray:
     # int fv e_k dx for nodal values fv (one row per path) or a constant
     if np.ndim(fv) == 0:
-        return float(fv) * (basis.values.T @ basis.quad.weights)
+        return float(fv) * basis.interior_integrals
     return (basis.quad.weights * fv) @ basis.values
 
 
-def _apply_diffusion(gv, h, dW, basis: EigenBasis) -> np.ndarray:
-    # G(u) dW row by row without forming G: the interior noise field g dW
-    # projected on the modes, plus the two rank-one boundary terms
+def _interior_noise(gv, dW, basis: EigenBasis) -> np.ndarray:
+    # the interior noise field g dW projected on the modes
     m = np.shape(dW)[-1]
     if np.ndim(gv) == 0:
-        interior = float(gv) * (dW @ basis.interior_gram[:m])
-    else:
-        interior = _interior_moments(gv * (dW @ basis.values[:, :m].T), basis)
+        return float(gv) * (dW @ basis.interior_gram[:m])
+    return _interior_moments(gv * (dW @ basis.values[:, :m].T), basis)
+
+
+def _apply_diffusion(interior, h, dW, basis: EigenBasis) -> np.ndarray:
+    # G(u) dW row by row without forming G: the interior noise plus the two
+    # rank-one boundary terms; the gains h0, h1 broadcast against dW
+    # without its last axis
+    m = np.shape(dW)[-1]
     h0, h1 = h
     return (
         interior
-        + h0 * (dW @ basis.trace0[:m])[..., None] * basis.trace0
-        + h1 * (dW @ basis.trace1[:m])[..., None] * basis.trace1
+        + (h0 * (dW @ basis.trace0[:m]))[..., None] * basis.trace0
+        + (h1 * (dW @ basis.trace1[:m]))[..., None] * basis.trace1
     )
+
+
+def _exp_euler_update(decay, state, drift, dt, noise) -> np.ndarray:
+    # the one home of the update exp(lambda dt) * (a + F dt + G dW)
+    return decay * (state + drift * dt + noise)
 
 
 def galerkin_drift(
@@ -214,7 +254,8 @@ def galerkin_diffusion(
         raise ShapeError("m_noise must not exceed the basis size")
     gv = coeffs.g(t, basis.quad.nodes, basis.values @ state)
     # column j is G applied to the j-th unit noise direction
-    return _apply_diffusion(gv, coeffs.h(t), np.eye(m), basis).T
+    dW = np.eye(m)
+    return _apply_diffusion(_interior_noise(gv, dW, basis), coeffs.h(t), dW, basis).T
 
 
 def step_exp_euler(
@@ -234,12 +275,14 @@ def step_exp_euler(
     drift before the semigroup is applied.
     """
     x = basis.quad.nodes
-    u = state @ basis.values.T
+    # state-free coefficients never read u, so the nodal field is not built
+    u = _zero_field(x.size) if coeffs.L == 0 else state @ basis.values.T
     drift = _interior_moments(coeffs.f(t, x, u), basis)
     if extra_drift is not None:
         drift = drift + extra_drift
-    noise = _apply_diffusion(coeffs.g(t, x, u), coeffs.h(t), dW, basis)
-    return np.exp(basis.lam * dt) * (state + drift * dt + noise)
+    interior = _interior_noise(coeffs.g(t, x, u), dW, basis)
+    noise = _apply_diffusion(interior, coeffs.h(t), dW, basis)
+    return _exp_euler_update(np.exp(basis.lam * dt), state, drift, dt, noise)
 
 
 def time_steps(config: SimConfig, basis: EigenBasis):
@@ -260,15 +303,63 @@ def rollout(times, dts, initial, dW, coeffs, basis, drift=None):
     (*dW.shape[1:-1], N), and ``initial`` broadcasts against it.
     ``drift(t, state)``, when given, returns the extra modal drift of each
     step (the control hook).  Only the current state is held; a caller
-    keeps what it needs of the history.
+    keeps what it needs of the history.  State-free coefficients (L == 0)
+    take their drift and noise from ``_state_free_chunks``.
     """
     state = np.empty((*np.shape(dW)[1:-1], basis.n_modes))
     state[...] = initial
     yield state
-    for i, dt in enumerate(dts):
-        extra = None if drift is None else drift(times[i], state)
-        state = step_exp_euler(times[i], state, dW[i], coeffs, basis, dt, extra)
-        yield state
+    if coeffs.L != 0:
+        for i, dt in enumerate(dts):
+            extra = None if drift is None else drift(times[i], state)
+            state = step_exp_euler(times[i], state, dW[i], coeffs, basis, dt, extra)
+            yield state
+        return
+    for chunk in _state_free_chunks(times, dts, dW, coeffs, basis):
+        for t, dt, decay, step_drift, noise in zip(*chunk):
+            if drift is not None:
+                step_drift = step_drift + drift(t, state)
+            state = _exp_euler_update(decay, state, step_drift, dt, noise)
+            yield state
+
+
+def _state_free_chunks(times, dts, dW, coeffs, basis):
+    """Yield the terms of state-free coefficients (L == 0) that ``rollout``
+    needs, ``chunk_steps`` steps at a time: the times, step sizes, decays
+    exp(lambda dt) and modal drifts of the steps, and their noise
+    (steps, ..., N), each exactly as ``step_exp_euler`` computes it."""
+    x = basis.quad.nodes
+    zero = _zero_field(x.size)
+    batch, m = np.shape(dW)[1:-1], np.shape(dW)[-1]
+    # a single path is stacked as a block of one row: the products then
+    # sum in the same order as one step's
+    rows = prod(batch)
+    decays = {}
+    for dt in dts:
+        if dt not in decays:
+            decays[dt] = np.exp(basis.lam * dt)
+    step = chunk_steps(rows, basis.n_modes)
+    for start in range(0, len(dts), step):
+        stop = min(start + step, len(dts))
+        t, dt = times[start:stop], dts[start:stop]
+        block = dW[start:stop].reshape(len(t), rows, m)
+        gvs = [coeffs.g(ti, x, zero) for ti in t]
+        if all(np.ndim(gv) == 0 for gv in gvs):
+            interior = block @ basis.interior_gram[:m]
+            interior *= np.array(gvs, dtype=float)[:, None, None]
+        else:
+            interior = np.stack(
+                [_interior_noise(gv, w, basis) for gv, w in zip(gvs, block)]
+            )
+        h = np.array([coeffs.h(ti) for ti in t], dtype=float).T[..., None]
+        noise = _apply_diffusion(interior, h, block, basis)
+        yield (
+            t,
+            dt,
+            [decays[d] for d in dt],
+            [_interior_moments(coeffs.f(ti, x, zero), basis) for ti in t],
+            noise.reshape(len(t), *batch, basis.n_modes),
+        )
 
 
 def simulate_path(
@@ -359,6 +450,8 @@ def spot_check_coefficients(
         if np.any(np.abs(fv1 - fv2) > coeffs.L * du + slack) or np.any(
             np.abs(gv1 - gv2) > coeffs.L * du + slack
         ):
+            if coeffs.L == 0:
+                raise ValueError("f or g depends on u under a declared L = 0")
             raise ValueError("Lipschitz constant L violated on samples")
 
 

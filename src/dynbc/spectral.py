@@ -299,8 +299,9 @@ class EigenBasis:
 
     ``values`` and ``derivs`` hold the mode profiles and their derivatives
     sampled at the quadrature nodes, one column per mode; ``trace0`` and
-    ``trace1`` collect the endpoint traces.  Immutable after construction
-    and safe to share across threads.
+    ``trace1`` collect the endpoint traces, ``interior_integrals`` the
+    interior integrals of the modes.  Immutable after construction and safe
+    to share across threads.
     """
 
     params: BoundaryParams
@@ -312,6 +313,7 @@ class EigenBasis:
     trace0: np.ndarray
     trace1: np.ndarray
     interior_gram: np.ndarray
+    interior_integrals: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -342,6 +344,7 @@ def _assemble_basis(
         trace0=np.array([m.trace0 for m in modes]),
         trace1=np.array([m.trace1 for m in modes]),
         interior_gram=interior,
+        interior_integrals=values.T @ quad.weights,
     )
 
 

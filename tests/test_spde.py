@@ -18,9 +18,14 @@ from dynbc import (
     time_grid,
 )
 from dynbc.errors import ShapeError
+from dynbc import spde
 from dynbc.spde import (
+    MAX_BLOCK_NOISE_BYTES,
+    MAX_CHUNK_BYTES,
     PATH_BLOCK,
     block_increments,
+    block_noise_fits,
+    chunk_steps,
     path_blocks,
     rollout,
     spot_check_coefficients,
@@ -34,6 +39,22 @@ ZERO = named_coefficients("zero")
 ADDITIVE = named_coefficients("additive", g_scale=0.2, h0=1.0, h1=1.0)
 MULTIPLICATIVE = named_coefficients("multiplicative", g_scale=0.4, h0=1.0, h1=1.0)
 FORCED = named_coefficients("forced", f_scale=1.0, g_scale=0.2, h0=1.0, h1=1.0)
+# state-free (L = 0) but with nodal, time-dependent f and g and
+# time-dependent boundary gains
+NODAL = Coefficients(
+    f=lambda t, x, u: np.cos(np.pi * x) + t,
+    g=lambda t, x, u: 0.2 * np.cos(np.pi * x) + t,
+    h=lambda t: (1.0 + t, 0.5 - t),
+    K=2.0,
+    L=0.0,
+)
+FAMILIES = {
+    "zero": ZERO,
+    "additive": ADDITIVE,
+    "multiplicative": MULTIPLICATIVE,
+    "forced": FORCED,
+    "nodal": NODAL,
+}
 
 
 def constant_one_state(basis):
@@ -290,17 +311,79 @@ class TestRollout:
             assert [p for rows in blocks for p in rows] == list(range(n))
             assert all(0 < len(rows) <= PATH_BLOCK for rows in blocks)
 
+    # the second grid has m_noise = 1, more steps than one state-free chunk
+    # of a full block and a short last step
     @pytest.mark.parametrize(
-        "coeffs", [ADDITIVE, MULTIPLICATIVE], ids=["additive", "multiplicative"]
+        "family, grid",
+        [
+            (name, grid)
+            for grid in ((6, 1e-2, 0.2), (1, 3e-3, 0.2))
+            for name in FAMILIES
+        ],
+        ids=[
+            name + suffix
+            for suffix in ("", "-m1-short-last-step")
+            for name in FAMILIES
+        ],
     )
-    def test_terminal_states_match_block_loop(self, basis8, coeffs):
-        cfg = SimConfig(n_modes=8, m_noise=6, dt=1e-2, T=0.2, seed=8)
+    def test_terminal_states_match_block_loop(self, basis8, family, grid):
+        m_noise, dt, T = grid
+        cfg = SimConfig(n_modes=8, m_noise=m_noise, dt=dt, T=T, seed=8)
+        coeffs = FAMILIES[family]
         a0 = constant_one_state(basis8)
         n = PATH_BLOCK + 5
         assert np.array_equal(
             terminal_states(cfg, coeffs, basis8, a0, n),
             _loop_terminal_states(cfg, coeffs, basis8, a0, n),
         )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_simulate_path_matches_step_loop(self, basis8, family):
+        # more steps than one single-path chunk, and a short last step
+        cfg = SimConfig(n_modes=8, m_noise=3, dt=1e-4, T=0.21035, seed=8)
+        coeffs = FAMILIES[family]
+        times, dts = time_steps(cfg, basis8)
+        assert len(dts) > chunk_steps(1, 8)
+        dW = path_increments(cfg.seed, 4, dts, cfg.m_noise)
+        a = constant_one_state(basis8)
+        states = [a]
+        for i, dt in enumerate(dts):
+            a = step_exp_euler(times[i], a, dW[i], coeffs, basis8, dt)
+            states.append(a)
+        record = simulate_path(cfg, coeffs, basis8, states[0], path_index=4)
+        assert np.array_equal(record.states, np.array(states))
+
+    def test_state_free_chunks_stay_within_bound(self, basis16, rng, monkeypatch):
+        # the smallest dt the noise bound admits at n_modes = 16, m_noise = 1:
+        # a whole-horizon array of step terms would be 16 times the noise
+        # block, 16 GiB
+        span = 0.5
+        steps = MAX_BLOCK_NOISE_BYTES // (PATH_BLOCK * 8)
+        dt = span / (steps - 2)
+        assert block_noise_fits(span, dt, 1)
+        assert (steps - 2) * PATH_BLOCK * 16 * 8 > 15 * MAX_BLOCK_NOISE_BYTES
+        chunk = chunk_steps(PATH_BLOCK, 16)
+        assert 1 <= chunk < steps
+        assert chunk * PATH_BLOCK * 16 * 8 <= MAX_CHUNK_BYTES
+        # rollout precomputes by that rule, whatever the horizon
+        sizes = []
+        chunks = spde._state_free_chunks
+
+        def spy(*args):
+            for terms in chunks(*args):
+                sizes.append(max(np.asarray(a).nbytes for a in terms))
+                yield terms
+
+        monkeypatch.setattr(spde, "_state_free_chunks", spy)
+        n_steps = 5 * chunk + 3
+        times = np.linspace(0.0, span, n_steps + 1)
+        dW = rng.normal(size=(n_steps, PATH_BLOCK, 1)) * math.sqrt(span / n_steps)
+        for family in (ADDITIVE, NODAL):
+            sizes.clear()
+            for _ in rollout(times, np.diff(times), 1.0, dW, family, basis16):
+                pass
+            assert len(sizes) == 6
+            assert max(sizes) <= MAX_CHUNK_BYTES
 
     def test_initial_broadcasts_and_drift_hook_sees_each_step(self, basis8, rng):
         times = np.linspace(0.0, 0.1, 6)
@@ -546,6 +629,17 @@ class TestCoefficients:
             L=1.0,
         )
         with pytest.raises(ValueError):
+            spot_check_coefficients(bad)
+
+    def test_spot_check_rejects_state_dependence_under_zero_lipschitz(self):
+        bad = Coefficients(
+            f=lambda t, x, u: 0.0,
+            g=lambda t, x, u: 0.1 * np.sin(u),
+            h=lambda t: (0.0, 0.0),
+            K=1.0,
+            L=0.0,
+        )
+        with pytest.raises(ValueError, match="L = 0"):
             spot_check_coefficients(bad)
 
     def test_unknown_family_rejected(self):
