@@ -113,6 +113,11 @@ def _validate(cfg: RunConfig):
             f"dt = {cfg.dt!r} takes too many steps: one block of paths would "
             f"draw more than {MAX_BLOCK_NOISE_BYTES} bytes of noise"
         )
+    if cfg.n_paths * cfg.n_modes * 8 > MAX_BLOCK_NOISE_BYTES:
+        raise ConfigError(
+            f"n_paths = {cfg.n_paths} is too many: the terminal states would "
+            f"take more than {MAX_BLOCK_NOISE_BYTES} bytes"
+        )
 
 
 def parse_config(text: str) -> RunConfig:

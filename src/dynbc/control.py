@@ -413,7 +413,7 @@ class NestedMCGradient:
         self.coeffs = coeffs
         self.basis = basis
         self.inner_paths = inner_paths
-        self.n_dirs = min(n_dirs, 8, basis.n_modes)
+        self.n_dirs = min(n_dirs, basis.n_modes)
         self.inner_dt = inner_dt
         self.seed = seed
 

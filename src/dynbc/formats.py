@@ -5,6 +5,7 @@ environment-dependent content, fixed float formatting with lossless
 decimal round-trip.
 """
 
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ def to_json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

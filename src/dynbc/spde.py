@@ -12,14 +12,15 @@ it in the eigenbasis is exact in law.  Noise is counter-based: each path
 owns a disjoint Philox counter block derived from (seed, path index), so
 ensembles are reproducible and order-independent.
 
-``rollout`` is the one stepping loop: single paths, path blocks, the
-controlled paths of the control layer and the inner paths of its nested
-Monte Carlo provider all advance through it.  For state-free coefficients
-(Lipschitz constant ``L == 0``: f and g do not read u) F and G dW do not
-depend on the state, so ``rollout`` computes them a chunk of steps at a
-time (``chunk_steps``) and never builds the nodal field u; only the
-control hook and the update exp(lambda dt) * (a + F dt + G dW) stay in the
-per-step loop.  State-dependent coefficients step one ``step_exp_euler``
+``rollout`` is the one stepping loop, and a block of paths (P, N) its one
+trajectory shape: a recorded path is the block of its one row, and path
+blocks, the controlled paths of the control layer and the inner paths of
+its nested Monte Carlo provider all advance through it.  For state-free
+coefficients (Lipschitz constant ``L == 0``: f and g do not read u) F and
+G dW do not depend on the state, so ``rollout`` computes them a chunk of
+steps at a time (``chunk_steps``) and never builds the nodal field u; only
+the control hook and the update exp(lambda dt) * (a + F dt + G dW) stay in
+the per-step loop.  State-dependent coefficients step one ``step_exp_euler``
 at a time.  ``path_blocks`` is the one partition of an ensemble into
 blocks and ``mean_var_se`` the one mean/standard-error estimator.
 """
@@ -29,7 +30,6 @@ blocks and ``mean_var_se`` the one mean/standard-error estimator.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -118,13 +118,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """One simulated trajectory: modal states per time, optional extras."""
+    """One simulated trajectory: modal states per time, optional controls."""
 
     times: np.ndarray
     states: np.ndarray
     controls: np.ndarray = None
-    grid_u: np.ndarray = None
-    grid_v: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -299,14 +297,14 @@ def rollout(times, dts, initial, dW, coeffs, basis, drift=None):
     """Yield the states of the exponential-Euler scheme, ``initial`` first.
 
     ``times`` holds the steps + 1 grid points, ``dts`` the step sizes and
-    ``dW`` the increments (steps, ..., m); each state has shape
-    (*dW.shape[1:-1], N), and ``initial`` broadcasts against it.
+    ``dW`` the increments (steps, P, m) of a block of P paths; each state
+    has shape (P, N), and ``initial`` broadcasts against it.
     ``drift(t, state)``, when given, returns the extra modal drift of each
     step (the control hook).  Only the current state is held; a caller
     keeps what it needs of the history.  State-free coefficients (L == 0)
     take their drift and noise from ``_state_free_chunks``.
     """
-    state = np.empty((*np.shape(dW)[1:-1], basis.n_modes))
+    state = np.empty((dW.shape[1], basis.n_modes))
     state[...] = initial
     yield state
     if coeffs.L != 0:
@@ -327,13 +325,10 @@ def _state_free_chunks(times, dts, dW, coeffs, basis):
     """Yield the terms of state-free coefficients (L == 0) that ``rollout``
     needs, ``chunk_steps`` steps at a time: the times, step sizes, decays
     exp(lambda dt) and modal drifts of the steps, and their noise
-    (steps, ..., N), each exactly as ``step_exp_euler`` computes it."""
+    (steps, P, N), each exactly as ``step_exp_euler`` computes it."""
     x = basis.quad.nodes
     zero = _zero_field(x.size)
-    batch, m = np.shape(dW)[1:-1], np.shape(dW)[-1]
-    # a single path is stacked as a block of one row: the products then
-    # sum in the same order as one step's
-    rows = prod(batch)
+    _, rows, m = dW.shape
     decays = {}
     for dt in dts:
         if dt not in decays:
@@ -342,7 +337,7 @@ def _state_free_chunks(times, dts, dW, coeffs, basis):
     for start in range(0, len(dts), step):
         stop = min(start + step, len(dts))
         t, dt = times[start:stop], dts[start:stop]
-        block = dW[start:stop].reshape(len(t), rows, m)
+        block = dW[start:stop]
         gvs = [coeffs.g(ti, x, zero) for ti in t]
         if all(np.ndim(gv) == 0 for gv in gvs):
             interior = block @ basis.interior_gram[:m]
@@ -358,7 +353,7 @@ def _state_free_chunks(times, dts, dW, coeffs, basis):
             dt,
             [decays[d] for d in dt],
             [_interior_moments(coeffs.f(ti, x, zero), basis) for ti in t],
-            noise.reshape(len(t), *batch, basis.n_modes),
+            noise,
         )
 
 
@@ -368,20 +363,15 @@ def simulate_path(
     basis: EigenBasis,
     initial: np.ndarray,
     path_index: int = 0,
-    record_grid: bool = False,
 ) -> PathRecord:
-    """Simulate one trajectory; deterministic given (seed, path_index)."""
+    """Simulate one trajectory, deterministic given (seed, path_index): the
+    rollout of the one-row block ``path_index``."""
     times, dts = time_steps(config, basis)
-    dW = path_increments(config.seed, path_index, dts, config.m_noise)
+    rows = range(path_index, path_index + 1)
+    dW = block_increments(config.seed, rows, dts, config.m_noise)
     path = rollout(times, dts, initial, dW, coeffs, basis)
-    states = np.fromiter(path, (float, config.n_modes), len(times))
-    grid_u = grid_v = None
-    if record_grid:
-        grid_u = states @ basis.values.T
-        grid_v = np.column_stack(
-            (states @ basis.trace0, states @ basis.trace1)
-        )
-    return PathRecord(times=times, states=states, grid_u=grid_u, grid_v=grid_v)
+    states = np.fromiter(path, (float, (1, config.n_modes)), len(times))
+    return PathRecord(times=times, states=states[:, 0])
 
 
 def terminal_states(config, coeffs, basis, initial, n_paths):

@@ -17,7 +17,7 @@ from dynbc import control as ctl
 from dynbc.cli import _make_policies, main
 from dynbc.config import RunConfig, default_config, parse_config, with_overrides
 from dynbc.errors import ConfigError
-from dynbc.spde import block_noise_fits
+from dynbc.spde import MAX_BLOCK_NOISE_BYTES, block_noise_fits
 
 
 def run_cli(tmp_path, command, config_text, extra=None):
@@ -143,6 +143,23 @@ class TestStepCountBound:
         assert peak < history / 2
 
 
+class TestTerminalEnsembleBound:
+    def test_too_many_paths_exits_two(self, tmp_path, capsys):
+        # n_paths x n_modes doubles of terminal states, 12.8 PB here
+        code, out = run_cli(tmp_path, "simulate", "n_paths = 100000000000000\n")
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["exit_code"] == 2
+        assert record["error"].startswith("n_paths = 100000000000000 is too many")
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_bound_is_inclusive(self):
+        largest = MAX_BLOCK_NOISE_BYTES // (16 * 8)
+        assert parse_config(f"n_paths = {largest}\n").n_paths == largest
+        with pytest.raises(ConfigError, match="is too many"):
+            parse_config(f"n_paths = {largest + 1}\n")
+
+
 class TestSpectrumCommand:
     CONFIG = "n_modes = 8\nfd_n = 400\n"
 
@@ -210,6 +227,14 @@ class TestSimulateCommand:
         code2, out2 = run_cli(tmp_path, "simulate", self.CONFIG)
         assert code2 == 0
         assert first == read_files(out2)
+
+    def test_config_strings_stay_valid_json(self, tmp_path):
+        policies = 'zero,\tfeedback:terminal_proxy,\x01"\\'
+        config = self.CONFIG + f"policies = {policies}\n"
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == 0
+        payload = json.loads((out / "ensemble.json").read_text())
+        assert payload["config"]["policies"] == policies
 
     def test_zero_noise_terminal_matches_semigroup(self, tmp_path):
         config = (

@@ -510,6 +510,20 @@ class TestGradientProviders:
         assert proxy[0] > 0.0
         assert nested[0] > proxy[0]
 
+    def test_nested_mc_honours_n_dirs_past_eight(self, bench, basis16):
+        provider = NestedMCGradient(
+            bench.problem,
+            bench.coeffs,
+            basis16,
+            inner_paths=4,
+            n_dirs=10,
+            inner_dt=0.1,
+            seed=4,
+        )
+        grad = provider(0.3, np.linspace(1.0, 0.5, 16)[None])[0]
+        assert np.all(grad[8:10] != 0.0)
+        assert np.all(grad[10:] == 0.0)
+
 
 class TestPolicies:
     def test_constant_policy_projected(self):

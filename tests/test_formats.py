@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -32,3 +33,14 @@ class TestNonFinite:
         path = tmp_path / "out.csv"
         write_csv(path, ["x"], [[0.1], [np.float64(-2.5e-300)]])
         assert path.read_text() == "x\n0.10000000000000001\n-2.5e-300\n"
+
+
+class TestJsonStrings:
+    @pytest.mark.parametrize(
+        "text",
+        ["tab\there", "new\nline", "ctrl\x01char", 'a "quote"', "back\\slash", "π"],
+    )
+    def test_strings_round_trip(self, tmp_path, text):
+        path = tmp_path / "out.json"
+        write_json(path, {"value": text, text: [text]})
+        assert json.loads(path.read_text()) == {"value": text, text: [text]}

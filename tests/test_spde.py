@@ -208,14 +208,6 @@ class TestSimulatePath:
             np.abs(expected)
         )
 
-    def test_grid_snapshots(self, basis8):
-        cfg = SimConfig(n_modes=8, m_noise=8, dt=5e-2, T=0.2, seed=7)
-        rec = simulate_path(
-            cfg, ADDITIVE, basis8, np.zeros(8), record_grid=True
-        )
-        assert rec.grid_u.shape == (len(rec.times), basis8.quad.size)
-        assert rec.grid_v.shape == (len(rec.times), 2)
-
     def test_linear_deterministic_run_matches_fem_exp_euler(
         self, params11, fd_op_cache
     ):
