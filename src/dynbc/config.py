@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .spde import MAX_BLOCK_NOISE_BYTES, block_noise_fits
+from .spde import MAX_BLOCK_NOISE_BYTES, PATH_BLOCK, block_noise_fits
 
 _INITIAL_STATES = ("one", "parabola", "zero")
 _COEFFICIENT_FAMILIES = ("zero", "additive", "multiplicative", "forced")
@@ -84,11 +84,12 @@ def _validate(cfg: RunConfig):
         (0 <= cfg.seed < 2**64, "seed must fit in 64 bits"),
         (cfg.n_paths >= 2, "n_paths must be >= 2"),
         (cfg.panels >= 1, "panels must be >= 1"),
-        (cfg.nodes_per_panel >= 2, "nodes_per_panel must be >= 2"),
+        # numpy's leggauss is tested only up to degree 100
+        (2 <= cfg.nodes_per_panel <= 100, "nodes_per_panel must be in [2, 100]"),
         (cfg.record_paths >= 0, "record_paths must be >= 0"),
         (8 <= cfg.fd_n <= 4001, "fd_n must be in [8, 4001]"),
         (cfg.n_modes <= cfg.fd_n, "n_modes must be <= fd_n"),
-        (cfg.hs_modes >= 1, "hs_modes must be >= 1"),
+        (1 <= cfg.hs_modes <= 4001, "hs_modes must be in [1, 4001]"),
         (cfg.ball_radius > 0.0, "ball_radius must be positive"),
         (
             cfg.coefficients in _COEFFICIENT_FAMILIES,
@@ -117,6 +118,13 @@ def _validate(cfg: RunConfig):
         raise ConfigError(
             f"n_paths = {cfg.n_paths} is too many: the terminal states would "
             f"take more than {MAX_BLOCK_NOISE_BYTES} bytes"
+        )
+    # the basis samples and a block's nodal field, one row per node
+    nodes = cfg.panels * cfg.nodes_per_panel
+    if nodes * max(cfg.n_modes, PATH_BLOCK) * 8 > MAX_BLOCK_NOISE_BYTES:
+        raise ConfigError(
+            f"panels x nodes_per_panel = {nodes} quadrature nodes is too many: "
+            f"the basis samples would take more than {MAX_BLOCK_NOISE_BYTES} bytes"
         )
 
 

@@ -149,7 +149,8 @@ def time_grid(config: SimConfig) -> np.ndarray:
     span = config.T - config.t0
     n_full = int(np.floor(span / config.dt + 1e-9))
     times = config.t0 + config.dt * np.arange(n_full + 1)
-    if times[-1] < config.T - 1e-12 * (1.0 + abs(config.T)):
+    # a span shorter than the merge tolerance still takes its one step
+    if n_full == 0 or times[-1] < config.T - 1e-12 * (1.0 + abs(config.T)):
         times = np.append(times, config.T)
     else:
         times[-1] = config.T

@@ -35,7 +35,6 @@ from .quadrature import (
 
 _POLE_RTOL = 1e-13
 _DIRICHLET_RTOL = 1e-9
-_BISECT_RTOL = 1e-6
 _REFINE_RTOL = 1e-12
 # sample points per Dirichlet gap in the sign-change scan
 _SAMPLES_PER_GAP = 256
@@ -114,51 +113,28 @@ def characteristic_regularized(lam, params: BoundaryParams):
 
 
 def _refine_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Root of ``f`` in every bracket (lo[i], hi[i]), refined in lockstep.
+    """Root of ``f`` in every bracket (lo[i], hi[i]), by lockstep bisection.
 
-    Each bracket follows the same steps: bisection to relative width
-    ``_BISECT_RTOL``, then a bracket-safeguarded secant to ``_REFINE_RTOL``
-    with a forced bisection whenever a secant step fails to halve the
-    bracket; an exact zero of ``f`` ends a bracket early.  ``f`` is called
-    once per round on the points of all unfinished brackets.
+    ``f`` is called once per round on the midpoints of all unfinished
+    brackets, and each keeps the half over which the sign of ``f`` changes,
+    until it is ``_REFINE_RTOL`` wide relative to its endpoints; the root is
+    then the midpoint of the last bracket.  Only signs of ``f`` are compared.
+    An exact zero of ``f`` at an endpoint or a midpoint is the root.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo, fhi = f(lo), f(hi)
     root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
-    scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
-    width = hi - lo
-    # phase of each bracket: 0 bisection, 1 secant, 2 forced bisection,
-    # -1 finished
-    phase = np.where(width > _REFINE_RTOL * scale, 1, -1)
-    phase[width > _BISECT_RTOL * scale] = 0
-    phase[(flo == 0.0) | (fhi == 0.0)] = -1
-    while True:
-        i = np.flatnonzero(phase >= 0)
-        if not len(i):
-            return root
-        a, b, fa, fb, ph = lo[i], hi[i], flo[i], fhi[i], phase[i]
-        mid = 0.5 * (a + b)
-        secant = ph == 1
-        width[i[secant]] = (b - a)[secant]
-        denom = fb - fa
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(denom == 0.0, mid, b - fb * (b - a) / denom)
-        x = np.where(secant & (a < x) & (x < b), x, mid)
-        fx = f(x)
-        left = fa * fx < 0.0
-        lo[i], flo[i] = np.where(left, a, x), np.where(left, fa, fx)
-        hi[i], fhi[i] = np.where(left, x, b), np.where(left, fx, fb)
-        a, b = lo[i], hi[i]
-        # the next phase, as the scalar loops would reach it
-        refine = b - a > _REFINE_RTOL * scale[i]
-        nxt = np.where(refine, 1, -1)
-        nxt = np.where((ph == 0) & (b - a > _BISECT_RTOL * scale[i]), 0, nxt)
-        nxt = np.where(secant & (b - a > 0.5 * width[i]), 2, nxt)
-        done = nxt == -1
-        root[i[done]] = 0.5 * (a + b)[done]
-        zero = fx == 0.0
-        root[i[zero]] = x[zero]
-        phase[i] = np.where(zero, -1, nxt)
+    tol = _REFINE_RTOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    sign_lo = np.sign(flo)
+    i = np.flatnonzero((hi - lo > tol) & (flo != 0.0) & (fhi != 0.0))
+    while len(i):
+        mid = 0.5 * (lo[i] + hi[i])
+        fmid = f(mid)
+        left = np.sign(fmid) != sign_lo[i]
+        lo[i], hi[i] = np.where(left, lo[i], mid), np.where(left, mid, hi[i])
+        root[i] = np.where(fmid == 0.0, mid, 0.5 * (lo[i] + hi[i]))
+        i = i[(fmid != 0.0) & (hi[i] - lo[i] > tol[i])]
+    return root
 
 
 def _gap_brackets(params: BoundaryParams, k: np.ndarray, samples: int):

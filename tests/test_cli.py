@@ -160,6 +160,36 @@ class TestTerminalEnsembleBound:
             parse_config(f"n_paths = {largest + 1}\n")
 
 
+class TestQuadratureAndScanBounds:
+    # each of these would allocate more than 1 TiB
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("simulate", "nodes_per_panel", 10**6, "nodes_per_panel must be in"),
+            ("simulate", "panels", 10**12, "panels x nodes_per_panel = "),
+            ("validate", "hs_modes", 10**12, "hs_modes must be in"),
+        ],
+        ids=["nodes_per_panel", "panels", "hs_modes"],
+    )
+    def test_oversized_exits_two(
+        self, tmp_path, capsys, command, key, value, message
+    ):
+        code, out = run_cli(tmp_path, command, f"{key} = {value}\n")
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["exit_code"] == 2
+        assert record["error"].startswith(message)
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_bounds_are_inclusive(self):
+        assert parse_config("nodes_per_panel = 100\n").nodes_per_panel == 100
+        assert parse_config("hs_modes = 4001\n").hs_modes == 4001
+        # 262144 panels x 8 nodes x PATH_BLOCK (64) doubles are 2**30 bytes
+        assert parse_config("panels = 262144\n").panels == 262144
+        with pytest.raises(ConfigError, match="quadrature nodes is too many"):
+            parse_config("panels = 262145\n")
+
+
 class TestSpectrumCommand:
     CONFIG = "n_modes = 8\nfd_n = 400\n"
 
@@ -295,6 +325,12 @@ class TestControlCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["pairwise"][0]["diff"] == 0.0
         assert report["pairwise"][0]["paired_se"] == 0.0
+
+    def test_tiny_span_takes_one_step(self, tmp_path):
+        code, out = run_cli(tmp_path, "control", "t0 = 0.49999999999999\nn_paths = 8\n")
+        assert code == 0
+        rows = (out / "trace_00_zero.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.49999999999999]
 
     def test_trace_controls_stay_admissible(self, tmp_path):
         config = (
@@ -542,7 +578,7 @@ def test_every_config_exits_cleanly_through_main(command, overrides):
 
 
 # the noise variance overflows: non-finite artifacts are refused
-_HUGE_NOISE = {"T": "0.015625", "dt": "0.03125", "g_scale": "6.513791901796354e+154"}
+_HUGE_NOISE = {"T": "0.015625", "dt": "0.03125", "g_scale": "1e156"}
 # the FEM oracle's stiffness factors overflow
 _HUGE_B0 = {"coefficients": "zero", "b0": "4.6362137547439115e+155"}
 # the feedback costate overflows and the policy emits a nan control

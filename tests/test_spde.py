@@ -88,6 +88,11 @@ class TestSimConfig:
         assert len(times) == 101
         assert times[-1] == 0.5
 
+    def test_time_grid_keeps_t0_on_a_tiny_span(self):
+        # T - t0 is below the tolerance that merges a short last step
+        cfg = SimConfig(n_modes=4, m_noise=4, dt=5e-3, T=0.5, t0=0.49999999999999)
+        assert time_grid(cfg).tolist() == [0.49999999999999, 0.5]
+
 
 class TestGalerkinDrift:
     def test_zero_drift(self, basis8, rng):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ class TestFindEigenvalues:
             right = characteristic_regularized(lam + width, params11)
             assert left * right <= 0.0
 
+    def test_huge_damping_solves_without_warning(self):
+        # the characteristic function reaches ~1e203 here; comparing signs
+        # of its values, not their product, cannot overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lams = find_eigenvalues(BoundaryParams(1.0, 1e200), 16)
+        assert np.all(np.diff(lams) < 0.0)
+
     def test_requires_positive_count(self, params11):
         with pytest.raises(ValueError):
             find_eigenvalues(params11, 0)
@@ -170,51 +179,27 @@ class TestFindEigenvalues:
 
 
 # The scalar root solve that the array scan and the lockstep refiner
-# replaced, kept verbatim as their bitwise reference.
-_BISECT_RTOL = 1e-6
+# replaced, kept as their bitwise reference: bisection under the same rule.
 _REFINE_RTOL = 1e-12
 
 
 def _refine_root(f, lo: float, hi: float) -> float:
-    """Bisection to a coarse width, then bracket-safeguarded secant."""
+    """Bisection on the sign of ``f`` to relative width ``_REFINE_RTOL``."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     scale = 1.0 + max(abs(lo), abs(hi))
-    while hi - lo > _BISECT_RTOL * scale:
+    while hi - lo > _REFINE_RTOL * scale:
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
             return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
+        if np.sign(fmid) != np.sign(flo):
+            hi = mid
         else:
-            lo, flo = mid, fmid
-    while hi - lo > _REFINE_RTOL * scale:
-        width = hi - lo
-        denom = fhi - flo
-        x = 0.5 * (lo + hi) if denom == 0.0 else hi - fhi * (hi - lo) / denom
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        if hi - lo > 0.5 * width:
-            # secant stalled against one endpoint; force a bisection step
-            mid = 0.5 * (lo + hi)
-            fmid = f(mid)
-            if fmid == 0.0:
-                return mid
-            if flo * fmid < 0.0:
-                hi, fhi = mid, fmid
-            else:
-                lo, flo = mid, fmid
+            lo = mid
     return 0.5 * (lo + hi)
 
 
@@ -329,27 +314,6 @@ class TestRootSolveReference:
             _refine_root(scalar_f, a, b)
             _refine_roots(array_f, np.array([a]), np.array([b]))
             assert array_seen == scalar_seen
-
-    def test_stalled_secant_forces_bisection(self):
-        from dynbc.spectral import _refine_roots
-
-        # convex and increasing: every secant point lands left of the root,
-        # so only a forced bisection can evaluate right of it after the
-        # bisection phase
-        f = lambda x: np.expm1(3e6 * np.asarray(x))  # noqa: E731
-        a, b = -1e-5, 2e-5
-        scalar_f, scalar_seen = _recording(f)
-        array_f, array_seen = _recording(f)
-        root = _refine_root(scalar_f, a, b)
-        assert _refine_roots(array_f, np.array([a]), np.array([b])).tolist() == [root]
-        assert array_seen == scalar_seen
-        n_bisect, width = 0, b - a
-        while width > _BISECT_RTOL * (1.0 + max(abs(a), abs(b))):
-            width *= 0.5
-            n_bisect += 1
-        after_bisection = np.array(scalar_seen[2 + n_bisect :])
-        assert np.any(f(after_bisection) > 0.0)
-        assert abs(root) < 1e-11
 
     def test_lockstep_matches_scalar_on_mixed_brackets(self):
         from dynbc.spectral import _refine_roots
