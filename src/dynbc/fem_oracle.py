@@ -96,11 +96,20 @@ def _stiffness_solver(op: DiscreteOperator):
     p_i = x_i / u_i (back sweep) both triangular solves are cumulative
     sums, which round like the two-term recurrences of the LDL^T solve:
     O(n) work, backward stable, no Python loop.
+
+    Once b0 reaches about 1e154 the products u_i u_{i+1} or W u_n overflow
+    and a factor rounds to 0; ``ConvergenceError`` is raised then, since
+    the solve would return finite but wrong values.
     """
     b0, b1, h = op.params.b0, op.params.b1, 1.0 / op.n
     u = 1.0 + b0 * h * np.arange(op.n + 1.0)
-    sweep = h / (u[:-1] * u[1:])
-    last = 1.0 / ((b0 + b1 + b0 * b1) * u[-1])
+    with np.errstate(over="ignore"):
+        sweep = h / (u[:-1] * u[1:])
+        last = 1.0 / ((b0 + b1 + b0 * b1) * u[-1])
+    if not (np.all(sweep > 0.0) and 0.0 < last < math.inf):
+        raise ConvergenceError(
+            f"stiffness factors overflow (n={op.n}, b0={b0}, b1={b1})"
+        )
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         z = np.cumsum(u * rhs)
@@ -172,7 +181,8 @@ def _lanczos(op: DiscreteOperator, k: int, max_dim: int):
             continue
         tridiag = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1)
         if not np.all(np.isfinite(tridiag)):
-            # K's LDL^T factors overflow once b0 h n reaches about 1e154
+            # eigh must not see inf or nan; the known overflow, in K's
+            # factors, is rejected by ``_stiffness_solver`` before this
             raise ConvergenceError(
                 f"Lanczos coefficients not finite (n={op.n}, "
                 f"b0={op.params.b0}, b1={op.params.b1})"

@@ -26,6 +26,7 @@ from .errors import (
     PoleError,
     ResonanceError,
 )
+from .formats import json_text
 from .quadrature import (
     DEFAULT_NODES_PER_PANEL,
     DEFAULT_PANELS,
@@ -117,7 +118,7 @@ def _refine_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     ``f`` is called once per round on the midpoints of all unfinished
     brackets, and each keeps the half over which the sign of ``f`` changes,
-    until it is ``_REFINE_RTOL`` wide relative to its endpoints; the root is
+    until it is ``_REFINE_RTOL`` (1 + max |endpoint|) wide; the root is
     then the midpoint of the last bracket.  Only signs of ``f`` are compared.
     An exact zero of ``f`` at an endpoint or a midpoint is the root.
     """
@@ -168,10 +169,11 @@ def find_eigenvalues(params: BoundaryParams, n_modes: int) -> np.ndarray:
     -pi^2 k^2), up to ``_SCAN_GAPS`` of them per array, locating sign
     changes of the regularized characteristic function on
     ``_SAMPLES_PER_GAP`` points per gap, subdivided at -b0 and -b1, and
-    refines all brackets together to relative width 1e-12.  Roots within
-    1e-8 relative of a pole or a Dirichlet point are dropped.  Every gap
-    holds exactly one root except the gap containing -(b0+b1)/2, which
-    holds two; ``BracketError`` when fewer than ``n_modes`` roots remain.
+    refines all brackets together to width 1e-12 (1 + |lambda|), relative
+    for |lambda| >= 1 and absolute below.  Roots within 1e-8 relative of a
+    pole or a Dirichlet point are dropped.  Every gap holds exactly one
+    root except the gap containing -(b0+b1)/2, which holds two;
+    ``BracketError`` when fewer than ``n_modes`` roots remain.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -381,7 +383,7 @@ def basis_to_json(basis: EigenBasis) -> str:
             {"j": m.j, "lambda": float(m.lam), "B": float(m.B)} for m in basis.modes
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def basis_from_json(

@@ -17,6 +17,7 @@ from dynbc import control as ctl
 from dynbc.cli import _make_policies, main
 from dynbc.config import RunConfig, default_config, parse_config, with_overrides
 from dynbc.errors import ConfigError
+from dynbc.semigroup import GridState, project
 from dynbc.spde import MAX_BLOCK_NOISE_BYTES, block_noise_fits
 
 
@@ -282,6 +283,17 @@ class TestSimulateCommand:
         expected = np.exp(basis.lam * 0.2) * start
         assert np.max(np.abs(final - expected)) < 1e-12
 
+    def test_parabola_initial_state(self, tmp_path):
+        config = self.CONFIG + "initial = parabola\n"
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == 0
+        first = (out / "path_0000.csv").read_text().splitlines()[1].split(",")
+        basis = build_basis(BoundaryParams(1.0, 1.0), 4)
+        x = basis.quad.nodes
+        expected = project(GridState(u=x * (1.0 - x), v0=0.0, v1=0.0), basis)
+        assert float(first[0]) == 0.0
+        assert np.array([float(v) for v in first[1:]]).tobytes() == expected.tobytes()
+
     def test_seed_flag_changes_output(self, tmp_path):
         code1, out = run_cli(tmp_path, "simulate", self.CONFIG)
         first = (out / "ensemble.json").read_bytes()
@@ -325,6 +337,16 @@ class TestControlCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["pairwise"][0]["diff"] == 0.0
         assert report["pairwise"][0]["paired_se"] == 0.0
+
+    def test_nested_mc_feedback_runs(self, tmp_path):
+        config = (
+            "n_modes = 4\ndt = 2e-2\nT = 0.1\nn_paths = 8\n"
+            "policies = zero, feedback:nested_mc\n"
+        )
+        code, out = run_cli(tmp_path, "control", config)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [p["name"] for p in report["policies"]] == ["zero", "feedback(nested_mc)"]
 
     def test_tiny_span_takes_one_step(self, tmp_path):
         code, out = run_cli(tmp_path, "control", "t0 = 0.49999999999999\nn_paths = 8\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,22 @@ class TestEigensolve:
         op = fem_oracle.build(300, params11)
         with pytest.raises(ConvergenceError, match="16 Lanczos pairs.*n=300"):
             fem_oracle._lanczos(op, 16, 20)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b0", [1.3e154, 4.6362137547439115e155])
+    def test_overflowing_factors_raise(self, b0):
+        # u_i u_{i+1} overflows, a pivot rounds to 0 and the pairs would be wrong
+        op = fem_oracle.build(2000, BoundaryParams(b0, 1.0))
+        message = re.escape(f"n=2000, b0={b0}, b1=1.0")
+        with pytest.raises(ConvergenceError, match=message):
+            fem_oracle.eigensolve(op, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_factors_just_below_overflow(self):
+        params = BoundaryParams(9e153, 1.0)
+        lams, _ = fem_oracle.eigensolve(fem_oracle.build(2000, params), 3)
+        expected = find_eigenvalues(params, 3)
+        assert np.max(np.abs(lams - expected) / np.abs(expected)) <= 1e-4
 
 
 class TestStiffnessSolve:

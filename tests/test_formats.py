@@ -31,8 +31,12 @@ class TestNonFinite:
 
     def test_finite_floats_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(path, ["x"], [[0.1], [np.float64(-2.5e-300)]])
-        assert path.read_text() == "x\n0.10000000000000001\n-2.5e-300\n"
+        values = [0.1, np.float64(-2.5e-300)]
+        write_csv(path, ["x"], [[v] for v in values])
+        text = path.read_text()
+        assert text == "x\n0.1\n-2.5e-300\n"
+        parsed = np.array([float(token) for token in text.splitlines()[1:]])
+        assert parsed.tobytes() == np.array(values).tobytes()
 
 
 class TestJsonStrings:

@@ -1,9 +1,11 @@
+import math
+
 import pytest
 
 from dynbc import validate
 from dynbc.config import default_config, with_overrides
 from dynbc.errors import TruncationError
-from dynbc.spectral import BoundaryParams, find_eigenvalues
+from dynbc.spectral import BoundaryParams, build_basis, find_eigenvalues
 
 
 def _hs_context(b0, b1, **overrides):
@@ -33,3 +35,13 @@ class TestHsRate:
         with pytest.raises(TruncationError, match="t=1e-4"):
             validate._check_hs_rate(_hs_context(1.0, 1.0, hs_modes=50))
 
+
+class TestItoCheck:
+    def test_stiff_modes_give_a_finite_z(self):
+        # var_i var_j of the stiffest modes underflows to 0 at 64 modes
+        cfg = with_overrides(default_config(), n_modes=64)
+        ctx = {"config": cfg, "basis": build_basis(BoundaryParams(1.0, 1.0), 64)}
+        passed, measured = validate._check_ito(ctx)
+        z = float(measured.split(" = ")[1].split()[0])
+        assert math.isfinite(z), measured
+        assert passed is True, measured
