@@ -23,7 +23,7 @@ from .semigroup import GridState, project
 from .spde import ensemble_stats, named_coefficients, sim_config, simulate_path
 from .spectral import (
     BoundaryParams,
-    basis_to_json,
+    basis_payload,
     build_basis,
     dirichlet_gap,
     normalization_bound,
@@ -84,8 +84,7 @@ def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
         "passed": passed,
     }
     write_json(os.path.join(out, "spectrum.json"), summary)
-    with open(os.path.join(out, "basis.json"), "w", newline="\n") as fh:
-        fh.write(basis_to_json(basis))
+    write_json(os.path.join(out, "basis.json"), basis_payload(basis))
     if not passed:
         return _emit_error("spectrum invariants failed (see spectrum.json)", 1)
     return 0

@@ -131,6 +131,13 @@ class ControlProblem:
         return self.state_cost is not None
 
 
+def _dot2(z, q):
+    # (z * q).sum(axis=-1) over a last axis of length 2 without numpy's
+    # inner-loop call per output; the sum starts from +0.0, so two -0.0
+    # products sum to +0.0 there, and the trailing + 0.0 keeps that
+    return z[..., 0] * q[..., 0] + z[..., 1] * q[..., 1] + 0.0
+
+
 def quadratic_problem(
     Z: AdmissibleSet,
     state_cost,
@@ -143,7 +150,7 @@ def quadratic_problem(
 
     def running(t, state, z):
         z = np.asarray(z, dtype=float)
-        return state_cost(t, state) + 0.5 * (z * z).sum(axis=-1)
+        return state_cost(t, state) + 0.5 * _dot2(z, z)
 
     return ControlProblem(
         Z=Z,
@@ -201,8 +208,9 @@ def _grid_candidates(Z, range0, range1, n):
     # the n x n grid over range0 x range1 (z0 varying slowest) projected onto
     # Z, so curved boundaries get sampled densely and constrained minimizers
     # are resolved to second order in the spacing
-    z0s, z1s = np.linspace(*range0, n), np.linspace(*range1, n)
-    grid = np.stack(np.meshgrid(z0s, z1s, indexing="ij"), axis=-1)
+    grid = np.empty((n, n, 2))
+    grid[..., 0] = np.linspace(*range0, n)[:, None]
+    grid[..., 1] = np.linspace(*range1, n)
     return Z.project(grid.reshape(-1, 2))
 
 
@@ -214,6 +222,8 @@ def _grid_search(t, state, p, problem):
     box of Z, whose candidates are built once per call, then one local
     refinement pass around the row's coarse minimizer, each pass one
     running-cost call on the row's state; ties go to the first candidate.
+    The costate term p.z is ``_dot2``: two products and one sum per
+    candidate, the same bits as a length-2 ``sum`` at a tenth of its cost.
     Returns (value (...), argmin (..., 2), coarse distance spread of
     near-minimal points (...), coarse spacing).
     """
@@ -228,14 +238,15 @@ def _grid_search(t, state, p, problem):
     vals, spreads = np.empty(len(states)), np.empty(len(states))
     zs = np.empty((len(states), 2))
     for r, (a, q) in enumerate(zip(states, costates)):
-        values = problem.running_cost(t, a, coarse) + (coarse * q).sum(axis=-1)
+        values = problem.running_cost(t, a, coarse) + _dot2(coarse, q)
         best = np.argmin(values)
         val, z = values[best], coarse[best]
         tol = _ARGMIN_VALUE_RTOL * (1.0 + abs(val))
-        spreads[r] = np.max(np.linalg.norm(coarse[values <= val + tol] - z, axis=1))
+        near = coarse.compress(values <= val + tol, axis=0)
+        spreads[r] = np.max(np.linalg.norm(near - z, axis=1))
         # refinement: 41 x 41 points within one coarse spacing of z
         fine = _grid_candidates(problem.Z, *np.add.outer(z, (-spacing, spacing)), 41)
-        values = problem.running_cost(t, a, fine) + (fine * q).sum(axis=-1)
+        values = problem.running_cost(t, a, fine) + _dot2(fine, q)
         best = np.argmin(values)
         if values[best] < val:
             val, z = values[best], fine[best]
@@ -259,7 +270,7 @@ def hamiltonian(t: float, state: np.ndarray, p, problem: ControlProblem) -> floa
     p = np.asarray(p, dtype=float)
     if problem.is_quadratic:
         z = problem.Z.project(-p)
-        return problem.running_cost(t, state, z) + (p * z).sum(axis=-1)
+        return problem.running_cost(t, state, z) + _dot2(p, z)
     return _grid_search(t, state, p, problem)[0]
 
 

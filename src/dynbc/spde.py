@@ -8,9 +8,10 @@ modal semigroup to the Euler-frozen drift and noise increments,
 with the cylindrical noise on X truncated to the leading ``m_noise``
 eigenmodes.  The combined interior/boundary Wiener process is taken with
 identity covariance on X (the standard cylindrical choice), so expanding
-it in the eigenbasis is exact in law.  Noise is counter-based: each path
-owns a disjoint Philox counter block derived from (seed, path index), so
-ensembles are reproducible and order-independent.
+it in the eigenbasis is exact in law.  Noise is counter-based: path p
+draws the Philox stream with key seed and counter p << 128, so ensembles
+are reproducible and order-independent; ``block_increments`` draws a
+block with one Philox, resetting its counter for each row.
 
 ``rollout`` is the one stepping loop, and a block of paths (P, N) its one
 trajectory shape: a recorded path is the block of its one row, and path
@@ -160,26 +161,31 @@ def time_grid(config: SimConfig) -> np.ndarray:
 def path_increments(
     seed: int, path_index: int, dts: np.ndarray, m_noise: int
 ) -> np.ndarray:
-    """Gaussian increments N(0, dt_i) for one path, shape (steps, m_noise).
-
-    Draws from a Philox stream whose counter block is disjoint per path
-    (counter = path_index << 128), so paths are independent and any subset
-    can be regenerated without simulating the others.
-    """
-    rng = Generator(Philox(key=seed, counter=int(path_index) << 128))
-    z = rng.standard_normal((len(dts), m_noise))
-    return z * np.sqrt(np.asarray(dts))[:, None]
+    """Gaussian increments N(0, dt_i) for one path, shape (steps, m_noise):
+    the one-row block of ``block_increments``."""
+    p = int(path_index)
+    return block_increments(seed, range(p, p + 1), dts, m_noise)[:, 0]
 
 
 def block_increments(
     seed: int, rows: range, dts: np.ndarray, m_noise: int
 ) -> np.ndarray:
-    """Increments of the paths ``rows`` as one (steps, len(rows), m_noise)
-    array; row r draws ``path_increments(seed, rows[r], ...)``."""
-    dW = np.empty((len(dts), len(rows), m_noise))
-    for r, p in enumerate(rows):
-        dW[:, r] = path_increments(seed, p, dts, m_noise)
-    return dW
+    """Gaussian increments N(0, dt_i) of the paths ``rows``, shape
+    (steps, len(rows), m_noise).  Row r draws the Philox stream with key
+    ``seed`` and counter ``rows[r] << 128``, disjoint per path, so any subset
+    of paths can be regenerated alone.  One bit generator serves the block,
+    its counter reset per row: the normals of a fresh ``Philox`` per path."""
+    bits = Philox(key=seed)
+    rng, state = Generator(bits), bits.state
+    # the 256-bit counter p << 128 as four little-endian 64-bit words
+    counter = state["state"]["counter"]
+    z = np.empty((len(rows), len(dts), m_noise))
+    for row, p in zip(z, rows):
+        counter[2:] = int(p) % 2**64, int(p) >> 64
+        bits.state = state
+        rng.standard_normal(out=row)
+    z *= np.sqrt(dts)[:, None]
+    return z.transpose(1, 0, 2)
 
 
 @lru_cache

@@ -373,9 +373,9 @@ def dirichlet_map(lam: float, phi: tuple[float, float]):
     return evaluate
 
 
-def basis_to_json(basis: EigenBasis) -> str:
-    """Serialize (b0, b1, N, per-mode j/lambda/B) losslessly."""
-    payload = {
+def basis_payload(basis: EigenBasis) -> dict:
+    """(b0, b1, N, per-mode j/lambda/B): all ``basis_from_json`` needs."""
+    return {
         "b0": float(basis.params.b0),
         "b1": float(basis.params.b1),
         "N": basis.n_modes,
@@ -383,7 +383,11 @@ def basis_to_json(basis: EigenBasis) -> str:
             {"j": m.j, "lambda": float(m.lam), "B": float(m.B)} for m in basis.modes
         ],
     }
-    return json_text(payload)
+
+
+def basis_to_json(basis: EigenBasis) -> str:
+    """Serialize (b0, b1, N, per-mode j/lambda/B) losslessly."""
+    return json_text(basis_payload(basis))
 
 
 def basis_from_json(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from dynbc.control import (
     _ARGMIN_VALUE_RTOL,
     GRID_RESOLUTION,
     ControlProblem,
+    _dot2,
     _grid_search,
     _policy_costs,
     control_drift,
@@ -451,6 +453,139 @@ class TestBatchedGridSearch:
             [hamiltonian_argmin(t, a, q, problem) for a, q in zip(block, p)]
         )
         assert policy(t, block).tobytes() == loop.tobytes()
+
+
+def _sum_dot(z, q):
+    # the length-2 reduction the Hamiltonian path used before _dot2
+    return (z * q).sum(axis=-1)
+
+
+def _sum_quadratic_running(state_cost):
+    # quadratic_problem's running cost with |z|^2 as a length-2 reduction
+    def running(t, state, z):
+        z = np.asarray(z, dtype=float)
+        return state_cost(t, state) + 0.5 * _sum_dot(z, z)
+
+    return running
+
+
+def _meshgrid_candidates(Z, range0, range1, n):
+    # _grid_candidates built as a stacked meshgrid
+    z0s, z1s = np.linspace(*range0, n), np.linspace(*range1, n)
+    grid = np.stack(np.meshgrid(z0s, z1s, indexing="ij"), axis=-1)
+    return Z.project(grid.reshape(-1, 2))
+
+
+def _sum_grid_search(t, state, p, problem):
+    # _grid_search with its costate terms as length-2 reductions, its
+    # candidates from a meshgrid and its near-minimal points by a boolean index
+    state, p = np.asarray(state, dtype=float), np.asarray(p, dtype=float)
+    lead = np.broadcast_shapes(state.shape[:-1], p.shape[:-1])
+    n = state.shape[-1]
+    states = np.broadcast_to(state, lead + (n,)).reshape(-1, n)
+    costates = np.broadcast_to(p, lead + (2,)).reshape(-1, 2)
+    (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
+    spacing = max(hi0 - lo0, hi1 - lo1) / (GRID_RESOLUTION - 1)
+    coarse = _meshgrid_candidates(problem.Z, (lo0, hi0), (lo1, hi1), GRID_RESOLUTION)
+    rows = []
+    for a, q in zip(states, costates):
+        values = problem.running_cost(t, a, coarse) + _sum_dot(coarse, q)
+        best = np.argmin(values)
+        val, z = values[best], coarse[best]
+        tol = _ARGMIN_VALUE_RTOL * (1.0 + abs(val))
+        spread = np.max(np.linalg.norm(coarse[values <= val + tol] - z, axis=1))
+        around = np.add.outer(z, (-spacing, spacing))
+        fine = _meshgrid_candidates(problem.Z, *around, 41)
+        values = problem.running_cost(t, a, fine) + _sum_dot(fine, q)
+        best = np.argmin(values)
+        if values[best] < val:
+            val, z = values[best], fine[best]
+        rows.append((val, z, spread))
+    vals, zs, spreads = (np.array(column) for column in zip(*rows))
+    return vals.reshape(lead), zs.reshape(lead + (2,)), spreads.reshape(lead), spacing
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def _pairs(rows, lead):
+    # the first prod(lead) pairs of ``rows`` shaped to lead + (2,)
+    return np.array(rows[: math.prod(lead)]).reshape(lead + (2,))
+
+
+# costates with signed zeros; no row is zero, so the ring's minimizer stays
+# unique
+_COSTATES = [(-0.0, 0.9), (0.0, -1.2), (1.1, -0.0), (-0.7, 0.0), (0.8, -1.3),
+             (-1.6, 0.4)]
+# closed-form costates and controls, both entries zero in some rows
+_ZERO_COSTATES = [(0.0, -0.0), (-0.0, -0.0), (-0.0, 0.0), (0.3, -0.0), (-2.0, 1.5),
+                  (0.0, 0.0)]
+_ZERO_CONTROLS = [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.6), (0.25, 0.0), (-0.5, -0.5),
+                  (0.0, 0.0)]
+_LEADS = pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2", "Cx2", "PxCx2"])
+_SETS = pytest.mark.parametrize(
+    "Z", [ball(1.0), box(((-1.0, 0.5), (-0.25, 1.0)))], ids=["ball", "box"]
+)
+
+
+def _states(lead, seed):
+    # normal states, the first row all signed zeros
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    states = rng.normal(size=lead + (8,))
+    states.reshape(-1, 8)[0] = np.where(np.arange(8) % 2, -0.0, 0.0)
+    return states
+
+
+def _state_cost(t, a):
+    return (a * a).sum(axis=-1)
+
+
+class TestTwoProductSums:
+    def test_dot2_is_the_length_two_reduction(self):
+        # every pairing of signed zeros and nonzero entries on both sides
+        entries = (0.0, -0.0, 1.5, -0.75)
+        z = np.array([(a, b) for a in entries for b in entries])
+        assert _bits(_dot2(z[:, None], z[None])) == _bits(_sum_dot(z[:, None], z[None]))
+        for q in z:
+            assert _bits(_dot2(z, q)) == _bits(_sum_dot(z, q))
+            assert _bits(_dot2(z[0], q)) == _bits(_sum_dot(z[0], q))
+
+    @_SETS
+    @_LEADS
+    def test_quadratic_running_cost_and_closed_form(self, Z, lead):
+        problem = quadratic_problem(Z, _state_cost, lambda a: 0.0, 0.0, 1.0)
+        reference = _sum_quadratic_running(_state_cost)
+        states = _states(lead, 94)
+        z = _pairs(_ZERO_CONTROLS, lead)
+        assert _bits(problem.running_cost(0.3, states, z)) == _bits(
+            reference(0.3, states, z)
+        )
+        p = _pairs(_ZERO_COSTATES, lead)
+        zc = Z.project(-p)
+        assert _bits(hamiltonian(0.3, states, p, problem)) == _bits(
+            reference(0.3, states, zc) + _sum_dot(p, zc)
+        )
+        assert _bits(hamiltonian_argmin(0.3, states, p, problem)) == _bits(zc)
+
+    @_SETS
+    @pytest.mark.parametrize("cost", ["quadratic", "ring"])
+    @_LEADS
+    def test_grid_search(self, Z, cost, lead):
+        if cost == "quadratic":
+            quad = quadratic_problem(Z, _state_cost, lambda a: 0.0, 0.0, 1.0)
+            problem = ControlProblem(Z, quad.running_cost, quad.terminal_cost, 0.0, 1.0)
+            running = _sum_quadratic_running(_state_cost)
+            reference = replace(problem, running_cost=running)
+        else:
+            problem = reference = _ring_problem(Z)
+        states = _states(lead, 95)
+        p = _pairs(_COSTATES, lead)
+        got = _grid_search(0.3, states, p, problem)
+        want = _sum_grid_search(0.3, states, p, reference)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+        assert _bits(hamiltonian(0.3, states, p, problem)) == _bits(want[0])
+        assert _bits(hamiltonian_argmin(0.3, states, p, problem)) == _bits(want[1])
 
 
 class TestGradientProviders:

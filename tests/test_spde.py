@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from dynbc import (
     Coefficients,
@@ -265,6 +266,27 @@ class TestNoise:
         c = path_increments(5, 1, dts, 4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    # the last block straddles p = 2**64, where p << 128 fills both high
+    # words of the counter
+    @pytest.mark.parametrize("first", [0, 2**40, 2**64 - 2])
+    @pytest.mark.parametrize("m_noise", [1, 16])
+    def test_rows_draw_fresh_philox_streams(self, seed, first, m_noise):
+        # row p is the stream of a Philox of its own, key seed and counter
+        # p << 128, scaled by sqrt(dt) per step: the draw before one bit
+        # generator served a block
+        cfg = SimConfig(n_modes=16, m_noise=m_noise, dt=3e-2, T=0.1, seed=seed)
+        dts = np.diff(time_grid(cfg))
+        assert dts[-1] < 0.5 * dts[0]
+        rows = range(first, first + 5)
+        block = block_increments(seed, rows, dts, m_noise)
+        assert block.shape == (len(dts), len(rows), m_noise)
+        for r, p in enumerate(rows):
+            rng = Generator(Philox(key=seed, counter=p << 128))
+            want = rng.standard_normal((len(dts), m_noise)) * np.sqrt(dts)[:, None]
+            assert block[:, r].tobytes() == want.tobytes()
+            assert path_increments(seed, p, dts, m_noise).tobytes() == want.tobytes()
 
     def test_increment_scaling(self):
         dts = np.array([1e-2, 4e-2])
