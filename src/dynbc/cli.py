@@ -108,9 +108,7 @@ def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
     header = ["t"] + [f"a_{k}" for k in range(cfg.n_modes)]
     for p in range(min(cfg.record_paths, cfg.n_paths)):
         record = simulate_path(sim, coeffs, basis, initial, path_index=p)
-        rows = [
-            (record.times[i], *record.states[i]) for i in range(len(record.times))
-        ]
+        rows = np.column_stack((record.times, record.states))
         write_csv(os.path.join(out, f"path_{p:04d}.csv"), header, rows)
     return 0
 
@@ -194,10 +192,10 @@ def cmd_control(cfg: RunConfig, out: str, threads: int) -> int:
     header = ["t", "z0", "z1"] + [f"a_{k}" for k in range(cfg.n_modes)]
     for idx, policy in enumerate(policies):
         record = ctl.policy_path(policy, problem, sim, coeffs, basis, initial, 0)
-        rows = [
-            (record.times[i], *record.controls[i], *record.states[i])
-            for i in range(len(record.controls))
-        ]
+        steps = len(record.controls)
+        rows = np.column_stack(
+            (record.times[:steps], record.controls, record.states[:steps])
+        )
         write_csv(
             os.path.join(out, f"trace_{idx:02d}_{_sanitize(policy.name)}.csv"),
             header,

@@ -111,8 +111,8 @@ def _validate(cfg: RunConfig):
     # after the checks above, so that dt > 0 and t0 < T
     if not block_noise_fits(cfg.T - cfg.t0, cfg.dt, cfg.m_noise):
         raise ConfigError(
-            f"dt = {cfg.dt!r} takes too many steps: one block of paths would "
-            f"draw more than {MAX_BLOCK_NOISE_BYTES} bytes of noise"
+            f"dt = {cfg.dt!r} takes too many steps: one block of {PATH_BLOCK} "
+            f"paths would draw more than {MAX_BLOCK_NOISE_BYTES} bytes of noise"
         )
     if cfg.n_paths * cfg.n_modes * 8 > MAX_BLOCK_NOISE_BYTES:
         raise ConfigError(
@@ -163,7 +163,12 @@ def default_config() -> RunConfig:
 
 
 def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
+    """``cfg`` with the keys ``overrides`` names replaced and re-validated.
+    An ``n_modes`` override without an ``m_noise`` one re-derives m_noise
+    from the new n_modes, as a config file naming only n_modes would."""
     values = cfg.as_dict()
+    if "n_modes" in overrides:
+        values["m_noise"] = None
     values.update(overrides)
     new = RunConfig(**values)
     _validate(new)

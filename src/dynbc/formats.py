@@ -5,6 +5,7 @@ environment-dependent content, and every float written as ``repr``, the
 shortest decimal that reads back to the same double, in JSON and CSV alike.
 """
 
+import itertools
 import json
 import math
 
@@ -40,17 +41,18 @@ def write_json(path, obj):
         fh.write(text)
 
 
-def _cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    x = float(v)
-    if not math.isfinite(x):
-        raise NonFiniteError(f"refusing to serialize non-finite value {x}")
-    return repr(x)
-
-
 def write_csv(path, header, rows):
-    """Write rows of int/float cells with stable formatting."""
-    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    """Write a table of int/float cells, one line per row, the header first.
+
+    ``rows`` is a sequence of rows or a 2-D array.  Each column goes through
+    one array and its ``tolist()``, so a cell is written as the ``repr`` of a
+    Python int or float; a column holding a float writes its ints as floats.
+    A non-finite cell raises ``NonFiniteError`` before the file is opened.
+    """
+    columns = [np.asarray(column).tolist() for column in zip(*rows)]
+    bad = next(itertools.filterfalse(math.isfinite, itertools.chain(*columns)), None)
+    if bad is not None:
+        raise NonFiniteError(f"refusing to serialize non-finite value {bad}")
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

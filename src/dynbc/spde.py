@@ -23,7 +23,12 @@ steps at a time (``chunk_steps``) and never builds the nodal field u; only
 the control hook and the update exp(lambda dt) * (a + F dt + G dW) stay in
 the per-step loop.  State-dependent coefficients step one ``step_exp_euler``
 at a time.  ``path_blocks`` is the one partition of an ensemble into
-blocks and ``mean_var_se`` the one mean/standard-error estimator.
+blocks: ``PATH_BLOCK`` rows, which the (P, nodes) fields of state-dependent
+steps bound, or ``state_free_rows`` for a state-free ensemble, so that its
+steps cost a few numpy calls per wide block rather than per 64 rows.  A
+wide block is stepped as (slabs, PATH_BLOCK) rows, so that its matrix
+products, and so its bits, are those of PATH_BLOCK-row blocks.
+``mean_var_se`` is the one mean/standard-error estimator.
 """
 
 # unused: perfbench/spans.py traces thread pools through this name and
@@ -38,10 +43,15 @@ from numpy.random import Generator, Philox
 from .errors import ShapeError
 from .spectral import EigenBasis
 
-# paths stepped together as one block; transient memory grows with it
+# paths stepped together as one block, and the slab that wider blocks are
+# made of; transient memory grows with it
 PATH_BLOCK = 64
-# largest noise array one block may draw: steps x m_noise x PATH_BLOCK doubles
+# largest noise array a PATH_BLOCK-row block may draw:
+# steps x m_noise x PATH_BLOCK doubles
 MAX_BLOCK_NOISE_BYTES = 2**30
+# largest noise array a block wider than PATH_BLOCK rows may draw:
+# steps x m_noise x rows doubles
+MAX_WIDE_NOISE_BYTES = 2**24
 # largest array of state-free step terms one chunk may precompute:
 # steps x paths x n_modes doubles
 MAX_CHUNK_BYTES = 2**17
@@ -54,20 +64,38 @@ def chunk_steps(rows: int, n_modes: int) -> int:
     return max(1, MAX_CHUNK_BYTES // (rows * n_modes * 8))
 
 
+def state_free_rows(steps: int, n_modes: int, m_noise: int, nodes: int) -> int:
+    """Rows of a block of a state-free ensemble, a multiple of ``PATH_BLOCK``:
+    as many as keep one step's (rows, n_modes) terms within
+    ``MAX_CHUNK_BYTES``, and the block's (steps, rows, m_noise) noise and
+    the (rows, nodes) noise field of a nodal g within
+    ``MAX_WIDE_NOISE_BYTES``; ``PATH_BLOCK`` at the least, whose arrays the
+    run configuration bounds."""
+    rows = min(
+        MAX_CHUNK_BYTES // (n_modes * 8),
+        MAX_WIDE_NOISE_BYTES // (max(steps * m_noise, nodes) * 8),
+    )
+    return PATH_BLOCK * max(1, rows // PATH_BLOCK)
+
+
 def block_noise_fits(span: float, dt: float, m_noise: int) -> bool:
-    """Whether a block's noise over ``span`` in steps of ``dt`` stays within
-    ``MAX_BLOCK_NOISE_BYTES``.  The step count is a float, so a ``dt`` small
-    enough to overflow it gives inf and is rejected."""
+    """Whether the noise of a ``PATH_BLOCK``-row block over ``span`` in steps
+    of ``dt`` stays within ``MAX_BLOCK_NOISE_BYTES``; a wider block draws at
+    most ``MAX_WIDE_NOISE_BYTES``, less than that.  The step count is a
+    float, so a ``dt`` small enough to overflow it gives inf and is
+    rejected."""
     steps = span / dt + 1.0
     return steps * m_noise * PATH_BLOCK * 8 <= MAX_BLOCK_NOISE_BYTES
 
 
-def path_blocks(n_paths: int) -> list:
-    """Consecutive ranges of at most ``PATH_BLOCK`` path indices, in index
-    order, covering range(n_paths)."""
-    return [
-        range(s, min(s + PATH_BLOCK, n_paths)) for s in range(0, n_paths, PATH_BLOCK)
-    ]
+def path_blocks(n_paths: int, rows: int = PATH_BLOCK) -> list:
+    """Consecutive ranges of at most ``rows`` path indices, in index order,
+    covering range(n_paths); ``rows`` is a multiple of ``PATH_BLOCK``.  The
+    last ``n_paths % PATH_BLOCK`` paths form a block of their own, so every
+    other block is a whole number of ``PATH_BLOCK``-row slabs."""
+    tail = n_paths - n_paths % PATH_BLOCK
+    cuts = sorted({*range(0, tail, rows), tail, n_paths})
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True)
@@ -213,20 +241,21 @@ def _interior_noise(gv, dW, basis: EigenBasis) -> np.ndarray:
 
 def _apply_diffusion(interior, h, dW, basis: EigenBasis) -> np.ndarray:
     # G(u) dW row by row without forming G: the interior noise plus the two
-    # rank-one boundary terms; the gains h0, h1 broadcast against dW
-    # without its last axis
+    # rank-one boundary terms, added in that order into ``interior``, a
+    # fresh array of the result's shape; the gains h0, h1 broadcast against
+    # dW without its last axis
     m = np.shape(dW)[-1]
-    h0, h1 = h
-    return (
-        interior
-        + (h0 * (dW @ basis.trace0[:m]))[..., None] * basis.trace0
-        + (h1 * (dW @ basis.trace1[:m]))[..., None] * basis.trace1
-    )
+    for gain, trace in zip(h, (basis.trace0, basis.trace1)):
+        interior += (gain * (dW @ trace[:m]))[..., None] * trace
+    return interior
 
 
 def _exp_euler_update(decay, state, drift, dt, noise) -> np.ndarray:
-    # the one home of the update exp(lambda dt) * (a + F dt + G dW)
-    return decay * (state + drift * dt + noise)
+    # the one home of the update exp(lambda dt) * (a + F dt + G dW), summed
+    # left to right and scaled in place; ``state`` is left as it is
+    out = state + drift * dt + noise
+    out *= decay
+    return out
 
 
 def galerkin_drift(
@@ -304,14 +333,15 @@ def rollout(times, dts, initial, dW, coeffs, basis, drift=None):
     """Yield the states of the exponential-Euler scheme, ``initial`` first.
 
     ``times`` holds the steps + 1 grid points, ``dts`` the step sizes and
-    ``dW`` the increments (steps, P, m) of a block of P paths; each state
-    has shape (P, N), and ``initial`` broadcasts against it.
+    ``dW`` the increments (steps, *P, m) of a block of paths of shape P,
+    one axis of rows or (slabs, PATH_BLOCK); each state has shape (*P, N),
+    and ``initial`` broadcasts against it.
     ``drift(t, state)``, when given, returns the extra modal drift of each
     step (the control hook).  Only the current state is held; a caller
     keeps what it needs of the history.  State-free coefficients (L == 0)
     take their drift and noise from ``_state_free_chunks``.
     """
-    state = np.empty((dW.shape[1], basis.n_modes))
+    state = np.empty(dW.shape[1:-1] + (basis.n_modes,))
     state[...] = initial
     yield state
     if coeffs.L != 0:
@@ -332,10 +362,13 @@ def _state_free_chunks(times, dts, dW, coeffs, basis):
     """Yield the terms of state-free coefficients (L == 0) that ``rollout``
     needs, ``chunk_steps`` steps at a time: the times, step sizes, decays
     exp(lambda dt) and modal drifts of the steps, and their noise
-    (steps, P, N), each exactly as ``step_exp_euler`` computes it."""
+    (steps, *P, N), each exactly as ``step_exp_euler`` computes it."""
     x = basis.quad.nodes
     zero = _zero_field(x.size)
-    _, rows, m = dW.shape
+    m = dW.shape[-1]
+    rows = int(np.prod(dW.shape[1:-1]))
+    # per-step gains broadcast against a chunk (steps, *P)
+    per_step = (-1,) + (1,) * (dW.ndim - 2)
     decays = {}
     for dt in dts:
         if dt not in decays:
@@ -348,12 +381,12 @@ def _state_free_chunks(times, dts, dW, coeffs, basis):
         gvs = [coeffs.g(ti, x, zero) for ti in t]
         if all(np.ndim(gv) == 0 for gv in gvs):
             interior = block @ basis.interior_gram[:m]
-            interior *= np.array(gvs, dtype=float)[:, None, None]
+            interior *= np.reshape(np.array(gvs, dtype=float), per_step + (1,))
         else:
             interior = np.stack(
                 [_interior_noise(gv, w, basis) for gv, w in zip(gvs, block)]
             )
-        h = np.array([coeffs.h(ti) for ti in t], dtype=float).T[..., None]
+        h = np.array([coeffs.h(ti) for ti in t], dtype=float).T.reshape(2, *per_step)
         noise = _apply_diffusion(interior, h, block, basis)
         yield (
             t,
@@ -384,16 +417,30 @@ def simulate_path(
 def terminal_states(config, coeffs, basis, initial, n_paths):
     """Terminal modal states of an ensemble, one row per path index.
 
-    Paths are stepped block by block (``path_blocks``); row p draws
-    ``path_increments(seed, p, ...)``, so it depends only on (seed, p).
+    Paths are stepped block by block (``path_blocks``): ``PATH_BLOCK`` rows
+    each for state-dependent coefficients, ``state_free_rows`` for
+    state-free ones (``L == 0``).  Row p draws ``path_increments(seed, p,
+    ...)``, so it depends only on (seed, p), and it has the bits it has in
+    a ``PATH_BLOCK``-row block.
     """
     times, dts = time_steps(config, basis)
+    width = PATH_BLOCK
+    if coeffs.L == 0:
+        nodes = basis.quad.nodes.size
+        width = state_free_rows(len(dts), config.n_modes, config.m_noise, nodes)
     out = np.empty((n_paths, config.n_modes))
-    for rows in path_blocks(n_paths):
+    for rows in path_blocks(n_paths, width):
         dW = block_increments(config.seed, rows, dts, config.m_noise)
+        if len(rows) > PATH_BLOCK:
+            # PATH_BLOCK-row slabs on their own axis: every matrix product
+            # is then the one a PATH_BLOCK-row block computes, bit for bit,
+            # whatever the BLAS does with a taller matrix
+            dW = dW.reshape(len(dts), -1, PATH_BLOCK, config.m_noise)
         for state in rollout(times, dts, initial, dW, coeffs, basis):
             pass
-        out[rows.start : rows.stop] = state
+        # so that the next block's draw never holds two blocks of noise
+        del dW
+        out[rows.start : rows.stop] = state.reshape(len(rows), config.n_modes)
     return out
 
 

@@ -35,6 +35,11 @@ def basis32(params11):
 
 
 @pytest.fixture(scope="session")
+def basis64(params11):
+    return build_basis(params11, 64)
+
+
+@pytest.fixture(scope="session")
 def basis200(params11):
     # oscillation of mode 199 needs a finer quadrature than the default
     return build_basis(params11, 200, panels=512)

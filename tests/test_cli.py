@@ -84,6 +84,14 @@ class TestConfigParsing:
         cfg = parse_config("policies = zero, constant:0.1:0.2 , grid:3\n")
         assert cfg.policy_specs() == ["zero", "constant:0.1:0.2", "grid:3"]
 
+    def test_n_modes_override_rederives_m_noise(self):
+        cfg = default_config()
+        for n in (8, 64):
+            assert with_overrides(cfg, n_modes=n) == parse_config(f"n_modes = {n}")
+        assert with_overrides(cfg, n_modes=8, m_noise=3).m_noise == 3
+        # an override that does not name n_modes keeps the resolved m_noise
+        assert with_overrides(parse_config("m_noise = 4"), seed=1).m_noise == 4
+
     def test_overrides_validate(self):
         cfg = default_config()
         with pytest.raises(ConfigError):

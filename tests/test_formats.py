@@ -39,6 +39,33 @@ class TestNonFinite:
         assert parsed.tobytes() == np.array(values).tobytes()
 
 
+class TestCsvCells:
+    def test_cells_written_as_repr(self, tmp_path):
+        path = tmp_path / "out.csv"
+        rows = [
+            (3, -0.0, np.float64(5e-324)),
+            (np.int64(-7), 1e308, 0.1),
+        ]
+        write_csv(path, ["j", "x", "y"], rows)
+        assert path.read_bytes() == b"j,x,y\n3,-0.0,5e-324\n-7,1e+308,0.1\n"
+
+    def test_array_table(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["t", "a"], np.array([[0.0, -0.0], [0.1, 1e308]]))
+        assert path.read_bytes() == b"t,a\n0.0,-0.0\n0.1,1e+308\n"
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b"], [])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_nan_array_row_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(NonFiniteError, match="nan"):
+            write_csv(path, ["t", "a"], np.array([[0.0, 1.0], [0.1, math.nan]]))
+        assert not path.exists()
+
+
 class TestJsonStrings:
     @pytest.mark.parametrize(
         "text",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,18 +19,22 @@ from dynbc import (
     terminal_states,
     time_grid,
 )
-from dynbc.errors import ShapeError
+from dynbc.config import default_config, with_overrides
+from dynbc.errors import ConfigError, ShapeError
 from dynbc import spde
 from dynbc.spde import (
     MAX_BLOCK_NOISE_BYTES,
     MAX_CHUNK_BYTES,
+    MAX_WIDE_NOISE_BYTES,
     PATH_BLOCK,
     block_increments,
     block_noise_fits,
     chunk_steps,
     path_blocks,
     rollout,
+    sim_config,
     spot_check_coefficients,
+    state_free_rows,
     time_steps,
 )
 from dynbc.validate import exact_additive_covariance
@@ -323,12 +328,90 @@ def _loop_terminal_states(config, coeffs, basis, initial, n_paths):
     return out
 
 
+class _Drawn(Exception):
+    pass
+
+
 class TestRollout:
     def test_path_blocks_partition(self):
-        for n in (1, PATH_BLOCK, PATH_BLOCK + 5, 3 * PATH_BLOCK):
-            blocks = path_blocks(n)
-            assert [p for rows in blocks for p in rows] == list(range(n))
-            assert all(0 < len(rows) <= PATH_BLOCK for rows in blocks)
+        for width in (PATH_BLOCK, 16 * PATH_BLOCK):
+            for n in (1, width, width + 5, 3 * width, 2 * width + PATH_BLOCK + 5):
+                blocks = path_blocks(n, width)
+                assert [p for rows in blocks for p in rows] == list(range(n))
+                assert all(0 < len(rows) <= width for rows in blocks)
+                # every block but the remainder is whole slabs
+                assert all(len(rows) % PATH_BLOCK == 0 for rows in blocks[:-1])
+        assert path_blocks(PATH_BLOCK + 5) == path_blocks(PATH_BLOCK + 5, PATH_BLOCK)
+        assert [len(rows) for rows in path_blocks(1000, 1024)] == [960, 40]
+
+    def test_state_free_rows(self):
+        # 100 steps at 16 modes and 512 quadrature nodes, the default
+        assert state_free_rows(100, 16, 16, 512) == 1024
+        assert state_free_rows(100, 64, 64, 512) == 256
+        # whole slabs only
+        assert state_free_rows(100, 24, 24, 512) == 640
+        # the noise cap binds before the step-terms budget
+        rows = state_free_rows(1000, 16, 16, 512)
+        assert rows == 2 * PATH_BLOCK
+        assert 1001 * 16 * rows * 8 <= MAX_WIDE_NOISE_BYTES
+        # so does the cap on a nodal noise field
+        assert state_free_rows(100, 16, 16, 4096) == 512
+        # never fewer than PATH_BLOCK rows
+        assert state_free_rows(10**6, 16, 16, 512) == PATH_BLOCK
+        assert state_free_rows(10, 16, 1, 2**20) == PATH_BLOCK
+        assert state_free_rows(10, 4096, 1, 512) == PATH_BLOCK
+
+    # 16 modes: 1,024-row blocks; 64 modes: 256 rows; both grids end on a
+    # short step.  The nodal g multiplies over the 512 quadrature nodes,
+    # where a taller BLAS product than PATH_BLOCK rows rounds differently
+    @pytest.mark.parametrize("family", ["zero", "additive", "forced", "nodal"])
+    @pytest.mark.parametrize("n_modes, m_noise", [(16, 16), (64, 20)])
+    def test_wide_blocks_match_block_loop(self, request, family, n_modes, m_noise):
+        basis = request.getfixturevalue(f"basis{n_modes}")
+        cfg = SimConfig(n_modes=n_modes, m_noise=m_noise, dt=1e-2, T=0.055, seed=8)
+        _, dts = time_steps(cfg, basis)
+        assert dts[-1] < 0.9 * dts[0]
+        width = state_free_rows(len(dts), n_modes, m_noise, basis.quad.nodes.size)
+        assert width == MAX_CHUNK_BYTES // (n_modes * 8) // PATH_BLOCK * PATH_BLOCK
+        # two wide blocks, a short one of whole slabs and the remainder
+        n = 2 * width + 3 * PATH_BLOCK + 37
+        blocks = [len(rows) for rows in path_blocks(n, width)]
+        assert blocks == [width, width, 3 * PATH_BLOCK, 37]
+        coeffs = FAMILIES[family]
+        a0 = constant_one_state(basis)
+        assert np.array_equal(
+            terminal_states(cfg, coeffs, basis, a0, n),
+            _loop_terminal_states(cfg, coeffs, basis, a0, n),
+        )
+
+    @pytest.mark.parametrize("m_noise", [1, 16])
+    def test_block_noise_stays_within_cap(self, basis16, monkeypatch, m_noise):
+        # no block draws more noise than its cap, up to the largest step
+        # count the config accepts; the spy stops each run at its first draw
+        drawn = []
+
+        def spy(seed, rows, dts, m):
+            drawn.append((len(rows), len(rows) * len(dts) * m * 8))
+            raise _Drawn
+
+        monkeypatch.setattr(spde, "block_increments", spy)
+        largest = MAX_BLOCK_NOISE_BYTES // (PATH_BLOCK * 8 * m_noise)
+        widths = []
+        for dt in (0.5 / (largest - 2), 5e-4, 5e-3):
+            cfg = with_overrides(default_config(), dt=dt, m_noise=m_noise)
+            drawn.clear()
+            with pytest.raises(_Drawn):
+                terminal_states(sim_config(cfg), ADDITIVE, basis16, 1.0, cfg.n_paths)
+            (rows, nbytes), = drawn
+            wide = rows > PATH_BLOCK
+            assert rows >= PATH_BLOCK
+            assert nbytes <= (MAX_WIDE_NOISE_BYTES if wide else MAX_BLOCK_NOISE_BYTES)
+            widths.append(rows)
+        # the whole slabs of the default ensemble are one block
+        assert widths[0] == PATH_BLOCK
+        assert widths[-1] == cfg.n_paths - cfg.n_paths % PATH_BLOCK
+        with pytest.raises(ConfigError, match="takes too many steps"):
+            with_overrides(default_config(), dt=0.5 / largest, m_noise=m_noise)
 
     # the second grid has m_noise = 1, more steps than one state-free chunk
     # of a full block and a short last step
@@ -403,6 +486,21 @@ class TestRollout:
                 pass
             assert len(sizes) == 6
             assert max(sizes) <= MAX_CHUNK_BYTES
+
+    def test_ensemble_holds_one_block_of_noise(self, basis16):
+        # 2,500 steps make the blocks PATH_BLOCK rows wide, 20 MB of noise
+        # each; the second block's draw must not find the first one alive
+        cfg = SimConfig(n_modes=16, m_noise=16, dt=2e-4, T=0.5, seed=3)
+        _, dts = time_steps(cfg, basis16)
+        assert state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size) == PATH_BLOCK
+        noise = len(dts) * 16 * PATH_BLOCK * 8
+        tracemalloc.start()
+        try:
+            terminal_states(cfg, ADDITIVE, basis16, 1.0, 2 * PATH_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert noise < peak < 1.5 * noise
 
     def test_initial_broadcasts_and_drift_hook_sees_each_step(self, basis8, rng):
         times = np.linspace(0.0, 0.1, 6)
@@ -507,6 +605,12 @@ class TestEnsemble:
                     0.1, block[p], dW[p], coeffs, basis8, 1e-2, extra[p]
                 )
                 assert np.max(np.abs(out[p] - row)) <= 1e-13 * np.max(np.abs(row))
+        # one state (N,) broadcasts against a block of increments (P, m)
+        for coeffs in (ZERO, ADDITIVE, FORCED):
+            shared = step_exp_euler(0.1, block[0], dW, coeffs, basis8, 1e-2)
+            tiled = np.tile(block[0], (5, 1))
+            tiled = step_exp_euler(0.1, tiled, dW, coeffs, basis8, 1e-2)
+            assert np.array_equal(shared, tiled)
 
     def test_projected_noise_matches_explicit_matrix(self, basis8, rng):
         # the multiplicative step never forms G(u); compare with the matrix

@@ -39,7 +39,7 @@ class TestHsRate:
 class TestItoCheck:
     def test_stiff_modes_give_a_finite_z(self):
         # var_i var_j of the stiffest modes underflows to 0 at 64 modes
-        cfg = with_overrides(default_config(), n_modes=64)
+        cfg = with_overrides(default_config(), n_modes=64, m_noise=16)
         ctx = {"config": cfg, "basis": build_basis(BoundaryParams(1.0, 1.0), 64)}
         passed, measured = validate._check_ito(ctx)
         z = float(measured.split(" = ")[1].split()[0])
