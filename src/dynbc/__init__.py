@@ -22,7 +22,6 @@ from .control import (
     constant_grid_policies,
     hamiltonian,
     hamiltonian_argmin,
-    policy_cost,
     policy_path,
     quadratic_problem,
 )
@@ -55,14 +54,11 @@ from .spectral import (
     BoundaryParams,
     EigenBasis,
     EigenMode,
-    basis_from_json,
-    basis_to_json,
     build_basis,
     build_mode,
     characteristic_determinant,
     characteristic_regularized,
     dirichlet_gap,
-    dirichlet_map,
     find_eigenvalues,
     normalization_bound,
 )

@@ -516,28 +516,6 @@ def _mean_se(costs):
     return float(mean), float(se)
 
 
-def policy_cost(
-    policy,
-    problem: ControlProblem,
-    config: SimConfig,
-    coeffs: Coefficients,
-    basis: EigenBasis,
-    initial: np.ndarray,
-    n_paths: int,
-):
-    """Monte Carlo estimate (mean, standard error) of the policy cost.
-
-    Running cost integrated with left-endpoint quadrature along controlled
-    paths; the control enters the drift through the boundary gains exactly
-    as in the state equation.
-    """
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
-    return _mean_se(
-        _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths)
-    )
-
-
 def policy_path(
     policy,
     problem: ControlProblem,
@@ -603,6 +581,8 @@ def compare_policies(
     """
     if len(policies) < 2:
         raise ValueError("need at least 2 policies to compare")
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths")
     runs = [
         (pol.name, _policy_costs(pol, problem, config, coeffs, basis, initial, n_paths))
         for pol in policies

@@ -25,10 +25,6 @@ class DegenerateModeError(DynbcError):
     """Eigenmode construction failed because lambda is too close to -b0."""
 
 
-class ResonanceError(DynbcError):
-    """Dirichlet map requested at a Dirichlet eigenvalue, where it is undefined."""
-
-
 class ShapeError(DynbcError):
     """Array length does not match the quadrature rule or basis size."""
 

@@ -258,26 +258,3 @@ def expm_apply(op: DiscreteOperator, t: float, state: np.ndarray) -> np.ndarray:
     coeffs = vecs[:, :k].T @ _band_apply(op.mass, state)
     return vecs[:, :k] @ (np.exp(-mu[:k] * t) * coeffs)
 
-
-def source_response(
-    op: DiscreteOperator,
-    t: float,
-    interior_density: np.ndarray,
-    boundary=(0.0, 0.0),
-) -> np.ndarray:
-    """Exact response int_0^t e^{(t-s)A} q ds of the discrete generator.
-
-    The constant-in-time source q is given as an interior density (nodal
-    samples) plus an optional boundary pair; the interior part loads the
-    finite elements without the endpoint point masses, matching a source
-    that acts on the function component only.  With the steady state
-    s = K^{-1} load (K is positive definite since b0, b1 > 0) the response
-    is s - e^{tA} s.
-    """
-    if t < 0.0:
-        raise DomainError("defined for t >= 0")
-    load = _band_apply(op.mass, interior_density)
-    load[0] += boundary[0] - interior_density[0]
-    load[-1] += boundary[1] - interior_density[-1]
-    steady = _stiffness_solver(op)(load)
-    return steady - expm_apply(op, t, steady)

@@ -19,8 +19,11 @@ def _plain(obj):
     return obj.tolist()
 
 
-def json_text(obj) -> str:
-    """Render a nested dict/list/scalar structure as deterministic JSON."""
+def write_json(path, obj):
+    """Write a nested dict/list/scalar structure as deterministic JSON.
+
+    A non-finite number raises ``NonFiniteError`` before the file is opened.
+    """
     try:
         text = json.dumps(
             obj,
@@ -32,13 +35,8 @@ def json_text(obj) -> str:
         )
     except ValueError as exc:
         raise NonFiniteError(f"refusing to serialize: {exc}") from None
-    return text + "\n"
-
-
-def write_json(path, obj):
-    text = json_text(obj)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.write(text + "\n")
 
 
 def write_csv(path, header, rows):

@@ -43,13 +43,6 @@ class QuadratureRule:
     def size(self) -> int:
         return len(self.nodes)
 
-    def integrate(self, values: np.ndarray) -> float:
-        if len(values) != self.size:
-            raise ShapeError(
-                f"expected {self.size} samples, got {len(values)}"
-            )
-        return float(self.weights @ values)
-
     def endpoint_values(self, values: np.ndarray) -> tuple[float, float]:
         """Extrapolate node samples to x=0 and x=1."""
         if len(values) != self.size:

@@ -105,8 +105,9 @@ class Coefficients:
     ``f`` and ``g`` map (t, x, u) -> value, vectorized over node arrays
     (a scalar return is broadcast); ``h`` maps t to the pair of boundary
     noise gains.  ``K`` bounds |f|, |g| and |h|; ``L`` is the Lipschitz
-    constant of f, g in u.  The bounds are declared, spot-checked by
-    ``spot_check_coefficients``, not proven.
+    constant of f, g in u.  The bounds are declared, not proven:
+    ``spot_check_coefficients`` samples them, and the test suite runs it
+    on every family ``named_coefficients`` builds; loading a config does not.
 
     ``L == 0`` is a contract the stepper relies on: f and g must then not
     depend on u at all.  They are called with a zero nodal field of shape

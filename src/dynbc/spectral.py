@@ -12,7 +12,6 @@ trigonometric profiles, normalized here in the full X inner product by
 closed-form integrals.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,9 +23,7 @@ from .errors import (
     DirichletPointError,
     DomainError,
     PoleError,
-    ResonanceError,
 )
-from .formats import json_text
 from .quadrature import (
     DEFAULT_NODES_PER_PANEL,
     DEFAULT_PANELS,
@@ -306,26 +303,6 @@ class EigenBasis:
         )
 
 
-def _assemble_basis(
-    params: BoundaryParams, modes: list[EigenMode], quad: QuadratureRule
-) -> EigenBasis:
-    values = np.column_stack([m(quad.nodes) for m in modes])
-    derivs = np.column_stack([m.derivative(quad.nodes) for m in modes])
-    interior = values.T @ (quad.weights[:, None] * values)
-    return EigenBasis(
-        params=params,
-        modes=tuple(modes),
-        quad=quad,
-        lam=np.array([m.lam for m in modes]),
-        values=values,
-        derivs=derivs,
-        trace0=np.array([m.trace0 for m in modes]),
-        trace1=np.array([m.trace1 for m in modes]),
-        interior_gram=interior,
-        interior_integrals=values.T @ quad.weights,
-    )
-
-
 def build_basis(
     params: BoundaryParams,
     n_modes: int = 16,
@@ -336,45 +313,25 @@ def build_basis(
     quad = gauss_legendre_rule(panels, nodes_per_panel)
     lams = find_eigenvalues(params, n_modes)
     modes = [build_mode(lam, j, params) for j, lam in enumerate(lams)]
-    return _assemble_basis(params, modes, quad)
-
-
-def dirichlet_map(lam: float, phi: tuple[float, float]):
-    """Solution operator of (lam - d^2/dx^2) u = 0 with traces u(0), u(1).
-
-    Returns a vectorized evaluator on [0, 1].  Undefined at the Dirichlet
-    eigenvalues lam = -pi^2 k^2 (resonance).
-    """
-    phi0, phi1 = float(phi[0]), float(phi[1])
-    if lam == 0.0:
-        return lambda x: phi0 * (1.0 - np.asarray(x, dtype=float)) + phi1 * np.asarray(
-            x, dtype=float
-        )
-    if lam > 0.0:
-        m = math.sqrt(lam)
-
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            den = -np.expm1(-2.0 * m)
-            left = np.exp(-m * x) * (-np.expm1(-2.0 * m * (1.0 - x))) / den
-            right = np.exp(-m * (1.0 - x)) * (-np.expm1(-2.0 * m * x)) / den
-            return phi0 * left + phi1 * right
-
-        return evaluate
-    s = math.sqrt(-lam)
-    k = round(s / math.pi)
-    if k >= 1 and abs(s - k * math.pi) <= _DIRICHLET_RTOL * (1.0 + s):
-        raise ResonanceError(f"lambda={lam} is a Dirichlet eigenvalue")
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return (phi0 * np.sin(s * (1.0 - x)) + phi1 * np.sin(s * x)) / math.sin(s)
-
-    return evaluate
+    values = np.column_stack([m(quad.nodes) for m in modes])
+    derivs = np.column_stack([m.derivative(quad.nodes) for m in modes])
+    return EigenBasis(
+        params=params,
+        modes=tuple(modes),
+        quad=quad,
+        lam=np.array([m.lam for m in modes]),
+        values=values,
+        derivs=derivs,
+        trace0=np.array([m.trace0 for m in modes]),
+        trace1=np.array([m.trace1 for m in modes]),
+        interior_gram=values.T @ (quad.weights[:, None] * values),
+        interior_integrals=values.T @ quad.weights,
+    )
 
 
 def basis_payload(basis: EigenBasis) -> dict:
-    """(b0, b1, N, per-mode j/lambda/B): all ``basis_from_json`` needs."""
+    """The record ``dynbc spectrum`` writes to basis.json: b0, b1, N and
+    each mode's j, lambda and B.  Every double reads back bit-exact."""
     return {
         "b0": float(basis.params.b0),
         "b1": float(basis.params.b1),
@@ -383,36 +340,3 @@ def basis_payload(basis: EigenBasis) -> dict:
             {"j": m.j, "lambda": float(m.lam), "B": float(m.B)} for m in basis.modes
         ],
     }
-
-
-def basis_to_json(basis: EigenBasis) -> str:
-    """Serialize (b0, b1, N, per-mode j/lambda/B) losslessly."""
-    return json_text(basis_payload(basis))
-
-
-def basis_from_json(
-    text: str,
-    panels: int = DEFAULT_PANELS,
-    nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
-) -> EigenBasis:
-    """Rebuild a basis from its serialized form without re-solving roots."""
-    payload = json.loads(text)
-    params = BoundaryParams(float(payload["b0"]), float(payload["b1"]))
-    quad = gauss_legendre_rule(panels, nodes_per_panel)
-    modes = []
-    for entry in sorted(payload["modes"], key=lambda e: e["j"]):
-        mode = build_mode(float(entry["lambda"]), int(entry["j"]), params)
-        stored_B = float(entry["B"])
-        scale = stored_B / mode.B
-        modes.append(
-            EigenMode(
-                j=mode.j,
-                lam=mode.lam,
-                B=stored_B,
-                trace0=mode.trace0 * scale,
-                trace1=mode.trace1 * scale,
-                s=mode.s,
-                alpha=mode.alpha,
-            )
-        )
-    return _assemble_basis(params, modes, quad)

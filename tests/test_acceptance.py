@@ -30,6 +30,7 @@ from dynbc import (
     constant_grid_policies,
     dirichlet_gap,
     find_eigenvalues,
+    hs_norm_sq,
     mode_grid_state,
     named_coefficients,
     path_increments,
@@ -202,9 +203,7 @@ def test_criterion_05_hilbert_schmidt_rate(basis200):
     # doubled lowest root), but exceeds 2 on correct spectra at other
     # (b0, b1), so it runs at (1, 1) only
     ts = np.logspace(-3, -1, 25)
-    vals = np.array(
-        [math.sqrt(t) * float(np.exp(2.0 * basis200.lam * t).sum()) for t in ts]
-    )
+    vals = np.array([math.sqrt(t) * hs_norm_sq(t, basis200) for t in ts])
     ratio = float(vals.max() / vals.min())
     ok = worst <= HS_WEYL_RTOL and ratio < 2.0
     report(

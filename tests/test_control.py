@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,6 @@ from dynbc import (
     hamiltonian,
     hamiltonian_argmin,
     named_coefficients,
-    policy_cost,
     policy_path,
     quadratic_problem,
     reconstruct,
@@ -709,19 +709,20 @@ class TestPolicyCost:
             t0=0.0,
             T=0.5,
         )
-        J, se = policy_cost(
+        costs = _policy_costs(
             ZeroPolicy(),
             problem,
             bench.config,
             bench.coeffs,
             bench.basis,
             bench.initial,
-            n_paths=16,
+            16,
         )
-        assert J == 0.0
-        assert se == 0.0
+        assert costs.tolist() == [0.0] * 16
 
     def test_constant_running_cost(self, bench):
+        # a unit running cost integrates to T - t0 on every path, whatever
+        # the policy, so J is exact and its standard error zero
         problem = ControlProblem(
             Z=ball(1.0),
             running_cost=lambda t, a, z: 1.0,
@@ -729,17 +730,18 @@ class TestPolicyCost:
             t0=0.0,
             T=0.5,
         )
-        J, se = policy_cost(
-            ConstantPolicy((0.3, 0.1), ball(1.0)),
+        report = compare_policies(
             problem,
+            [ConstantPolicy((0.3, 0.1), ball(1.0)), ZeroPolicy()],
             bench.config,
             bench.coeffs,
             bench.basis,
             bench.initial,
             n_paths=8,
         )
-        assert abs(J - 0.5) < 1e-12
-        assert se == 0.0
+        for result in report.policies:
+            assert abs(result.J - 0.5) < 1e-12
+            assert result.se == 0.0
 
     def test_common_random_numbers_shrink_paired_se(self, bench):
         from dynbc.spde import SimConfig
@@ -782,10 +784,10 @@ class TestPolicyCost:
 
     def test_horizon_mismatch_rejected(self, bench):
         bad = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.4, seed=1)
-        with pytest.raises(ValueError):
-            policy_cost(
-                ZeroPolicy(),
+        with pytest.raises(ValueError, match="horizon"):
+            compare_policies(
                 bench.problem,
+                [ZeroPolicy(), ZeroPolicy()],
                 bad,
                 bench.coeffs,
                 bench.basis,
@@ -957,6 +959,23 @@ class TestComparePolicies:
         pair = report.pairwise[0]
         assert pair.paired_se == 0.0
         assert pair.diff == pytest.approx(-float(z @ z) * 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_too_few_paths_rejected(self, bench, n_paths):
+        # one path has no standard error and none has no mean: both are
+        # refused before any path is stepped, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need at least 2 paths"):
+                compare_policies(
+                    bench.problem,
+                    [ZeroPolicy(), ZeroPolicy()],
+                    bench.config,
+                    bench.coeffs,
+                    bench.basis,
+                    bench.initial,
+                    n_paths=n_paths,
+                )
 
     def test_grid_policies_cover_half_the_set(self):
         policies = constant_grid_policies(ball(1.0), 3)

@@ -239,27 +239,6 @@ class TestExpmApply:
         with pytest.raises(TruncationError, match="t=0.0001.*n=100"):
             fem_oracle.expm_apply(op, 1e-4, np.ones(101))
 
-    def test_source_response_matches_time_stepping(self, params11):
-        # independent check of the closed-form source integral: compare
-        # against fine Crank-Nicolson integration of M u' = -K u + load,
-        # where the load excludes the endpoint point masses
-        op = fem_oracle.build(64, params11)
-        q = np.cos(math.pi * op.nodes)
-        stiffness, mass = densify(op.stiffness), densify(op.mass)
-        load = mass @ q
-        load[0] -= q[0]
-        load[-1] -= q[-1]
-        t, steps = 0.4, 4000
-        dt = t / steps
-        u = np.zeros(op.n + 1)
-        lhs = mass + 0.5 * dt * stiffness
-        rhs_mat = mass - 0.5 * dt * stiffness
-        lu = scipy.linalg.lu_factor(lhs)
-        for _ in range(steps):
-            u = scipy.linalg.lu_solve(lu, rhs_mat @ u + dt * load)
-        closed = fem_oracle.source_response(op, t, q)
-        assert np.max(np.abs(u - closed)) < 1e-6
-
 
 class TestConvergence:
     def test_second_order_toward_spectral(self, params11, fd_op_cache):

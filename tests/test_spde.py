@@ -19,7 +19,7 @@ from dynbc import (
     terminal_states,
     time_grid,
 )
-from dynbc.config import default_config, with_overrides
+from dynbc.config import _COEFFICIENT_FAMILIES, default_config, with_overrides
 from dynbc.errors import ConfigError, ShapeError
 from dynbc import spde
 from dynbc.spde import (
@@ -729,8 +729,16 @@ class TestSemigroupDiffusionEstimates:
 
 class TestCoefficients:
     def test_spot_check_accepts_builtins(self):
-        for coeffs in (ZERO, ADDITIVE, MULTIPLICATIVE):
-            spot_check_coefficients(coeffs)
+        # every family a config can name, at the default scales and at
+        # others; the stepper relies on the L == 0 contract this checks
+        scales = (
+            {},
+            {"g_scale": -1.5, "h0": 0.3, "h1": -2.0, "f_scale": 4.0},
+            {"g_scale": 0.0, "h0": 0.0, "h1": 0.0, "f_scale": 0.0},
+        )
+        for name in _COEFFICIENT_FAMILIES:
+            for kwargs in scales:
+                spot_check_coefficients(named_coefficients(name, **kwargs))
 
     def test_spot_check_rejects_wrong_bound(self):
         bad = Coefficients(
