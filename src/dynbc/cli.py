@@ -20,7 +20,14 @@ from .config import RunConfig, default_config, load_config, with_overrides
 from .errors import ConfigError, DynbcError
 from .formats import write_csv, write_json
 from .semigroup import GridState, project
-from .spde import ensemble_stats, named_coefficients, sim_config, simulate_path
+from .spde import (
+    MAX_WIDE_NOISE_BYTES,
+    ensemble_stats,
+    named_coefficients,
+    sim_config,
+    simulate_path,
+    time_grid,
+)
 from .spectral import (
     BoundaryParams,
     basis_payload,
@@ -106,10 +113,20 @@ def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
     }
     write_json(os.path.join(out, "ensemble.json"), payload)
     header = ["t"] + [f"a_{k}" for k in range(cfg.n_modes)]
-    for p in range(min(cfg.record_paths, cfg.n_paths)):
-        record = simulate_path(sim, coeffs, basis, initial, path_index=p)
-        rows = np.column_stack((record.times, record.states))
-        write_csv(os.path.join(out, f"path_{p:04d}.csv"), header, rows)
+    recorded = min(cfg.record_paths, cfg.n_paths)
+    # a recorded block holds the noise and the history of its paths within
+    # MAX_WIDE_NOISE_BYTES, one path at the least
+    steps = len(time_grid(sim)) - 1
+    per_path = (steps * sim.m_noise + (steps + 1) * sim.n_modes) * 8
+    width = max(1, MAX_WIDE_NOISE_BYTES // per_path)
+    for start in range(0, recorded, width):
+        block = range(start, min(start + width, recorded))
+        record = simulate_path(sim, coeffs, basis, initial, block)
+        for r, p in enumerate(block):
+            rows = np.column_stack((record.times, record.states[:, r]))
+            write_csv(os.path.join(out, f"path_{p:04d}.csv"), header, rows)
+        # so that the next block's history never meets this one's
+        del record
     return 0
 
 

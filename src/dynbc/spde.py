@@ -13,21 +13,19 @@ draws the Philox stream with key seed and counter p << 128, so ensembles
 are reproducible and order-independent; ``block_increments`` draws a
 block with one Philox, resetting its counter for each row.
 
-``rollout`` is the one stepping loop, and a block of paths (P, N) its one
-trajectory shape: a recorded path is the block of its one row, and path
-blocks, the controlled paths of the control layer and the inner paths of
-its nested Monte Carlo provider all advance through it.  For state-free
-coefficients (Lipschitz constant ``L == 0``: f and g do not read u) F and
-G dW do not depend on the state, so ``rollout`` computes them a chunk of
-steps at a time (``chunk_steps``) and never builds the nodal field u; only
-the control hook and the update exp(lambda dt) * (a + F dt + G dW) stay in
-the per-step loop.  State-dependent coefficients step one ``step_exp_euler``
-at a time.  ``path_blocks`` is the one partition of an ensemble into
-blocks: ``PATH_BLOCK`` rows, which the (P, nodes) fields of state-dependent
-steps bound, or ``state_free_rows`` for a state-free ensemble, so that its
-steps cost a few numpy calls per wide block rather than per 64 rows.  A
-wide block is stepped as (slabs, PATH_BLOCK) rows, so that its matrix
-products, and so its bits, are those of PATH_BLOCK-row blocks.
+``rollout`` is the one stepping loop and ``step_exp_euler`` its one step,
+and a block of paths (P, N) is the one trajectory shape: recorded paths,
+path blocks, the controlled paths of the control layer and the inner paths
+of its nested Monte Carlo provider all advance through it.  For
+state-free coefficients (Lipschitz constant ``L == 0``: f and g do not
+read u) the step never builds the nodal field u.  ``path_blocks`` is the
+one partition of an ensemble into blocks: ``PATH_BLOCK`` rows, which the
+(P, nodes) fields of state-dependent steps bound, or ``state_free_rows``
+for a state-free ensemble, so that its steps cost a few numpy calls per
+wide block rather than per 64 rows.  A wide block is stepped as (slabs,
+PATH_BLOCK) rows, so that its matrix products, and so its bits, are those
+of PATH_BLOCK-row blocks; recorded paths step side by side as one-row
+slabs, each with the bits it has alone.
 ``mean_var_se`` is the one mean/standard-error estimator.
 """
 
@@ -52,27 +50,20 @@ MAX_BLOCK_NOISE_BYTES = 2**30
 # largest noise array a block wider than PATH_BLOCK rows may draw:
 # steps x m_noise x rows doubles
 MAX_WIDE_NOISE_BYTES = 2**24
-# largest array of state-free step terms one chunk may precompute:
-# steps x paths x n_modes doubles
-MAX_CHUNK_BYTES = 2**17
-
-
-def chunk_steps(rows: int, n_modes: int) -> int:
-    """Steps whose state-free terms ``rollout`` precomputes at once for
-    ``rows`` paths: a (steps, rows, n_modes) array of doubles stays within
-    ``MAX_CHUNK_BYTES``, one step at the least."""
-    return max(1, MAX_CHUNK_BYTES // (rows * n_modes * 8))
+# largest array of one step's terms a wide block may hold:
+# rows x n_modes doubles
+MAX_WIDE_STEP_BYTES = 2**17
 
 
 def state_free_rows(steps: int, n_modes: int, m_noise: int, nodes: int) -> int:
     """Rows of a block of a state-free ensemble, a multiple of ``PATH_BLOCK``:
     as many as keep one step's (rows, n_modes) terms within
-    ``MAX_CHUNK_BYTES``, and the block's (steps, rows, m_noise) noise and
+    ``MAX_WIDE_STEP_BYTES``, and the block's (steps, rows, m_noise) noise and
     the (rows, nodes) noise field of a nodal g within
     ``MAX_WIDE_NOISE_BYTES``; ``PATH_BLOCK`` at the least, whose arrays the
     run configuration bounds."""
     rows = min(
-        MAX_CHUNK_BYTES // (n_modes * 8),
+        MAX_WIDE_STEP_BYTES // (n_modes * 8),
         MAX_WIDE_NOISE_BYTES // (max(steps * m_noise, nodes) * 8),
     )
     return PATH_BLOCK * max(1, rows // PATH_BLOCK)
@@ -111,8 +102,8 @@ class Coefficients:
 
     ``L == 0`` is a contract the stepper relies on: f and g must then not
     depend on u at all.  They are called with a zero nodal field of shape
-    (nodes,) in place of u, and their noise and drift terms are computed
-    ahead of the states they would otherwise see.
+    (nodes,) in place of u, and the nodal field of the states is never
+    built.
     """
 
     f: callable
@@ -251,14 +242,6 @@ def _apply_diffusion(interior, h, dW, basis: EigenBasis) -> np.ndarray:
     return interior
 
 
-def _exp_euler_update(decay, state, drift, dt, noise) -> np.ndarray:
-    # the one home of the update exp(lambda dt) * (a + F dt + G dW), summed
-    # left to right and scaled in place; ``state`` is left as it is
-    out = state + drift * dt + noise
-    out *= decay
-    return out
-
-
 def galerkin_drift(
     t: float, state: np.ndarray, coeffs: Coefficients, basis: EigenBasis
 ) -> np.ndarray:
@@ -317,7 +300,11 @@ def step_exp_euler(
         drift = drift + extra_drift
     interior = _interior_noise(coeffs.g(t, x, u), dW, basis)
     noise = _apply_diffusion(interior, coeffs.h(t), dW, basis)
-    return _exp_euler_update(np.exp(basis.lam * dt), state, drift, dt, noise)
+    # exp(lambda dt) * (a + F dt + G dW), summed left to right and scaled
+    # in place; ``state`` is left as it is
+    out = state + drift * dt + noise
+    out *= np.exp(basis.lam * dt)
+    return out
 
 
 def time_steps(config: SimConfig, basis: EigenBasis):
@@ -335,67 +322,19 @@ def rollout(times, dts, initial, dW, coeffs, basis, drift=None):
 
     ``times`` holds the steps + 1 grid points, ``dts`` the step sizes and
     ``dW`` the increments (steps, *P, m) of a block of paths of shape P,
-    one axis of rows or (slabs, PATH_BLOCK); each state has shape (*P, N),
-    and ``initial`` broadcasts against it.
-    ``drift(t, state)``, when given, returns the extra modal drift of each
-    step (the control hook).  Only the current state is held; a caller
-    keeps what it needs of the history.  State-free coefficients (L == 0)
-    take their drift and noise from ``_state_free_chunks``.
+    one axis of rows or (slabs, rows per slab); each state has shape
+    (*P, N), and ``initial`` broadcasts against it.  Every step is one
+    ``step_exp_euler``.  ``drift(t, state)``, when given, returns the extra
+    modal drift of each step (the control hook).  Only the current state
+    is held; a caller keeps what it needs of the history.
     """
     state = np.empty(dW.shape[1:-1] + (basis.n_modes,))
     state[...] = initial
     yield state
-    if coeffs.L != 0:
-        for i, dt in enumerate(dts):
-            extra = None if drift is None else drift(times[i], state)
-            state = step_exp_euler(times[i], state, dW[i], coeffs, basis, dt, extra)
-            yield state
-        return
-    for chunk in _state_free_chunks(times, dts, dW, coeffs, basis):
-        for t, dt, decay, step_drift, noise in zip(*chunk):
-            if drift is not None:
-                step_drift = step_drift + drift(t, state)
-            state = _exp_euler_update(decay, state, step_drift, dt, noise)
-            yield state
-
-
-def _state_free_chunks(times, dts, dW, coeffs, basis):
-    """Yield the terms of state-free coefficients (L == 0) that ``rollout``
-    needs, ``chunk_steps`` steps at a time: the times, step sizes, decays
-    exp(lambda dt) and modal drifts of the steps, and their noise
-    (steps, *P, N), each exactly as ``step_exp_euler`` computes it."""
-    x = basis.quad.nodes
-    zero = _zero_field(x.size)
-    m = dW.shape[-1]
-    rows = int(np.prod(dW.shape[1:-1]))
-    # per-step gains broadcast against a chunk (steps, *P)
-    per_step = (-1,) + (1,) * (dW.ndim - 2)
-    decays = {}
-    for dt in dts:
-        if dt not in decays:
-            decays[dt] = np.exp(basis.lam * dt)
-    step = chunk_steps(rows, basis.n_modes)
-    for start in range(0, len(dts), step):
-        stop = min(start + step, len(dts))
-        t, dt = times[start:stop], dts[start:stop]
-        block = dW[start:stop]
-        gvs = [coeffs.g(ti, x, zero) for ti in t]
-        if all(np.ndim(gv) == 0 for gv in gvs):
-            interior = block @ basis.interior_gram[:m]
-            interior *= np.reshape(np.array(gvs, dtype=float), per_step + (1,))
-        else:
-            interior = np.stack(
-                [_interior_noise(gv, w, basis) for gv, w in zip(gvs, block)]
-            )
-        h = np.array([coeffs.h(ti) for ti in t], dtype=float).T.reshape(2, *per_step)
-        noise = _apply_diffusion(interior, h, block, basis)
-        yield (
-            t,
-            dt,
-            [decays[d] for d in dt],
-            [_interior_moments(coeffs.f(ti, x, zero), basis) for ti in t],
-            noise,
-        )
+    for i, dt in enumerate(dts):
+        extra = None if drift is None else drift(times[i], state)
+        state = step_exp_euler(times[i], state, dW[i], coeffs, basis, dt, extra)
+        yield state
 
 
 def simulate_path(
@@ -403,16 +342,20 @@ def simulate_path(
     coeffs: Coefficients,
     basis: EigenBasis,
     initial: np.ndarray,
-    path_index: int = 0,
+    rows: range = range(1),
 ) -> PathRecord:
-    """Simulate one trajectory, deterministic given (seed, path_index): the
-    rollout of the one-row block ``path_index``."""
+    """Simulate the trajectories of the paths ``rows``, with states
+    (steps + 1, len(rows), N).  Each path steps as a one-row slab of its
+    own, so it has the bits of the lone one-row block ``range(p, p + 1)``:
+    it is deterministic given (seed, p), whatever else ``rows`` holds."""
     times, dts = time_steps(config, basis)
-    rows = range(path_index, path_index + 1)
     dW = block_increments(config.seed, rows, dts, config.m_noise)
-    path = rollout(times, dts, initial, dW, coeffs, basis)
-    states = np.fromiter(path, (float, (1, config.n_modes)), len(times))
-    return PathRecord(times=times, states=states[:, 0])
+    # one-row slabs on their own axis, (steps, rows, 1, m)
+    path = rollout(times, dts, initial, dW[:, :, None], coeffs, basis)
+    states = np.empty((len(times), len(rows), 1, config.n_modes))
+    for out, state in zip(states, path):
+        out[...] = state
+    return PathRecord(times=times, states=states[:, :, 0])
 
 
 def terminal_states(config, coeffs, basis, initial, n_paths):

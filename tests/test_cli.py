@@ -12,13 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynbc
-from dynbc import BoundaryParams, build_basis, named_coefficients
+from dynbc import BoundaryParams, Coefficients, build_basis, named_coefficients
+from dynbc import cli
 from dynbc import control as ctl
-from dynbc.cli import _make_policies, main
+from dynbc.cli import _build_setup, _initial_state, _make_policies, main
 from dynbc.config import RunConfig, default_config, parse_config, with_overrides
 from dynbc.errors import ConfigError
 from dynbc.semigroup import GridState, project
-from dynbc.spde import MAX_BLOCK_NOISE_BYTES, block_noise_fits
+from dynbc.spde import (
+    MAX_BLOCK_NOISE_BYTES,
+    MAX_WIDE_NOISE_BYTES,
+    block_increments,
+    block_noise_fits,
+    rollout,
+    time_steps,
+)
 
 
 def run_cli(tmp_path, command, config_text, extra=None):
@@ -331,6 +339,106 @@ class TestSimulateCommand:
         exact = np.diag(exact_additive_covariance(sim, coeffs, basis))
         se = exact * math.sqrt(2.0 / (800 - 1))
         assert np.all(np.abs(var - exact) <= 3.0 * se)
+
+
+# state-free (L = 0) with a nodal, time-dependent g
+NODAL = Coefficients(
+    f=lambda t, x, u: np.cos(np.pi * x) + t,
+    g=lambda t, x, u: 0.2 * np.cos(np.pi * x) + t,
+    h=lambda t: (1.0 + t, 0.5 - t),
+    K=2.0,
+    L=0.0,
+)
+
+
+class _Recorded:
+    """Wraps ``simulate_path`` in the CLI and notes each block's width."""
+
+    def __init__(self, monkeypatch):
+        self.widths = []
+        self._simulate = cli.simulate_path
+        monkeypatch.setattr(cli, "simulate_path", self)
+
+    def __call__(self, config, coeffs, basis, initial, rows):
+        self.widths.append(len(rows))
+        return self._simulate(config, coeffs, basis, initial, rows)
+
+
+class TestRecordedPaths:
+    CONFIG = (
+        "n_modes = 8\nm_noise = 5\ndt = 1e-2\nT = 0.155\nn_paths = 6\n"
+        "record_paths = 5\nseed = 31\n"
+    )
+
+    @pytest.mark.parametrize(
+        "family", ["zero", "additive", "multiplicative", "forced", "nodal"]
+    )
+    def test_paths_match_lone_rollouts(self, tmp_path, monkeypatch, family):
+        # each recorded path has the bits of the one-row block of its own,
+        # whichever block it is stepped in and whatever else that block holds
+        text = self.CONFIG + f"coefficients = {family}\n"
+        if family == "nodal":
+            text = self.CONFIG
+            monkeypatch.setattr(cli, "named_coefficients", lambda *a, **k: NODAL)
+        cfg = parse_config(text)
+        _, basis, coeffs, sim = _build_setup(cfg)
+        times, dts = time_steps(sim, basis)
+        assert dts[-1] < 0.9 * dts[0]
+        # room for the noise and history of two paths: blocks of 2, 2 and 1
+        per_path = (len(dts) * sim.m_noise + len(times) * sim.n_modes) * 8
+        monkeypatch.setattr(cli, "MAX_WIDE_NOISE_BYTES", 3 * per_path - 1)
+        recorded = _Recorded(monkeypatch)
+        code, out = run_cli(tmp_path, "simulate", text)
+        assert code == 0
+        assert recorded.widths == [2, 2, 1]
+        initial = _initial_state(cfg.initial, basis)
+        for p in range(cfg.record_paths):
+            lines = (out / f"path_{p:04d}.csv").read_text().splitlines()[1:]
+            table = np.array([[float(v) for v in line.split(",")] for line in lines])
+            dW = block_increments(sim.seed, range(p, p + 1), dts, sim.m_noise)
+            lone = np.array(list(rollout(times, dts, initial, dW, coeffs, basis)))
+            assert table[:, 0].tobytes() == times.tobytes()
+            assert table[:, 1:].tobytes() == lone[:, 0].tobytes()
+        assert not (out / f"path_{cfg.record_paths:04d}.csv").exists()
+
+    def test_no_recorded_paths_writes_no_path_file(self, tmp_path, monkeypatch):
+        recorded = _Recorded(monkeypatch)
+        text = self.CONFIG.replace("record_paths = 5", "record_paths = 0")
+        code, out = run_cli(tmp_path, "simulate", text)
+        assert code == 0
+        assert recorded.widths == []
+        assert os.listdir(out) == ["ensemble.json"]
+
+    def test_recorded_blocks_stay_within_cap(self, tmp_path, monkeypatch):
+        # 2,000 steps at 64 modes and one noise mode: a path's noise and
+        # history take 1.04 MB, so 64 recorded paths held at once would
+        # take 4 times the cap; the bound steps them 16 at a time
+        text = (
+            "n_modes = 64\nm_noise = 1\ndt = 2.5e-4\nn_paths = 64\n"
+            "record_paths = 64\n"
+        )
+        history = 64 * (2000 * 1 + 2001 * 64) * 8
+        assert history > 3.9 * MAX_WIDE_NOISE_BYTES
+        recorded = _Recorded(monkeypatch)
+        # the tables are not what this measures
+        written = []
+
+        def write_csv(path, header, rows):
+            written.append(rows.shape)
+
+        monkeypatch.setattr(cli, "write_csv", write_csv)
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(tmp_path, "simulate", text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert recorded.widths == [16] * 4
+        assert written == [(2001, 65)] * 64
+        # one block fills the cap to within a path; the rest is one path's
+        # table, the basis and the ensemble
+        assert peak < 1.25 * MAX_WIDE_NOISE_BYTES
 
 
 class TestControlCommand:

@@ -859,7 +859,7 @@ class TestClosedLoop:
         )
         assert np.all(record.controls == 0.0)
         free = simulate_path(bench.config, bench.coeffs, bench.basis, bench.initial)
-        assert np.array_equal(record.states, free.states)
+        assert np.array_equal(record.states, free.states[:, 0])
 
     def test_zero_gains_kill_any_provider_bitwise(self, bench):
         coeffs = named_coefficients("additive", g_scale=0.2, h0=0.0, h1=0.0)
@@ -874,7 +874,7 @@ class TestClosedLoop:
         )
         assert np.all(record.controls == 0.0)
         free = simulate_path(bench.config, coeffs, bench.basis, bench.initial)
-        assert np.array_equal(record.states, free.states)
+        assert np.array_equal(record.states, free.states[:, 0])
 
     def test_feedback_improves_on_zero_policy(self, bench):
         provider = TerminalProxyGradient(bench.problem, bench.basis)

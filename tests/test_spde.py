@@ -24,12 +24,10 @@ from dynbc.errors import ConfigError, ShapeError
 from dynbc import spde
 from dynbc.spde import (
     MAX_BLOCK_NOISE_BYTES,
-    MAX_CHUNK_BYTES,
     MAX_WIDE_NOISE_BYTES,
+    MAX_WIDE_STEP_BYTES,
     PATH_BLOCK,
     block_increments,
-    block_noise_fits,
-    chunk_steps,
     path_blocks,
     rollout,
     sim_config,
@@ -198,16 +196,16 @@ class TestSimulatePath:
     def test_reproducible_bitwise(self, basis8):
         cfg = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.25, seed=42)
         a0 = constant_one_state(basis8)
-        rec1 = simulate_path(cfg, ADDITIVE, basis8, a0, path_index=3)
-        rec2 = simulate_path(cfg, ADDITIVE, basis8, a0, path_index=3)
+        rec1 = simulate_path(cfg, ADDITIVE, basis8, a0, rows=range(3, 4))
+        rec2 = simulate_path(cfg, ADDITIVE, basis8, a0, rows=range(3, 4))
         assert np.array_equal(rec1.states, rec2.states)
         assert np.array_equal(rec1.times, rec2.times)
 
     def test_distinct_paths_differ(self, basis8):
         cfg = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.25, seed=42)
         a0 = constant_one_state(basis8)
-        rec1 = simulate_path(cfg, ADDITIVE, basis8, a0, path_index=0)
-        rec2 = simulate_path(cfg, ADDITIVE, basis8, a0, path_index=1)
+        rec1 = simulate_path(cfg, ADDITIVE, basis8, a0, rows=range(0, 1))
+        rec2 = simulate_path(cfg, ADDITIVE, basis8, a0, rows=range(1, 2))
         assert not np.array_equal(rec1.states[-1], rec2.states[-1])
 
     def test_zero_noise_equals_semigroup(self, basis8):
@@ -215,7 +213,7 @@ class TestSimulatePath:
         a0 = constant_one_state(basis8)
         rec = simulate_path(cfg, ZERO, basis8, a0)
         expected = apply_semigroup(0.5, a0, basis8)
-        assert np.max(np.abs(rec.states[-1] - expected)) <= 1e-12 * np.max(
+        assert np.max(np.abs(rec.states[-1, 0] - expected)) <= 1e-12 * np.max(
             np.abs(expected)
         )
 
@@ -237,7 +235,7 @@ class TestSimulatePath:
         dt, T = 1e-3, 0.5
         cfg = SimConfig(n_modes=16, m_noise=16, dt=dt, T=T, seed=0)
         rec = simulate_path(cfg, const_source, basis, np.zeros(16))
-        modal = reconstruct(rec.states[-1], basis)
+        modal = reconstruct(rec.states[-1, 0], basis)
 
         op = fd_op_cache(1.0, 1.0, 2000)
         mass = densify(op.mass)
@@ -307,10 +305,11 @@ class TestNoise:
         small = terminal_states(cfg, ADDITIVE, basis8, a0, PATH_BLOCK + 3)
         large = terminal_states(cfg, ADDITIVE, basis8, a0, 2 * PATH_BLOCK + 1)
         for p in (0, PATH_BLOCK - 2, PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 2):
-            single = simulate_path(cfg, ADDITIVE, basis8, a0, path_index=p)
-            scale = np.max(np.abs(single.states[-1]))
+            single = simulate_path(cfg, ADDITIVE, basis8, a0, rows=range(p, p + 1))
+            final = single.states[-1, 0]
+            scale = np.max(np.abs(final))
             for terminal in (small, large):
-                assert np.max(np.abs(terminal[p] - single.states[-1])) <= 1e-13 * scale
+                assert np.max(np.abs(terminal[p] - final)) <= 1e-13 * scale
 
 
 def _loop_terminal_states(config, coeffs, basis, initial, n_paths):
@@ -372,7 +371,7 @@ class TestRollout:
         _, dts = time_steps(cfg, basis)
         assert dts[-1] < 0.9 * dts[0]
         width = state_free_rows(len(dts), n_modes, m_noise, basis.quad.nodes.size)
-        assert width == MAX_CHUNK_BYTES // (n_modes * 8) // PATH_BLOCK * PATH_BLOCK
+        assert width == MAX_WIDE_STEP_BYTES // (n_modes * 8) // PATH_BLOCK * PATH_BLOCK
         # two wide blocks, a short one of whole slabs and the remainder
         n = 2 * width + 3 * PATH_BLOCK + 37
         blocks = [len(rows) for rows in path_blocks(n, width)]
@@ -413,8 +412,7 @@ class TestRollout:
         with pytest.raises(ConfigError, match="takes too many steps"):
             with_overrides(default_config(), dt=0.5 / largest, m_noise=m_noise)
 
-    # the second grid has m_noise = 1, more steps than one state-free chunk
-    # of a full block and a short last step
+    # the second grid has m_noise = 1, many steps and a short last step
     @pytest.mark.parametrize(
         "family, grid",
         [
@@ -441,51 +439,19 @@ class TestRollout:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_simulate_path_matches_step_loop(self, basis8, family):
-        # more steps than one single-path chunk, and a short last step
+        # many steps, and a short last step
         cfg = SimConfig(n_modes=8, m_noise=3, dt=1e-4, T=0.21035, seed=8)
         coeffs = FAMILIES[family]
         times, dts = time_steps(cfg, basis8)
-        assert len(dts) > chunk_steps(1, 8)
+        assert dts[-1] < 0.9 * dts[0]
         dW = path_increments(cfg.seed, 4, dts, cfg.m_noise)
         a = constant_one_state(basis8)
         states = [a]
         for i, dt in enumerate(dts):
             a = step_exp_euler(times[i], a, dW[i], coeffs, basis8, dt)
             states.append(a)
-        record = simulate_path(cfg, coeffs, basis8, states[0], path_index=4)
-        assert np.array_equal(record.states, np.array(states))
-
-    def test_state_free_chunks_stay_within_bound(self, basis16, rng, monkeypatch):
-        # the smallest dt the noise bound admits at n_modes = 16, m_noise = 1:
-        # a whole-horizon array of step terms would be 16 times the noise
-        # block, 16 GiB
-        span = 0.5
-        steps = MAX_BLOCK_NOISE_BYTES // (PATH_BLOCK * 8)
-        dt = span / (steps - 2)
-        assert block_noise_fits(span, dt, 1)
-        assert (steps - 2) * PATH_BLOCK * 16 * 8 > 15 * MAX_BLOCK_NOISE_BYTES
-        chunk = chunk_steps(PATH_BLOCK, 16)
-        assert 1 <= chunk < steps
-        assert chunk * PATH_BLOCK * 16 * 8 <= MAX_CHUNK_BYTES
-        # rollout precomputes by that rule, whatever the horizon
-        sizes = []
-        chunks = spde._state_free_chunks
-
-        def spy(*args):
-            for terms in chunks(*args):
-                sizes.append(max(np.asarray(a).nbytes for a in terms))
-                yield terms
-
-        monkeypatch.setattr(spde, "_state_free_chunks", spy)
-        n_steps = 5 * chunk + 3
-        times = np.linspace(0.0, span, n_steps + 1)
-        dW = rng.normal(size=(n_steps, PATH_BLOCK, 1)) * math.sqrt(span / n_steps)
-        for family in (ADDITIVE, NODAL):
-            sizes.clear()
-            for _ in rollout(times, np.diff(times), 1.0, dW, family, basis16):
-                pass
-            assert len(sizes) == 6
-            assert max(sizes) <= MAX_CHUNK_BYTES
+        record = simulate_path(cfg, coeffs, basis8, states[0], rows=range(4, 5))
+        assert np.array_equal(record.states[:, 0], np.array(states))
 
     def test_ensemble_holds_one_block_of_noise(self, basis16):
         # 2,500 steps make the blocks PATH_BLOCK rows wide, 20 MB of noise
@@ -559,11 +525,8 @@ class TestEnsemble:
         # Ito-isometry quadrature of the recursion
         cfg = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.5, seed=9)
         n_paths = 1200
-        snapshots = {60: [], 100: []}
-        for p in range(n_paths):
-            rec = simulate_path(cfg, ADDITIVE, basis8, np.zeros(8), path_index=p)
-            for idx in snapshots:
-                snapshots[idx].append(rec.states[idx][0])
+        rec = simulate_path(cfg, ADDITIVE, basis8, np.zeros(8), rows=range(n_paths))
+        snapshots = {idx: rec.states[idx, :, 0] for idx in (60, 100)}
         for idx, samples in snapshots.items():
             sub = SimConfig(
                 n_modes=8, m_noise=8, dt=5e-3, T=idx * 5e-3, seed=9
@@ -586,7 +549,7 @@ class TestEnsemble:
         terminal = terminal_states(cfg, coeffs, basis8, a0, n)
         single = np.array(
             [
-                simulate_path(cfg, coeffs, basis8, a0, path_index=p).states[-1]
+                simulate_path(cfg, coeffs, basis8, a0, rows=range(p, p + 1)).states[-1, 0]
                 for p in range(n)
             ]
         )
