@@ -15,8 +15,8 @@ axis, taking states (..., N) and controls (..., 2) to values (...).
 
 Controlled paths and the inner paths of ``NestedMCGradient`` are stepped
 by ``spde.rollout``, the control entering through its drift hook, over
-the blocks of ``spde.path_blocks``; costs and paired differences are
-reduced by ``spde.mean_var_se``.
+the blocks of ``spde.ensemble_blocks``, each drawn once for all policies;
+costs and paired differences are reduced by ``spde.mean_var_se``.
 
 The value function of the underlying infinite-dimensional control problem
 is never solved for; feedback laws are driven by pluggable gradient
@@ -37,9 +37,9 @@ from .spde import (
     PathRecord,
     SimConfig,
     block_increments,
+    ensemble_blocks,
     mean_var_se,
     named_coefficients,
-    path_blocks,
     rollout,
     time_steps,
 )
@@ -464,18 +464,15 @@ class NestedMCGradient:
         )
 
 
-def _rollout(policy, problem, config, coeffs, basis, initial, rows, record=False):
-    """Step the paths ``rows`` under ``policy`` as one block.
-
-    Row r draws ``path_increments(seed, rows[r], ...)``.  Returns the cost
-    of each row (left-endpoint running-cost integral plus terminal cost),
-    then the states (steps + 1, P, N) and the controls (steps, P, 2) if
-    ``record`` is set; otherwise these are empty and no history is kept.
-    """
+def _rollout(policy, problem, config, coeffs, basis, initial, rows, dW, record=False):
+    """Step the paths ``rows`` under ``policy`` on their increments ``dW``
+    (steps, *P, m), the policy and the costs seeing rows (P, N).  Returns
+    each row's cost (left-endpoint running-cost integral plus terminal
+    cost), and the states (steps + 1, *P, N) and controls (steps, P, 2) if
+    ``record`` is set, else empty arrays: no history is kept."""
     if abs(problem.t0 - config.t0) > 1e-12 or abs(problem.T - config.T) > 1e-12:
         raise ValueError("problem horizon and simulation config disagree")
     times, dts = time_steps(config, basis)
-    dW = block_increments(config.seed, rows, dts, config.m_noise)
     step_dts = iter(dts)
     # an accumulator, since running_cost may return a scalar
     cost = np.zeros(len(rows))
@@ -483,7 +480,8 @@ def _rollout(policy, problem, config, coeffs, basis, initial, rows, record=False
 
     def drift(t, state):
         nonlocal cost
-        z = np.asarray(policy(t, state), dtype=float)
+        a = state.reshape(len(rows), basis.n_modes)
+        z = np.asarray(policy(t, a), dtype=float)
         outside = ~problem.Z.contains(z, tol=1e-9)
         if outside.any():
             r = int(np.argmax(outside))
@@ -492,23 +490,16 @@ def _rollout(policy, problem, config, coeffs, basis, initial, rows, record=False
                 f"inadmissible control {z[r]} at t={t} on path {rows[r]}"
             )
         # left-endpoint running cost, sampled before the step leaves state
-        cost += problem.running_cost(t, state, z) * next(step_dts)
+        cost += problem.running_cost(t, a, z) * next(step_dts)
         if record:
             controls.append(z)
-        return control_drift(t, z, coeffs, basis)
+        return control_drift(t, z, coeffs, basis).reshape(state.shape)
 
     for state in rollout(times, dts, initial, dW, coeffs, basis, drift):
         if record:
             states.append(state)
-    cost += problem.terminal_cost(state)
+    cost += problem.terminal_cost(state.reshape(len(rows), basis.n_modes))
     return cost, np.array(states), np.array(controls)
-
-
-def _policy_costs(policy, problem, config, coeffs, basis, initial, n_paths):
-    # row p depends only on (seed, p), so every policy sees the same noise
-    # per path
-    args = (policy, problem, config, coeffs, basis, initial)
-    return np.concatenate([_rollout(*args, rows)[0] for rows in path_blocks(n_paths)])
 
 
 def _mean_se(costs):
@@ -526,16 +517,14 @@ def policy_path(
     path_index: int = 0,
 ) -> PathRecord:
     """One controlled trajectory under an arbitrary policy, with controls:
-    the rollout of ``_policy_costs`` on the single row ``path_index``."""
+    the rollout of ``compare_policies`` on the row ``path_index`` alone."""
     rows = range(path_index, path_index + 1)
+    times, dts = time_steps(config, basis)
+    dW = block_increments(config.seed, rows, dts, config.m_noise)
     _, states, controls = _rollout(
-        policy, problem, config, coeffs, basis, initial, rows, record=True
+        policy, problem, config, coeffs, basis, initial, rows, dW, record=True
     )
-    return PathRecord(
-        times=time_steps(config, basis)[0],
-        states=states[:, 0],
-        controls=controls[:, 0],
-    )
+    return PathRecord(times=times, states=states[:, 0], controls=controls[:, 0])
 
 
 @dataclass(frozen=True)
@@ -577,16 +566,21 @@ def compare_policies(
 
     Every policy sees the identical noise per path index, so paired
     standard errors isolate genuine policy differences from Monte Carlo
-    noise.  Deterministic given the config seed.
-    """
+    noise.  Each block's noise is drawn once and stepped by every policy,
+    so an inadmissible control on an earlier block is reported first,
+    whichever policy emits it.  Deterministic given the config seed."""
     if len(policies) < 2:
         raise ValueError("need at least 2 policies to compare")
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    runs = [
-        (pol.name, _policy_costs(pol, problem, config, coeffs, basis, initial, n_paths))
-        for pol in policies
-    ]
+    costs = np.empty((len(policies), n_paths))
+    for rows, dW in ensemble_blocks(config, coeffs, basis, n_paths):
+        args = (problem, config, coeffs, basis, initial, rows, dW)
+        for policy, cost in zip(policies, costs):
+            cost[rows.start : rows.stop] = _rollout(policy, *args)[0]
+        # so that the next block's draw never holds two blocks of noise
+        del dW, args
+    runs = [(policy.name, cost) for policy, cost in zip(policies, costs)]
     results = tuple(PolicyResult(name, *_mean_se(c)) for name, c in runs)
     pairs = tuple(
         PairResult(a, b, *_mean_se(ca - cb))

@@ -5,13 +5,14 @@ environment-dependent content, and every float written as ``repr``, the
 shortest decimal that reads back to the same double, in JSON and CSV alike.
 """
 
-import itertools
 import json
-import math
 
 import numpy as np
 
 from .errors import NonFiniteError
+
+# rows of a CSV table turned into Python objects at once
+_CSV_CHUNK_ROWS = 1024
 
 
 def _plain(obj):
@@ -43,14 +44,22 @@ def write_csv(path, header, rows):
     """Write a table of int/float cells, one line per row, the header first.
 
     ``rows`` is a sequence of rows or a 2-D array.  Each column goes through
-    one array and its ``tolist()``, so a cell is written as the ``repr`` of a
-    Python int or float; a column holding a float writes its ints as floats.
-    A non-finite cell raises ``NonFiniteError`` before the file is opened.
+    one array, so a cell is written as the ``repr`` of a Python int or float,
+    and a column holding a float writes its ints as floats.  The lines are
+    written ``_CSV_CHUNK_ROWS`` rows at a time, so only one chunk's cells are
+    Python objects at once.  A non-finite cell raises ``NonFiniteError``
+    before the file is opened.
     """
-    columns = [np.asarray(column).tolist() for column in zip(*rows)]
-    bad = next(itertools.filterfalse(math.isfinite, itertools.chain(*columns)), None)
-    if bad is not None:
-        raise NonFiniteError(f"refusing to serialize non-finite value {bad}")
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
+    if isinstance(rows, np.ndarray):
+        columns = list(rows.T)
+    else:
+        columns = [np.asarray(column) for column in zip(*rows)]
+    for column in columns:
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            bad = column[~np.isfinite(column)][0]
+            raise NonFiniteError(f"refusing to serialize non-finite value {bad}")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            cells = [c[start : start + _CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cells))

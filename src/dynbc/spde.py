@@ -18,14 +18,14 @@ and a block of paths (P, N) is the one trajectory shape: recorded paths,
 path blocks, the controlled paths of the control layer and the inner paths
 of its nested Monte Carlo provider all advance through it.  For
 state-free coefficients (Lipschitz constant ``L == 0``: f and g do not
-read u) the step never builds the nodal field u.  ``path_blocks`` is the
-one partition of an ensemble into blocks: ``PATH_BLOCK`` rows, which the
-(P, nodes) fields of state-dependent steps bound, or ``state_free_rows``
-for a state-free ensemble, so that its steps cost a few numpy calls per
-wide block rather than per 64 rows.  A wide block is stepped as (slabs,
-PATH_BLOCK) rows, so that its matrix products, and so its bits, are those
-of PATH_BLOCK-row blocks; recorded paths step side by side as one-row
-slabs, each with the bits it has alone.
+read u) the step never builds the nodal field u.  ``ensemble_blocks`` is
+the one partition of an ensemble, uncontrolled or controlled, into blocks:
+``PATH_BLOCK`` rows, which the (P, nodes) fields of state-dependent steps
+bound, or ``state_free_rows`` for a state-free ensemble, so that its steps
+cost a few numpy calls per wide block rather than per 64 rows.  A wide
+block steps as (slabs, PATH_BLOCK) rows, so that its matrix products, and
+so its bits, are those of PATH_BLOCK-row blocks; recorded paths step side
+by side as one-row slabs, each with the bits it has alone.
 ``mean_var_se`` is the one mean/standard-error estimator.
 """
 
@@ -358,28 +358,34 @@ def simulate_path(
     return PathRecord(times=times, states=states[:, :, 0])
 
 
-def terminal_states(config, coeffs, basis, initial, n_paths):
-    """Terminal modal states of an ensemble, one row per path index.
-
-    Paths are stepped block by block (``path_blocks``): ``PATH_BLOCK`` rows
-    each for state-dependent coefficients, ``state_free_rows`` for
-    state-free ones (``L == 0``).  Row p draws ``path_increments(seed, p,
-    ...)``, so it depends only on (seed, p), and it has the bits it has in
-    a ``PATH_BLOCK``-row block.
-    """
-    times, dts = time_steps(config, basis)
+def ensemble_blocks(config, coeffs, basis, n_paths):
+    """Yield the blocks ``(rows, dW)`` of an ensemble in index order: the
+    ranges of ``path_blocks``, ``PATH_BLOCK`` rows wide, or
+    ``state_free_rows`` for state-free coefficients (``L == 0``), and their
+    increments, (steps, slabs, PATH_BLOCK, m) for a wider block.  Row p draws
+    ``path_increments(seed, p, ...)``.  A consumer drops its ``dW`` before
+    the next block is drawn."""
+    dts = time_steps(config, basis)[1]
     width = PATH_BLOCK
     if coeffs.L == 0:
         nodes = basis.quad.nodes.size
         width = state_free_rows(len(dts), config.n_modes, config.m_noise, nodes)
-    out = np.empty((n_paths, config.n_modes))
     for rows in path_blocks(n_paths, width):
         dW = block_increments(config.seed, rows, dts, config.m_noise)
         if len(rows) > PATH_BLOCK:
-            # PATH_BLOCK-row slabs on their own axis: every matrix product
-            # is then the one a PATH_BLOCK-row block computes, bit for bit,
-            # whatever the BLAS does with a taller matrix
+            # slabs on their own axis: every matrix product is then the one
+            # a PATH_BLOCK-row block computes, whatever the BLAS does with more
             dW = dW.reshape(len(dts), -1, PATH_BLOCK, config.m_noise)
+        yield rows, dW
+        del dW
+
+
+def terminal_states(config, coeffs, basis, initial, n_paths):
+    """Terminal modal states over the blocks of ``ensemble_blocks``; row p is
+    that of ``PATH_BLOCK``-row blocks, bit for bit, set by (seed, p) alone."""
+    times, dts = time_steps(config, basis)
+    out = np.empty((n_paths, config.n_modes))
+    for rows, dW in ensemble_blocks(config, coeffs, basis, n_paths):
         for state in rollout(times, dts, initial, dW, coeffs, basis):
             pass
         # so that the next block's draw never holds two blocks of noise

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from dynbc import (
+    Coefficients,
     ConstantPolicy,
     FeedbackPolicy,
     NestedMCGradient,
@@ -35,15 +37,18 @@ from dynbc.control import (
     ControlProblem,
     _dot2,
     _grid_search,
-    _policy_costs,
+    benchmark_problem,
     control_drift,
 )
 from dynbc.control import _rollout
-from dynbc.errors import NonUniqueArgminError
+from dynbc.errors import InadmissibleControlError, NonUniqueArgminError
+from dynbc import control, spde
+from dynbc.semigroup import GridState, project
 from dynbc.spde import (
     PATH_BLOCK,
     block_increments,
     path_blocks,
+    state_free_rows,
     step_exp_euler,
     time_steps,
 )
@@ -134,6 +139,34 @@ def _loop_rollout(policy, problem, config, coeffs, basis, initial, rows):
         controls.append(z)
     cost += problem.terminal_cost(block)
     return cost, states, controls
+
+
+def _compared_costs(problem, policies, config, coeffs, basis, initial, n_paths):
+    """The per-path costs of each policy in ``compare_policies``, in order:
+    the arrays its first ``len(policies)`` calls of ``_mean_se`` reduce."""
+    seen = []
+
+    def spy(costs):
+        seen.append(costs.copy())
+        return real(costs)
+
+    real = control._mean_se
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(control, "_mean_se", spy)
+        compare_policies(problem, policies, config, coeffs, basis, initial, n_paths)
+    return seen[: len(policies)]
+
+
+def _block_loop_costs(policy, problem, config, coeffs, basis, initial, n_paths):
+    # the partition compare_policies stepped before its blocks followed
+    # ensemble_blocks: PATH_BLOCK-row blocks, each drawing its own noise
+    dts = time_steps(config, basis)[1]
+    costs = []
+    for rows in path_blocks(n_paths):
+        dW = block_increments(config.seed, rows, dts, config.m_noise)
+        args = (problem, config, coeffs, basis, initial, rows, dW)
+        costs.append(_rollout(policy, *args)[0])
+    return np.concatenate(costs)
 
 
 class _LoopNestedMC(NestedMCGradient):
@@ -709,16 +742,16 @@ class TestPolicyCost:
             t0=0.0,
             T=0.5,
         )
-        costs = _policy_costs(
-            ZeroPolicy(),
+        costs = _compared_costs(
             problem,
+            [ZeroPolicy(), ZeroPolicy()],
             bench.config,
             bench.coeffs,
             bench.basis,
             bench.initial,
             16,
         )
-        assert costs.tolist() == [0.0] * 16
+        assert [c.tolist() for c in costs] == [[0.0] * 16] * 2
 
     def test_constant_running_cost(self, bench):
         # a unit running cost integrates to T - t0 on every path, whatever
@@ -747,36 +780,16 @@ class TestPolicyCost:
         from dynbc.spde import SimConfig
 
         n = 200
-        zero_costs = _policy_costs(
-            ZeroPolicy(),
-            bench.problem,
-            bench.config,
-            bench.coeffs,
-            bench.basis,
-            bench.initial,
-            n,
-        )
         const = ConstantPolicy((0.3, 0.3), bench.problem.Z)
-        const_costs = _policy_costs(
-            const,
-            bench.problem,
-            bench.config,
-            bench.coeffs,
-            bench.basis,
-            bench.initial,
-            n,
+        args = (bench.coeffs, bench.basis, bench.initial, n)
+        zero_costs, const_costs = _compared_costs(
+            bench.problem, [ZeroPolicy(), const], bench.config, *args
         )
         other_cfg = SimConfig(
             n_modes=8, m_noise=8, dt=5e-3, T=0.5, t0=0.0, seed=999
         )
-        const_indep = _policy_costs(
-            const,
-            bench.problem,
-            other_cfg,
-            bench.coeffs,
-            bench.basis,
-            bench.initial,
-            n,
+        _, const_indep = _compared_costs(
+            bench.problem, [ZeroPolicy(), const], other_cfg, *args
         )
         paired_se = (zero_costs - const_costs).std(ddof=1) / math.sqrt(n)
         indep_se = (zero_costs - const_indep).std(ddof=1) / math.sqrt(n)
@@ -809,7 +822,15 @@ class TestBatchedRollout:
     def test_block_rows_match_single_path_costs(self, bench, setup):
         coeffs, policy = setup
         args = (bench.problem, bench.config, coeffs, bench.basis, bench.initial)
-        costs = _policy_costs(policy, *args, self.N_PATHS)
+        costs, _ = _compared_costs(
+            bench.problem,
+            [policy, ZeroPolicy()],
+            bench.config,
+            coeffs,
+            bench.basis,
+            bench.initial,
+            self.N_PATHS,
+        )
         for p in (0, PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1):
             record = policy_path(policy, *args, p)
             single = 0.0
@@ -833,9 +854,9 @@ class TestBatchedRollout:
                 return z
 
         with pytest.raises(ValueError, match=f"inadmissible.*path {PATH_BLOCK + 2}$"):
-            _policy_costs(
-                OneBadRow(),
+            compare_policies(
                 bench.problem,
+                [OneBadRow(), ZeroPolicy()],
                 bench.config,
                 coeffs,
                 bench.basis,
@@ -1019,13 +1040,15 @@ class TestRolloutReference:
 
     def _assert_matches_loop(self, policy, problem, config, coeffs, bench, ref=None):
         args = (problem, config, coeffs, bench.basis, bench.initial)
+        dts = time_steps(config, bench.basis)[1]
         for rows in path_blocks(self.N_PATHS):
-            cost, states, controls = _rollout(policy, *args, rows, record=True)
+            dW = block_increments(config.seed, rows, dts, config.m_noise)
+            cost, states, controls = _rollout(policy, *args, rows, dW, record=True)
             ref_cost, ref_states, ref_controls = _loop_rollout(
                 ref or policy, *args, rows
             )
             assert np.array_equal(cost, ref_cost)
-            assert np.array_equal(_rollout(policy, *args, rows)[0], ref_cost)
+            assert np.array_equal(_rollout(policy, *args, rows, dW)[0], ref_cost)
             assert np.array_equal(states, np.array(ref_states))
             assert np.array_equal(controls, np.array(ref_controls))
 
@@ -1064,3 +1087,154 @@ class TestRolloutReference:
             bench,
             ref=FeedbackPolicy(ref, *args),
         )
+
+
+# state-free (L = 0) families; ``nodal`` has nodal, time-dependent f and g
+# and time-dependent boundary gains
+STATE_FREE = {
+    "additive": named_coefficients("additive", g_scale=0.2, h0=1.0, h1=1.0),
+    "forced": named_coefficients("forced", f_scale=1.0, g_scale=0.2, h0=1.0, h1=1.0),
+    "zero": named_coefficients("zero"),
+    "nodal": Coefficients(
+        f=lambda t, x, u: np.cos(np.pi * x) + t,
+        g=lambda t, x, u: 0.2 * np.cos(np.pi * x) + t,
+        h=lambda t: (1.0 + t, 0.5 - t),
+        K=2.0,
+        L=0.0,
+    ),
+}
+MULTIPLICATIVE = named_coefficients("multiplicative", g_scale=0.2, h0=1.0, h1=1.0)
+
+
+class _Recording:
+    # a zero policy that keeps the shape of every state block it is given
+    name = "recording"
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, t, state):
+        self.shapes.append(state.shape)
+        return np.zeros((len(state), 2))
+
+
+class _BadOnBlock:
+    # leaves the admissible set at one row of the blocks of ``rows`` rows
+    def __init__(self, name, rows, row):
+        self.name, self.rows, self.row = name, rows, row
+
+    def __call__(self, t, state):
+        z = np.zeros((len(state), 2))
+        if len(state) == self.rows:
+            z[self.row] = (5.0, 0.0)
+        return z
+
+
+class TestEnsembleBlocks:
+    """``compare_policies`` steps the blocks of ``spde.ensemble_blocks``, wide
+    for a state-free family, and draws each block's noise once for every
+    policy; its costs are those of ``PATH_BLOCK``-row blocks, bit for bit."""
+
+    N_PATHS = 2500
+    BLOCKS = [1024, 1024, 448, 4]
+
+    @pytest.fixture(scope="class")
+    def setup(self, basis16):
+        # 20 steps at 16 modes: 1,024-row blocks of 16 slabs
+        config = SimConfig(n_modes=16, m_noise=16, dt=5e-3, T=0.1, seed=12345)
+        problem = benchmark_problem(1.0, 0.0, 0.1)
+        u = np.ones(basis16.quad.size)
+        initial = project(GridState(u=u, v0=1.0, v1=1.0), basis16)
+        return config, problem, initial
+
+    @staticmethod
+    def _policies(problem, coeffs, basis):
+        provider = TerminalProxyGradient(problem, basis)
+        return [
+            ZeroPolicy(),
+            FeedbackPolicy(provider, problem, coeffs, basis),
+            ConstantPolicy((0.3, -0.2), problem.Z),
+        ]
+
+    def test_partition(self, basis16, setup):
+        dts = time_steps(setup[0], basis16)[1]
+        width = state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size)
+        assert [len(rows) for rows in path_blocks(self.N_PATHS, width)] == self.BLOCKS
+
+    @pytest.mark.parametrize("family", STATE_FREE)
+    def test_costs_match_block_loop(self, basis16, setup, family):
+        config, problem, initial = setup
+        coeffs = STATE_FREE[family]
+        policies = self._policies(problem, coeffs, basis16)
+        args = (config, coeffs, basis16, initial, self.N_PATHS)
+        costs = _compared_costs(problem, policies, *args)
+        assert len(costs) == len(policies)
+        for policy, cost in zip(policies, costs):
+            assert np.array_equal(cost, _block_loop_costs(policy, problem, *args))
+
+    @pytest.mark.parametrize(
+        "family, n_paths, blocks",
+        [
+            ("additive", N_PATHS, BLOCKS),
+            ("nodal", N_PATHS, BLOCKS),
+            ("multiplicative", PATH_BLOCK + 5, [PATH_BLOCK, 5]),
+        ],
+    )
+    def test_policy_sees_row_blocks(self, basis16, setup, family, n_paths, blocks):
+        config, problem, initial = setup
+        coeffs = {**STATE_FREE, "multiplicative": MULTIPLICATIVE}[family]
+        recording = _Recording()
+        policies = [recording, ZeroPolicy()]
+        compare_policies(problem, policies, config, coeffs, basis16, initial, n_paths)
+        steps = len(time_steps(config, basis16)[1])
+        assert recording.shapes == [(rows, 16) for rows in blocks for _ in range(steps)]
+
+    def test_noise_drawn_once_per_block(self, basis16, setup, monkeypatch):
+        config, problem, initial = setup
+        coeffs = STATE_FREE["additive"]
+        drawn = []
+        real = spde.block_increments
+
+        def counting(seed, rows, dts, m_noise):
+            drawn.append(len(rows))
+            return real(seed, rows, dts, m_noise)
+
+        monkeypatch.setattr(spde, "block_increments", counting)
+        policies = self._policies(problem, coeffs, basis16)
+        compare_policies(
+            problem, policies, config, coeffs, basis16, initial, self.N_PATHS
+        )
+        assert drawn == self.BLOCKS
+
+    def test_holds_one_block_of_noise(self, basis16):
+        # 2,500 steps make the blocks PATH_BLOCK rows wide, 20 MB of noise
+        # each; the second block's draw must not find the first one alive
+        config = SimConfig(n_modes=16, m_noise=16, dt=2e-4, T=0.5, seed=3)
+        _, dts = time_steps(config, basis16)
+        assert state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size) == PATH_BLOCK
+        noise = len(dts) * 16 * PATH_BLOCK * 8
+        problem = benchmark_problem()
+        policies = [ZeroPolicy(), ConstantPolicy((0.3, -0.2), problem.Z)]
+        args = (config, STATE_FREE["additive"], basis16, np.zeros(16), 2 * PATH_BLOCK)
+        tracemalloc.start()
+        try:
+            compare_policies(problem, policies, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert noise < peak < 1.5 * noise
+
+    def test_earlier_block_reported_first(self, bench):
+        # the first policy leaves Z on the second block, the second policy
+        # on the first; blocks are the outer loop, so the second is named
+        policies = [_BadOnBlock("later", 5, 2), _BadOnBlock("earlier", PATH_BLOCK, 3)]
+        with pytest.raises(InadmissibleControlError, match="'earlier'.*path 3$"):
+            compare_policies(
+                bench.problem,
+                policies,
+                bench.config,
+                bench.coeffs,
+                bench.basis,
+                bench.initial,
+                n_paths=PATH_BLOCK + 5,
+            )

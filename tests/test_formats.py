@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dynbc import formats
 from dynbc.errors import NonFiniteError
 from dynbc.formats import write_csv, write_json
 
@@ -64,6 +66,65 @@ class TestCsvCells:
         with pytest.raises(NonFiniteError, match="nan"):
             write_csv(path, ["t", "a"], np.array([[0.0, 1.0], [0.1, math.nan]]))
         assert not path.exists()
+
+
+def _one_pass_csv(header, rows):
+    # the writer before it wrote in chunks, kept as its reference: every
+    # cell a Python object and every line a string at once
+    columns = [np.asarray(column).tolist() for column in zip(*rows)]
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvChunks:
+    # a column of ints whose one float sits in the last chunk, so its kind
+    # is the whole column's, not the chunk's
+    ROWS = [
+        (0, 1, 0.5),
+        (1, 2, -0.0),
+        (2, 3, 5e-324),
+        (3, 4, 1e308),
+        (4, 5.5, 0.1),
+    ]
+
+    def test_kind_is_the_columns(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_CSV_CHUNK_ROWS", 2)
+        path = tmp_path / "out.csv"
+        write_csv(path, ["j", "a", "x"], self.ROWS)
+        assert path.read_bytes() == (
+            b"j,a,x\n0,1.0,0.5\n1,2.0,-0.0\n2,3.0,5e-324\n3,4.0,1e+308\n4,5.5,0.1\n"
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7])
+    def test_chunks_match_one_pass(self, tmp_path, monkeypatch, rng, chunk):
+        monkeypatch.setattr(formats, "_CSV_CHUNK_ROWS", chunk)
+        table = rng.normal(size=(7, 4)) * np.logspace(-300, 300, 4)
+        for rows in (table, table.tolist(), self.ROWS, [], np.empty((0, 3))):
+            header = [f"c{k}" for k in range(np.shape(rows)[1] if len(rows) else 2)]
+            path = tmp_path / "out.csv"
+            write_csv(path, header, rows)
+            assert path.read_bytes() == _one_pass_csv(header, rows)
+
+    def test_non_finite_in_a_later_chunk_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_CSV_CHUNK_ROWS", 2)
+        path = tmp_path / "out.csv"
+        table = np.ones((5, 3))
+        table[4, 1] = -math.inf
+        with pytest.raises(NonFiniteError, match="-inf"):
+            write_csv(path, ["a", "b", "c"], table)
+        assert not path.exists()
+
+    def test_peak_memory_bounded(self, tmp_path, rng):
+        # a recorded path of 32,768 steps at 16 modes: the one-pass writer
+        # peaked near 12 times the table's bytes
+        table = rng.normal(size=(32769, 17))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "out.csv", [f"c{k}" for k in range(17)], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes
 
 
 class TestJsonStrings:
