@@ -22,7 +22,7 @@ from .control import (
     constant_grid_policies,
     hamiltonian,
     hamiltonian_argmin,
-    policy_path,
+    policy_paths,
     quadratic_problem,
 )
 from .quadrature import QuadratureRule, gauss_legendre_rule

@@ -3,7 +3,8 @@
 Four subcommands (spectrum, simulate, control, validate) driven by a flat
 key-value config file; every run is a pure function of (config, seed), so
 reruns emit byte-identical artifacts.  Exit codes: 0 success, 1 invariant
-failure, 2 config error.
+failure, 2 config error.  A command maps the config to package calls and
+writes what they return.
 """
 
 import argparse
@@ -19,14 +20,13 @@ from . import fem_oracle, validate
 from .config import RunConfig, default_config, load_config, with_overrides
 from .errors import ConfigError, DynbcError
 from .formats import write_csv, write_json
-from .semigroup import GridState, project
+from .semigroup import initial_state
 from .spde import (
-    MAX_WIDE_NOISE_BYTES,
+    MAX_BLOCK_NOISE_BYTES,
     ensemble_stats,
     named_coefficients,
+    recorded_blocks,
     sim_config,
-    simulate_path,
-    time_grid,
 )
 from .spectral import (
     BoundaryParams,
@@ -35,6 +35,10 @@ from .spectral import (
     dirichlet_gap,
     normalization_bound,
 )
+
+# a policy pair's report entry peaks at about 1.4 KB while report.json is
+# written, so a pair counts as this many doubles however few paths there are
+_PAIR_MIN_DOUBLES = 256
 
 
 def _emit_error(message: str, code: int) -> int:
@@ -52,54 +56,33 @@ def _build_setup(cfg: RunConfig):
     return params, basis, coeffs, sim_config(cfg)
 
 
-def _initial_state(name: str, basis) -> np.ndarray:
-    if name == "zero":
-        return np.zeros(basis.n_modes)
-    x = basis.quad.nodes
-    if name == "one":
-        return project(GridState(u=np.ones_like(x), v0=1.0, v1=1.0), basis)
-    if name == "parabola":
-        return project(GridState(u=x * (1.0 - x), v0=0.0, v1=0.0), basis)
-    raise ConfigError(f"unknown initial state {name!r}")
-
-
 def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
     params, basis, _, _ = _build_setup(cfg)
     op = fem_oracle.build(cfg.fd_n, params)
-    fd_lams, rel_errs = validate.oracle_gaps(basis, op, basis.n_modes)
+    fd_lams, rel_errs, verdict = validate.spectrum_verdict(basis, op)
     rows = [
         (m.j, m.lam, m.B, m.trace0, m.trace1, *dirichlet_gap(m.lam)[1:], fd, rel)
         for m, fd, rel in zip(basis.modes, fd_lams, rel_errs)
     ]
     header = "j lambda B trace0 trace1 bracket_lo bracket_hi fd_lambda rel_err"
     write_csv(os.path.join(out, "spectrum.csv"), header.split(), rows)
-    gram_dev = validate.gram_deviation(basis)
-    in_gap = bool(np.all(validate.gap_margins(basis.lam) > 0.0))
-    decreasing = bool(np.all(np.diff(basis.lam) < 0.0))
-    max_rel = float(rel_errs.max())
-    within_tols = gram_dev <= validate.GRAM_TOL and max_rel <= validate.ORACLE_REL_TOL
-    passed = in_gap and decreasing and within_tols
     summary = {
         "b0": params.b0,
         "b1": params.b1,
         "N": basis.n_modes,
-        "gram_max_dev": gram_dev,
-        "max_rel_err_vs_fd": max_rel,
-        "eigenvalues_in_dirichlet_gaps": in_gap,
-        "eigenvalues_decreasing": decreasing,
         "normalization_bound_holds": [normalization_bound(m) for m in basis.modes],
-        "passed": passed,
+        **verdict,
     }
     write_json(os.path.join(out, "spectrum.json"), summary)
     write_json(os.path.join(out, "basis.json"), basis_payload(basis))
-    if not passed:
+    if not verdict["passed"]:
         return _emit_error("spectrum invariants failed (see spectrum.json)", 1)
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
     _, basis, coeffs, sim = _build_setup(cfg)
-    initial = _initial_state(cfg.initial, basis)
+    initial = initial_state(cfg.initial, basis)
     stats = ensemble_stats(sim, coeffs, basis, initial, cfg.n_paths)
     payload = {
         "config": cfg.as_dict(),
@@ -114,14 +97,7 @@ def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
     write_json(os.path.join(out, "ensemble.json"), payload)
     header = ["t"] + [f"a_{k}" for k in range(cfg.n_modes)]
     recorded = min(cfg.record_paths, cfg.n_paths)
-    # a recorded block holds the noise and the history of its paths within
-    # MAX_WIDE_NOISE_BYTES, one path at the least
-    steps = len(time_grid(sim)) - 1
-    per_path = (steps * sim.m_noise + (steps + 1) * sim.n_modes) * 8
-    width = max(1, MAX_WIDE_NOISE_BYTES // per_path)
-    for start in range(0, recorded, width):
-        block = range(start, min(start + width, recorded))
-        record = simulate_path(sim, coeffs, basis, initial, block)
+    for block, record in recorded_blocks(sim, coeffs, basis, initial, recorded):
         for r, p in enumerate(block):
             rows = np.column_stack((record.times, record.states[:, r]))
             write_csv(os.path.join(out, f"path_{p:04d}.csv"), header, rows)
@@ -141,20 +117,22 @@ def _spec_number(parse, text: str, spec: str):
 
 
 def _make_policies(cfg: RunConfig, problem, coeffs, basis):
-    policies = []
+    # a grid stays its per-axis size until the policies are counted, so that
+    # none of a comparison too large to run is ever built
+    parsed = []
     for spec in cfg.policy_specs():
         parts = spec.split(":")
         kind = parts[0]
         if kind == "zero" and len(parts) == 1:
-            policies.append(ctl.ZeroPolicy())
+            parsed.append(ctl.ZeroPolicy())
         elif kind == "constant" and len(parts) == 3:
             z = [_spec_number(float, part, spec) for part in parts[1:]]
-            policies.append(ctl.ConstantPolicy(z, problem.Z))
+            parsed.append(ctl.ConstantPolicy(z, problem.Z))
         elif kind == "grid" and len(parts) == 2:
             per_axis = _spec_number(int, parts[1], spec)
             if per_axis < 1:
                 raise ConfigError(f"grid size must be >= 1 in policy {spec!r}")
-            policies.extend(ctl.constant_grid_policies(problem.Z, per_axis))
+            parsed.append(per_axis)
         elif kind == "feedback" and len(parts) == 2:
             name = parts[1]
             if name == "zero":
@@ -173,11 +151,25 @@ def _make_policies(cfg: RunConfig, problem, coeffs, basis):
                 )
             else:
                 raise ConfigError(f"unknown gradient provider {name!r}")
-            policies.append(ctl.FeedbackPolicy(provider, problem, coeffs, basis))
+            parsed.append(ctl.FeedbackPolicy(provider, problem, coeffs, basis))
         else:
             raise ConfigError(f"unknown policy spec {spec!r}")
-    if len(policies) < 2:
-        raise ConfigError(f"need at least 2 policies to compare, got {len(policies)}")
+    k = sum(p * p if isinstance(p, int) else 1 for p in parsed)
+    if k < 2:
+        raise ConfigError(f"need at least 2 policies to compare, got {k}")
+    # the (k, n_paths) cost table and the k (k - 1) / 2 pairwise differences
+    pairs = k * (k - 1) // 2
+    if max(k, pairs) * max(cfg.n_paths, _PAIR_MIN_DOUBLES) * 8 > MAX_BLOCK_NOISE_BYTES:
+        raise ConfigError(
+            f"policies expand to {k} policies: their {pairs} pairwise "
+            f"differences would take more than {MAX_BLOCK_NOISE_BYTES} bytes"
+        )
+    policies = []
+    for p in parsed:
+        if isinstance(p, int):
+            policies.extend(ctl.constant_grid_policies(problem.Z, p))
+        else:
+            policies.append(p)
     return policies
 
 
@@ -187,7 +179,7 @@ def _sanitize(name: str) -> str:
 
 def cmd_control(cfg: RunConfig, out: str, threads: int) -> int:
     _, basis, coeffs, sim = _build_setup(cfg)
-    initial = _initial_state(cfg.initial, basis)
+    initial = initial_state(cfg.initial, basis)
     problem = ctl.benchmark_problem(cfg.ball_radius, cfg.t0, cfg.T)
     policies = _make_policies(cfg, problem, coeffs, basis)
     report = ctl.compare_policies(
@@ -207,8 +199,8 @@ def cmd_control(cfg: RunConfig, out: str, threads: int) -> int:
     }
     write_json(os.path.join(out, "report.json"), payload)
     header = ["t", "z0", "z1"] + [f"a_{k}" for k in range(cfg.n_modes)]
-    for idx, policy in enumerate(policies):
-        record = ctl.policy_path(policy, problem, sim, coeffs, basis, initial, 0)
+    traces = ctl.policy_paths(policies, problem, sim, coeffs, basis, initial)
+    for idx, (policy, record) in enumerate(zip(policies, traces)):
         steps = len(record.controls)
         rows = np.column_stack(
             (record.times[:steps], record.controls, record.states[:steps])

@@ -9,10 +9,14 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .spde import MAX_BLOCK_NOISE_BYTES, PATH_BLOCK, block_noise_fits
+from .semigroup import INITIAL_STATES
+from .spde import (
+    COEFFICIENT_FAMILIES,
+    MAX_BLOCK_NOISE_BYTES,
+    PATH_BLOCK,
+    block_noise_fits,
+)
 
-_INITIAL_STATES = ("one", "parabola", "zero")
-_COEFFICIENT_FAMILIES = ("zero", "additive", "multiplicative", "forced")
 _CONTROL_PROBLEMS = ("benchmark",)
 
 
@@ -92,12 +96,12 @@ def _validate(cfg: RunConfig):
         (1 <= cfg.hs_modes <= 4001, "hs_modes must be in [1, 4001]"),
         (cfg.ball_radius > 0.0, "ball_radius must be positive"),
         (
-            cfg.coefficients in _COEFFICIENT_FAMILIES,
-            f"coefficients must be one of {_COEFFICIENT_FAMILIES}",
+            cfg.coefficients in COEFFICIENT_FAMILIES,
+            f"coefficients must be one of {COEFFICIENT_FAMILIES}",
         ),
         (
-            cfg.initial in _INITIAL_STATES,
-            f"initial must be one of {_INITIAL_STATES}",
+            cfg.initial in INITIAL_STATES,
+            f"initial must be one of {INITIAL_STATES}",
         ),
         (
             cfg.control_problem in _CONTROL_PROBLEMS,

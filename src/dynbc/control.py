@@ -16,7 +16,8 @@ axis, taking states (..., N) and controls (..., 2) to values (...).
 Controlled paths and the inner paths of ``NestedMCGradient`` are stepped
 by ``spde.rollout``, the control entering through its drift hook, over
 the blocks of ``spde.ensemble_blocks``, each drawn once for all policies;
-costs and paired differences are reduced by ``spde.mean_var_se``.
+costs and paired differences are reduced by ``spde.mean_var_se``.  The
+traces of ``policy_paths`` step one row, drawn once, under every policy.
 
 The value function of the underlying infinite-dimensional control problem
 is never solved for; feedback laws are driven by pluggable gradient
@@ -31,7 +32,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import InadmissibleControlError, NonUniqueArgminError
-from .semigroup import GridState, project
+from .semigroup import initial_state
 from .spde import (
     Coefficients,
     PathRecord,
@@ -507,24 +508,17 @@ def _mean_se(costs):
     return float(mean), float(se)
 
 
-def policy_path(
-    policy,
-    problem: ControlProblem,
-    config: SimConfig,
-    coeffs: Coefficients,
-    basis: EigenBasis,
-    initial: np.ndarray,
-    path_index: int = 0,
-) -> PathRecord:
-    """One controlled trajectory under an arbitrary policy, with controls:
-    the rollout of ``compare_policies`` on the row ``path_index`` alone."""
+def policy_paths(policies, problem, config, coeffs, basis, initial, path_index=0):
+    """Yield the trajectory of the row ``path_index`` alone, with controls,
+    under each of ``policies`` in turn, as ``compare_policies`` steps it:
+    the row's noise is drawn once, each record stepped when asked for."""
     rows = range(path_index, path_index + 1)
     times, dts = time_steps(config, basis)
     dW = block_increments(config.seed, rows, dts, config.m_noise)
-    _, states, controls = _rollout(
-        policy, problem, config, coeffs, basis, initial, rows, dW, record=True
-    )
-    return PathRecord(times=times, states=states[:, 0], controls=controls[:, 0])
+    args = (problem, config, coeffs, basis, initial, rows, dW)
+    for policy in policies:
+        _, states, controls = _rollout(policy, *args, record=True)
+        yield PathRecord(times=times, states=states[:, 0], controls=controls[:, 0])
 
 
 @dataclass(frozen=True)
@@ -622,7 +616,7 @@ def benchmark_bundle(seed: int = 12345) -> BenchmarkBundle:
     coeffs = named_coefficients("additive", g_scale=0.2, h0=1.0, h1=1.0)
     config = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.5, t0=0.0, seed=seed)
     problem = benchmark_problem()
-    initial = project(GridState(u=np.ones(basis.quad.size), v0=1.0, v1=1.0), basis)
+    initial = initial_state("one", basis)
     return BenchmarkBundle(
         params=params,
         basis=basis,

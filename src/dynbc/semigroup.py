@@ -13,7 +13,7 @@ from .errors import ConstraintError, DomainError, ShapeError, TruncationError
 from .spectral import BoundaryParams, EigenBasis
 
 TRACE_TOL = 1e-8
-_HS_TAIL_GUARD = 1e-8
+HS_TAIL_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,21 @@ def project(state: GridState, basis: EigenBasis) -> np.ndarray:
         + state.v0 * basis.trace0
         + state.v1 * basis.trace1
     )
+
+
+INITIAL_STATES = ("one", "parabola", "zero")
+
+
+def initial_state(name: str, basis: EigenBasis) -> np.ndarray:
+    """Coefficients of u = 1 with v = 1, u = x (1 - x) with v = 0, or 0."""
+    if name == "zero":
+        return np.zeros(basis.n_modes)
+    x = basis.quad.nodes
+    if name == "one":
+        return project(GridState(u=np.ones_like(x), v0=1.0, v1=1.0), basis)
+    if name == "parabola":
+        return project(GridState(u=x * (1.0 - x), v0=0.0, v1=0.0), basis)
+    raise ValueError(f"unknown initial state {name!r}")
 
 
 def reconstruct(
@@ -83,9 +98,9 @@ def hs_norm_sq(t: float, basis: EigenBasis) -> float:
     if not t > 0.0:
         raise DomainError("Hilbert-Schmidt norm defined for t > 0")
     terms = np.exp(2.0 * basis.lam * t)
-    if terms[-1] > _HS_TAIL_GUARD:
+    if terms[-1] > HS_TAIL_GUARD:
         raise TruncationError(
-            f"tail unresolved at t={t}: last term {terms[-1]:.3e} > {_HS_TAIL_GUARD}"
+            f"tail unresolved at t={t}: last term {terms[-1]:.3e} > {HS_TAIL_GUARD}"
         )
     return float(terms.sum())
 

@@ -50,34 +50,53 @@ def _named(name):
     return wrap
 
 
-def gap_margins(lams: np.ndarray) -> np.ndarray:
+def _gap_margins(lams: np.ndarray) -> np.ndarray:
     """Relative margin min(lam - lo, hi - lam) / (1 + |lam|) of each
     eigenvalue inside its Dirichlet gap (lo, hi); positive inside."""
     lo, hi = np.array([dirichlet_gap(lam)[1:] for lam in lams]).T
     return np.minimum(lams - lo, hi - lams) / (1.0 + np.abs(lams))
 
 
-def gram_deviation(basis) -> float:
+def _gram_deviation(basis) -> float:
     """max |G - I| over the Gram matrix G of the basis."""
     return float(np.abs(basis.gram_matrix() - np.eye(basis.n_modes)).max())
 
 
-def oracle_gaps(basis, op, n: int):
+def _oracle_gaps(basis, op, n: int):
     """The first ``n`` FEM-oracle eigenvalues of ``op`` and the relative
     gaps of the basis eigenvalues to them."""
     fd_lams, _ = fem_oracle.eigensolve(op, n)
     return fd_lams, np.abs((basis.lam[:n] - fd_lams) / fd_lams)
 
 
+def spectrum_verdict(basis, op):
+    """The oracle eigenvalues of ``op`` for every basis mode, their relative
+    gaps to the basis, and the verdict of ``dynbc spectrum``: it passes when
+    the eigenvalues lie in their Dirichlet gaps in decreasing order, within
+    ``GRAM_TOL`` of orthonormal and ``ORACLE_REL_TOL`` of the oracle."""
+    fd_lams, rel_errs = _oracle_gaps(basis, op, basis.n_modes)
+    gram_dev, max_rel = _gram_deviation(basis), float(rel_errs.max())
+    in_gap = bool(np.all(_gap_margins(basis.lam) > 0.0))
+    decreasing = bool(np.all(np.diff(basis.lam) < 0.0))
+    within_tols = gram_dev <= GRAM_TOL and max_rel <= ORACLE_REL_TOL
+    return fd_lams, rel_errs, {
+        "gram_max_dev": gram_dev,
+        "max_rel_err_vs_fd": max_rel,
+        "eigenvalues_in_dirichlet_gaps": in_gap,
+        "eigenvalues_decreasing": decreasing,
+        "passed": in_gap and decreasing and within_tols,
+    }
+
+
 @_named("spectral_brackets")
 def _check_brackets(ctx):
-    worst = float(gap_margins(ctx["basis"].lam).min())
+    worst = float(_gap_margins(ctx["basis"].lam).min())
     return worst > 0.0, f"min relative gap margin {worst:.3e}"
 
 
 @_named("gram_orthonormality")
 def _check_gram(ctx):
-    dev = gram_deviation(ctx["basis"])
+    dev = _gram_deviation(ctx["basis"])
     return dev <= GRAM_TOL, f"max |G - I| = {dev:.3e} (tol {GRAM_TOL})"
 
 
@@ -105,7 +124,7 @@ def weyl_fit(lams):
     eigenvalues ``lams``, and its relative gap to Weyl's ``HS_WEYL``."""
     ts = np.logspace(-4, -3, 13)
     tail = np.exp(2.0 * lams[-1] * ts[0])
-    if tail > 1e-8:
+    if tail > semigroup.HS_TAIL_GUARD:
         raise TruncationError(
             f"hs_modes={len(lams)} unresolved at t=1e-4 (tail {tail:.3e})"
         )
@@ -127,7 +146,7 @@ def _check_hs_rate(ctx):
 @_named("fd_eigenvalues")
 def _check_fd_eigenvalues(ctx):
     basis = ctx["basis"]
-    rel = float(oracle_gaps(basis, ctx["fd_op"], min(8, basis.n_modes))[1].max())
+    rel = float(_oracle_gaps(basis, ctx["fd_op"], min(8, basis.n_modes))[1].max())
     return rel <= ORACLE_REL_TOL, (
         f"max relative eigenvalue gap vs FEM oracle = {rel:.3e} "
         f"(tol {ORACLE_REL_TOL})"

@@ -15,10 +15,11 @@ import dynbc
 from dynbc import BoundaryParams, Coefficients, build_basis, named_coefficients
 from dynbc import cli
 from dynbc import control as ctl
-from dynbc.cli import _build_setup, _initial_state, _make_policies, main
+from dynbc import spde, validate
+from dynbc.cli import _build_setup, _make_policies, main
 from dynbc.config import RunConfig, default_config, parse_config, with_overrides
 from dynbc.errors import ConfigError
-from dynbc.semigroup import GridState, project
+from dynbc.semigroup import GridState, initial_state, project
 from dynbc.spde import (
     MAX_BLOCK_NOISE_BYTES,
     MAX_WIDE_NOISE_BYTES,
@@ -251,6 +252,21 @@ class TestSpectrumCommand:
         assert record == {"error": "n_modes must be <= fd_n", "exit_code": 2}
         assert not out.exists() or os.listdir(out) == []
 
+    def test_coarse_oracle_fails_with_exit_one(self, tmp_path, capsys):
+        # an 8-element oracle is far from the eigenvalues: the verdict fails
+        # on the oracle tolerance alone, and the artifacts are still written
+        code, out = run_cli(tmp_path, "spectrum", "n_modes = 8\nfd_n = 8\n")
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["exit_code"] == 1
+        summary = json.loads((out / "spectrum.json").read_text())
+        assert summary["passed"] is False
+        assert summary["eigenvalues_in_dirichlet_gaps"] is True
+        assert summary["eigenvalues_decreasing"] is True
+        assert summary["gram_max_dev"] <= validate.GRAM_TOL
+        assert summary["max_rel_err_vs_fd"] > validate.ORACLE_REL_TOL
+        assert {"spectrum.csv", "basis.json"} <= set(os.listdir(out))
+
     def test_rerun_byte_identical(self, tmp_path):
         code1, out = run_cli(tmp_path, "spectrum", self.CONFIG)
         first = read_files(out)
@@ -352,12 +368,12 @@ NODAL = Coefficients(
 
 
 class _Recorded:
-    """Wraps ``simulate_path`` in the CLI and notes each block's width."""
+    """Wraps ``spde.simulate_path`` and notes each block's width."""
 
     def __init__(self, monkeypatch):
         self.widths = []
-        self._simulate = cli.simulate_path
-        monkeypatch.setattr(cli, "simulate_path", self)
+        self._simulate = spde.simulate_path
+        monkeypatch.setattr(spde, "simulate_path", self)
 
     def __call__(self, config, coeffs, basis, initial, rows):
         self.widths.append(len(rows))
@@ -386,12 +402,12 @@ class TestRecordedPaths:
         assert dts[-1] < 0.9 * dts[0]
         # room for the noise and history of two paths: blocks of 2, 2 and 1
         per_path = (len(dts) * sim.m_noise + len(times) * sim.n_modes) * 8
-        monkeypatch.setattr(cli, "MAX_WIDE_NOISE_BYTES", 3 * per_path - 1)
+        monkeypatch.setattr(spde, "MAX_WIDE_NOISE_BYTES", 3 * per_path - 1)
         recorded = _Recorded(monkeypatch)
         code, out = run_cli(tmp_path, "simulate", text)
         assert code == 0
         assert recorded.widths == [2, 2, 1]
-        initial = _initial_state(cfg.initial, basis)
+        initial = initial_state(cfg.initial, basis)
         for p in range(cfg.record_paths):
             lines = (out / f"path_{p:04d}.csv").read_text().splitlines()[1:]
             table = np.array([[float(v) for v in line.split(",")] for line in lines])
@@ -512,6 +528,24 @@ class TestControlCommand:
             outputs.append(read_files(out))
         assert outputs[0] == outputs[1]
 
+    def test_traces_draw_path_zero_once(self, tmp_path, monkeypatch):
+        # the ensemble's two blocks, then one draw of path 0 for all six
+        # traces
+        drawn = []
+        real = spde.block_increments
+
+        def counting(seed, rows, dts, m_noise):
+            drawn.append((rows.start, rows.stop))
+            return real(seed, rows, dts, m_noise)
+
+        monkeypatch.setattr(spde, "block_increments", counting)
+        monkeypatch.setattr(ctl, "block_increments", counting)
+        text = "policies = zero, grid:2, feedback:terminal_proxy\n"
+        code, out = run_cli(tmp_path, "control", text)
+        assert code == 0
+        assert drawn == [(0, 960), (960, 1000), (0, 1)]
+        assert len([n for n in os.listdir(out) if n.startswith("trace_")]) == 6
+
     def test_unknown_policy_rejected(self, tmp_path, capsys):
         code, _ = run_cli(
             tmp_path, "control", "policies = sorcery\nn_modes = 4\nm_noise = 4\n"
@@ -543,6 +577,50 @@ class TestPolicySpecs:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": message, "exit_code": 2}
         assert os.listdir(out) == []
+
+
+class TestPolicyCountBound:
+    """A comparison of k policies over n paths is refused before any policy
+    is built when its k (k - 1) / 2 pairs, each counted as max(n, 256)
+    doubles, would exceed ``MAX_BLOCK_NOISE_BYTES``."""
+
+    CONFIG = "n_paths = 4\nn_modes = 4\nfd_n = 16\nT = 0.02\n"
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("a ConstantPolicy was built")
+
+    def test_huge_grid_exits_two_unbuilt(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ctl, "ConstantPolicy", self._refuse)
+        text = self.CONFIG + "policies = zero, grid:10000\n"
+        code, out = run_cli(tmp_path, "control", text)
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {
+            "error": (
+                "policies expand to 100000001 policies: their 5000000050000000 "
+                f"pairwise differences would take more than {MAX_BLOCK_NOISE_BYTES} "
+                "bytes"
+            ),
+            "exit_code": 2,
+        }
+        assert os.listdir(out) == []
+
+    # (n_paths, largest grid accepted after a zero policy): 962 policies
+    # and 462,241 pairs of 256 doubles at 4 paths, 485 policies and
+    # 117,370 pairs of 1,000 doubles at 1,000 paths
+    @pytest.mark.parametrize("n_paths, per_axis", [(4, 31), (1000, 22)])
+    def test_largest_grid_parses(self, monkeypatch, policy_parts, n_paths, per_axis):
+        basis, coeffs = policy_parts
+        text = self.CONFIG.replace("n_paths = 4", f"n_paths = {n_paths}")
+        cfg = parse_config(text + f"policies = zero, grid:{per_axis}\n")
+        problem = ctl.benchmark_problem(cfg.ball_radius, cfg.t0, cfg.T)
+        built = _make_policies(cfg, problem, coeffs, basis)
+        assert len(built) == per_axis**2 + 1
+        cfg = with_overrides(cfg, policies=f"zero, grid:{per_axis + 1}")
+        monkeypatch.setattr(ctl, "ConstantPolicy", self._refuse)
+        with pytest.raises(ConfigError, match="pairwise differences"):
+            _make_policies(cfg, problem, coeffs, basis)
 
 
 def test_out_naming_a_file_exits_two(tmp_path, capsys):

@@ -26,7 +26,7 @@ from dynbc import (
     hamiltonian,
     hamiltonian_argmin,
     named_coefficients,
-    policy_path,
+    policy_paths,
     quadratic_problem,
     reconstruct,
     simulate_path,
@@ -704,8 +704,8 @@ class TestPolicies:
 
     def test_every_emitted_control_admissible(self, bench):
         provider = TerminalProxyGradient(bench.problem, bench.basis)
-        record = policy_path(
-            FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis),
+        (record,) = policy_paths(
+            [FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis)],
             bench.problem,
             bench.config,
             bench.coeffs,
@@ -723,14 +723,56 @@ class TestPolicies:
                 return np.tile([5.0, 0.0], (len(state), 1))
 
         with pytest.raises(ValueError, match="inadmissible"):
-            policy_path(
-                Rogue(),
-                bench.problem,
-                bench.config,
-                bench.coeffs,
-                bench.basis,
-                bench.initial,
+            list(
+                policy_paths(
+                    [Rogue()],
+                    bench.problem,
+                    bench.config,
+                    bench.coeffs,
+                    bench.basis,
+                    bench.initial,
+                )
             )
+
+
+class TestPolicyPaths:
+    def test_one_draw_for_every_trace(self, bench, monkeypatch):
+        # the traces are those each policy has alone, from one draw of the
+        # row's noise
+        provider = TerminalProxyGradient(bench.problem, bench.basis)
+        policies = [
+            ZeroPolicy(),
+            ConstantPolicy((0.3, -0.2), bench.problem.Z),
+            FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis),
+        ]
+        args = (bench.problem, bench.config, bench.coeffs, bench.basis, bench.initial, 3)
+        alone = [next(policy_paths([policy], *args)) for policy in policies]
+        drawn = []
+        real = control.block_increments
+
+        def counting(seed, rows, dts, m_noise):
+            drawn.append(rows)
+            return real(seed, rows, dts, m_noise)
+
+        monkeypatch.setattr(control, "block_increments", counting)
+        together = list(policy_paths(policies, *args))
+        assert drawn == [range(3, 4)]
+        assert len(together) == len(policies)
+        for a, b in zip(alone, together):
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.controls.tobytes() == b.controls.tobytes()
+
+    def test_each_trace_stepped_when_asked_for(self, bench):
+        class Rogue:
+            name = "rogue"
+
+            def __call__(self, t, state):
+                raise AssertionError("stepped before it was asked for")
+
+        args = (bench.problem, bench.config, bench.coeffs, bench.basis, bench.initial)
+        traces = policy_paths([ZeroPolicy(), Rogue()], *args)
+        assert np.all(next(traces).controls == 0.0)
 
 
 class TestPolicyCost:
@@ -832,7 +874,7 @@ class TestBatchedRollout:
             self.N_PATHS,
         )
         for p in (0, PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1):
-            record = policy_path(policy, *args, p)
+            (record,) = policy_paths([policy], *args, p)
             single = 0.0
             for i, dt in enumerate(np.diff(record.times)):
                 single += bench.problem.running_cost(
@@ -870,8 +912,8 @@ class TestClosedLoop:
         problem = quadratic_problem(
             ball(1.0), lambda t, a: 0.0, lambda a: 0.0, 0.0, 0.5
         )
-        record = policy_path(
-            FeedbackPolicy(ZeroGradient(8), problem, bench.coeffs, bench.basis),
+        (record,) = policy_paths(
+            [FeedbackPolicy(ZeroGradient(8), problem, bench.coeffs, bench.basis)],
             problem,
             bench.config,
             bench.coeffs,
@@ -885,8 +927,8 @@ class TestClosedLoop:
     def test_zero_gains_kill_any_provider_bitwise(self, bench):
         coeffs = named_coefficients("additive", g_scale=0.2, h0=0.0, h1=0.0)
         provider = TerminalProxyGradient(bench.problem, bench.basis)
-        record = policy_path(
-            FeedbackPolicy(provider, bench.problem, coeffs, bench.basis),
+        (record,) = policy_paths(
+            [FeedbackPolicy(provider, bench.problem, coeffs, bench.basis)],
             bench.problem,
             bench.config,
             coeffs,
@@ -1205,6 +1247,31 @@ class TestEnsembleBlocks:
             problem, policies, config, coeffs, basis16, initial, self.N_PATHS
         )
         assert drawn == self.BLOCKS
+
+    def test_state_dependent_blocks_stay_narrow(self, basis16, monkeypatch):
+        # a multiplicative ensemble steps PATH_BLOCK-row blocks and the
+        # 4-row remainder, uncontrolled and controlled, where a state-free
+        # one of the same size steps 1,024-row blocks
+        config = SimConfig(n_modes=16, m_noise=16, dt=5e-3, T=0.01, seed=7)
+        problem = benchmark_problem(1.0, 0.0, 0.01)
+        _, dts = time_steps(config, basis16)
+        assert state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size) == 1024
+        drawn = []
+        real = spde.block_increments
+
+        def counting(seed, rows, dts, m_noise):
+            drawn.append(len(rows))
+            return real(seed, rows, dts, m_noise)
+
+        monkeypatch.setattr(spde, "block_increments", counting)
+        args = (config, MULTIPLICATIVE, basis16, np.zeros(16), self.N_PATHS)
+        narrow = [PATH_BLOCK] * (self.N_PATHS // PATH_BLOCK) + [4]
+        spde.terminal_states(*args)
+        assert drawn == narrow
+        drawn.clear()
+        policies = [ZeroPolicy(), ConstantPolicy((0.3, -0.2), problem.Z)]
+        compare_policies(problem, policies, *args)
+        assert drawn == narrow
 
     def test_holds_one_block_of_noise(self, basis16):
         # 2,500 steps make the blocks PATH_BLOCK rows wide, 20 MB of noise

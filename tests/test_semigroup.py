@@ -15,6 +15,7 @@ from dynbc import (
     reconstruct,
 )
 from dynbc.errors import ConstraintError, DomainError, ShapeError, TruncationError
+from dynbc.semigroup import INITIAL_STATES, initial_state
 
 
 class TestProject:
@@ -161,3 +162,16 @@ class TestEnergyForm:
         state = GridState(u=np.ones(n), v0=1.0, v1=1.0)
         with pytest.raises(ValueError):
             energy_form(state, state, params11, basis16)
+
+
+class TestInitialState:
+    def test_every_named_state(self, basis16):
+        one = project(GridState(u=np.ones(basis16.quad.size), v0=1.0, v1=1.0), basis16)
+        states = {name: initial_state(name, basis16) for name in INITIAL_STATES}
+        assert states["one"].tobytes() == one.tobytes()
+        assert np.all(states["zero"] == 0.0)
+        assert reconstruct(states["parabola"], basis16).v0 == pytest.approx(0.0, abs=1e-3)
+
+    def test_unknown_name_rejected(self, basis16):
+        with pytest.raises(ValueError, match="unknown initial state 'bogus'"):
+            initial_state("bogus", basis16)

@@ -19,10 +19,11 @@ from dynbc import (
     terminal_states,
     time_grid,
 )
-from dynbc.config import _COEFFICIENT_FAMILIES, default_config, with_overrides
+from dynbc.config import default_config, with_overrides
 from dynbc.errors import ConfigError, ShapeError
 from dynbc import spde
 from dynbc.spde import (
+    COEFFICIENT_FAMILIES,
     MAX_BLOCK_NOISE_BYTES,
     MAX_WIDE_NOISE_BYTES,
     MAX_WIDE_STEP_BYTES,
@@ -699,7 +700,7 @@ class TestCoefficients:
             {"g_scale": -1.5, "h0": 0.3, "h1": -2.0, "f_scale": 4.0},
             {"g_scale": 0.0, "h0": 0.0, "h1": 0.0, "f_scale": 0.0},
         )
-        for name in _COEFFICIENT_FAMILIES:
+        for name in COEFFICIENT_FAMILIES:
             for kwargs in scales:
                 spot_check_coefficients(named_coefficients(name, **kwargs))
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dynbc import validate
+from dynbc import fem_oracle, validate
 from dynbc.config import default_config, with_overrides
 from dynbc.errors import TruncationError
 from dynbc.spectral import BoundaryParams, build_basis, find_eigenvalues
@@ -45,3 +45,24 @@ class TestItoCheck:
         z = float(measured.split(" = ")[1].split()[0])
         assert math.isfinite(z), measured
         assert passed is True, measured
+
+
+class TestSpectrumVerdict:
+    @pytest.fixture(scope="class")
+    def spectrum(self):
+        params = BoundaryParams(1.0, 1.0)
+        return build_basis(params, 8), fem_oracle.build(2000, params)
+
+    def test_passes_on_a_correct_spectrum(self, spectrum):
+        fd_lams, rel_errs, verdict = validate.spectrum_verdict(*spectrum)
+        assert len(fd_lams) == len(rel_errs) == 8
+        assert verdict["max_rel_err_vs_fd"] == float(rel_errs.max())
+        assert verdict["passed"] is True
+
+    @pytest.mark.parametrize("tol", ["GRAM_TOL", "ORACLE_REL_TOL"])
+    def test_each_tolerance_decides(self, spectrum, monkeypatch, tol):
+        monkeypatch.setattr(validate, tol, 0.0)
+        verdict = validate.spectrum_verdict(*spectrum)[2]
+        assert verdict["eigenvalues_in_dirichlet_gaps"] is True
+        assert verdict["eigenvalues_decreasing"] is True
+        assert verdict["passed"] is False
