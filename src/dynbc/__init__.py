@@ -22,7 +22,6 @@ from .control import (
     constant_grid_policies,
     hamiltonian,
     hamiltonian_argmin,
-    policy_paths,
     quadratic_problem,
 )
 from .quadrature import QuadratureRule, gauss_legendre_rule

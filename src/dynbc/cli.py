@@ -13,21 +13,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import control as ctl
 from . import fem_oracle, validate
 from .config import RunConfig, default_config, load_config, with_overrides
 from .errors import ConfigError, DynbcError
-from .formats import write_csv, write_json
+from .formats import csv_tables, write_csv, write_json
 from .semigroup import initial_state
-from .spde import (
-    MAX_BLOCK_NOISE_BYTES,
-    ensemble_stats,
-    named_coefficients,
-    recorded_blocks,
-    sim_config,
-)
+from .spde import MAX_BLOCK_NOISE_BYTES, ensemble_stats, named_coefficients, sim_config
 from .spectral import (
     BoundaryParams,
     basis_payload,
@@ -83,26 +75,24 @@ def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
 def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
     _, basis, coeffs, sim = _build_setup(cfg)
     initial = initial_state(cfg.initial, basis)
-    stats = ensemble_stats(sim, coeffs, basis, initial, cfg.n_paths)
-    payload = {
-        "config": cfg.as_dict(),
-        "n_paths": stats.n_paths,
-        "mean_terminal": stats.mean_terminal,
-        "var_terminal": stats.var_terminal,
-        "se": stats.se_terminal,
-        "mean_norm": stats.mean_norm,
-        "var_norm": stats.var_norm,
-        "se_norm": stats.se_norm,
-    }
-    write_json(os.path.join(out, "ensemble.json"), payload)
     header = ["t"] + [f"a_{k}" for k in range(cfg.n_modes)]
-    recorded = min(cfg.record_paths, cfg.n_paths)
-    for block, record in recorded_blocks(sim, coeffs, basis, initial, recorded):
-        for r, p in enumerate(block):
-            rows = np.column_stack((record.times, record.states[:, r]))
-            write_csv(os.path.join(out, f"path_{p:04d}.csv"), header, rows)
-        # so that the next block's history never meets this one's
-        del record
+    recorded = range(min(cfg.record_paths, cfg.n_paths))
+    paths = [os.path.join(out, f"path_{p:04d}.csv") for p in recorded]
+    with csv_tables(paths, header) as append:
+        stats = ensemble_stats(
+            sim, coeffs, basis, initial, cfg.n_paths, len(recorded), append
+        )
+        payload = {
+            "config": cfg.as_dict(),
+            "n_paths": stats.n_paths,
+            "mean_terminal": stats.mean_terminal,
+            "var_terminal": stats.var_terminal,
+            "se": stats.se_terminal,
+            "mean_norm": stats.mean_norm,
+            "var_norm": stats.var_norm,
+            "se_norm": stats.se_norm,
+        }
+        write_json(os.path.join(out, "ensemble.json"), payload)
     return 0
 
 
@@ -182,34 +172,25 @@ def cmd_control(cfg: RunConfig, out: str, threads: int) -> int:
     initial = initial_state(cfg.initial, basis)
     problem = ctl.benchmark_problem(cfg.ball_radius, cfg.t0, cfg.T)
     policies = _make_policies(cfg, problem, coeffs, basis)
-    report = ctl.compare_policies(
-        problem, policies, sim, coeffs, basis, initial, cfg.n_paths
-    )
-    payload = {
-        "config": cfg.as_dict(),
-        "seed": report.seed,
-        "n_paths": report.n_paths,
-        "policies": [
-            {"name": r.name, "J": r.J, "se": r.se} for r in report.policies
-        ],
-        "pairwise": [
-            {"a": r.a, "b": r.b, "diff": r.diff, "paired_se": r.paired_se}
-            for r in report.pairwise
-        ],
-    }
-    write_json(os.path.join(out, "report.json"), payload)
     header = ["t", "z0", "z1"] + [f"a_{k}" for k in range(cfg.n_modes)]
-    traces = ctl.policy_paths(policies, problem, sim, coeffs, basis, initial)
-    for idx, (policy, record) in enumerate(zip(policies, traces)):
-        steps = len(record.controls)
-        rows = np.column_stack(
-            (record.times[:steps], record.controls, record.states[:steps])
+    names = [f"trace_{k:02d}_{_sanitize(p.name)}.csv" for k, p in enumerate(policies)]
+    with csv_tables([os.path.join(out, name) for name in names], header) as append:
+        report = ctl.compare_policies(
+            problem, policies, sim, coeffs, basis, initial, cfg.n_paths, append
         )
-        write_csv(
-            os.path.join(out, f"trace_{idx:02d}_{_sanitize(policy.name)}.csv"),
-            header,
-            rows,
-        )
+        payload = {
+            "config": cfg.as_dict(),
+            "seed": report.seed,
+            "n_paths": report.n_paths,
+            "policies": [
+                {"name": r.name, "J": r.J, "se": r.se} for r in report.policies
+            ],
+            "pairwise": [
+                {"a": r.a, "b": r.b, "diff": r.diff, "paired_se": r.paired_se}
+                for r in report.pairwise
+            ],
+        }
+        write_json(os.path.join(out, "report.json"), payload)
     return 0
 
 

@@ -16,8 +16,8 @@ axis, taking states (..., N) and controls (..., 2) to values (...).
 Controlled paths and the inner paths of ``NestedMCGradient`` are stepped
 by ``spde.rollout``, the control entering through its drift hook, over
 the blocks of ``spde.ensemble_blocks``, each drawn once for all policies;
-costs and paired differences are reduced by ``spde.mean_var_se``.  The
-traces of ``policy_paths`` step one row, drawn once, under every policy.
+costs and paired differences are reduced by ``spde.mean_var_se``, and a
+trace is path 0 of the first block, kept as a policy steps it.
 
 The value function of the underlying infinite-dimensional control problem
 is never solved for; feedback laws are driven by pluggable gradient
@@ -35,9 +35,7 @@ from .errors import InadmissibleControlError, NonUniqueArgminError
 from .semigroup import initial_state
 from .spde import (
     Coefficients,
-    PathRecord,
     SimConfig,
-    block_increments,
     ensemble_blocks,
     mean_var_se,
     named_coefficients,
@@ -465,25 +463,28 @@ class NestedMCGradient:
         )
 
 
-def _rollout(policy, problem, config, coeffs, basis, initial, rows, dW, record=False):
-    """Step the paths ``rows`` under ``policy`` on their increments ``dW``
-    (steps, *P, m), the policy and the costs seeing rows (P, N).  Returns
-    each row's cost (left-endpoint running-cost integral plus terminal
-    cost), and the states (steps + 1, *P, N) and controls (steps, P, 2) if
-    ``record`` is set, else empty arrays: no history is kept."""
+def _rollout(policy, problem, config, coeffs, basis, initial, rows, dW, trace=None):
+    """Step the block ``dW`` (steps, slabs, PATH_BLOCK, m) under ``policy``,
+    which sees all its rows (P, N), and return the cost of its first rows,
+    the paths ``rows`` (left-endpoint running-cost integral plus terminal
+    cost); the padding after them is never costed or checked.  ``trace``,
+    when given, gets the table of the block's first row once it is stepped:
+    a row (t, z0, z1, a_0, ..., a_{N-1}) per step, the state and the control
+    applied on [t, t + dt)."""
     if abs(problem.t0 - config.t0) > 1e-12 or abs(problem.T - config.T) > 1e-12:
         raise ValueError("problem horizon and simulation config disagree")
     times, dts = time_steps(config, basis)
+    n, n_modes = len(rows), basis.n_modes
     step_dts = iter(dts)
     # an accumulator, since running_cost may return a scalar
-    cost = np.zeros(len(rows))
-    states, controls = [], []
+    cost = np.zeros(n)
+    table = []
 
     def drift(t, state):
         nonlocal cost
-        a = state.reshape(len(rows), basis.n_modes)
+        a = state.reshape(-1, n_modes)
         z = np.asarray(policy(t, a), dtype=float)
-        outside = ~problem.Z.contains(z, tol=1e-9)
+        outside = ~problem.Z.contains(z[:n], tol=1e-9)
         if outside.any():
             r = int(np.argmax(outside))
             raise InadmissibleControlError(
@@ -491,34 +492,22 @@ def _rollout(policy, problem, config, coeffs, basis, initial, rows, dW, record=F
                 f"inadmissible control {z[r]} at t={t} on path {rows[r]}"
             )
         # left-endpoint running cost, sampled before the step leaves state
-        cost += problem.running_cost(t, a, z) * next(step_dts)
-        if record:
-            controls.append(z)
+        cost += problem.running_cost(t, a[:n], z[:n]) * next(step_dts)
+        if trace:
+            table.append(np.hstack((t, z[0], a[0])))
         return control_drift(t, z, coeffs, basis).reshape(state.shape)
 
     for state in rollout(times, dts, initial, dW, coeffs, basis, drift):
-        if record:
-            states.append(state)
-    cost += problem.terminal_cost(state.reshape(len(rows), basis.n_modes))
-    return cost, np.array(states), np.array(controls)
+        pass
+    cost += problem.terminal_cost(state.reshape(-1, n_modes)[:n])
+    if trace:
+        trace(np.array(table))
+    return cost
 
 
 def _mean_se(costs):
     mean, _, se = mean_var_se(costs)
     return float(mean), float(se)
-
-
-def policy_paths(policies, problem, config, coeffs, basis, initial, path_index=0):
-    """Yield the trajectory of the row ``path_index`` alone, with controls,
-    under each of ``policies`` in turn, as ``compare_policies`` steps it:
-    the row's noise is drawn once, each record stepped when asked for."""
-    rows = range(path_index, path_index + 1)
-    times, dts = time_steps(config, basis)
-    dW = block_increments(config.seed, rows, dts, config.m_noise)
-    args = (problem, config, coeffs, basis, initial, rows, dW)
-    for policy in policies:
-        _, states, controls = _rollout(policy, *args, record=True)
-        yield PathRecord(times=times, states=states[:, 0], controls=controls[:, 0])
 
 
 @dataclass(frozen=True)
@@ -555,6 +544,7 @@ def compare_policies(
     basis: EigenBasis,
     initial: np.ndarray,
     n_paths: int,
+    trace=None,
 ) -> ComparisonReport:
     """Evaluate policies on shared random numbers and pair the differences.
 
@@ -562,7 +552,9 @@ def compare_policies(
     standard errors isolate genuine policy differences from Monte Carlo
     noise.  Each block's noise is drawn once and stepped by every policy,
     so an inadmissible control on an earlier block is reported first,
-    whichever policy emits it.  Deterministic given the config seed."""
+    whichever policy emits it.  Deterministic given the config seed.
+    ``trace(k, table)``, when given, gets path 0 under ``policies[k]`` (see
+    ``_rollout``) as soon as it is stepped: one table is held at a time."""
     if len(policies) < 2:
         raise ValueError("need at least 2 policies to compare")
     if n_paths < 2:
@@ -570,8 +562,9 @@ def compare_policies(
     costs = np.empty((len(policies), n_paths))
     for rows, dW in ensemble_blocks(config, coeffs, basis, n_paths):
         args = (problem, config, coeffs, basis, initial, rows, dW)
-        for policy, cost in zip(policies, costs):
-            cost[rows.start : rows.stop] = _rollout(policy, *args)[0]
+        for k, (policy, cost) in enumerate(zip(policies, costs)):
+            keep = partial(trace, k) if trace and rows.start == 0 else None
+            cost[rows.start : rows.stop] = _rollout(policy, *args, keep)
         # so that the next block's draw never holds two blocks of noise
         del dW, args
     runs = [(policy.name, cost) for policy, cost in zip(policies, costs)]

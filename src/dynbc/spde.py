@@ -14,12 +14,12 @@ are reproducible and order-independent; ``block_increments`` draws a
 block with one Philox, resetting its counter for each row.
 
 ``rollout`` is the one stepping loop and ``step_exp_euler`` its one step,
-and a block of paths (P, N) is the one trajectory shape: recorded paths,
-ensemble blocks, controlled paths and the inner paths of the nested Monte
-Carlo provider all advance through it.  For state-free coefficients
-(``L == 0``: f and g do not read u) the step never builds the nodal field
-u.  ``ensemble_blocks`` is the one partition of an ensemble, controlled or
-not, into blocks, and ``recorded_blocks`` that of the recorded paths.
+and a block of paths (P, N) is the one trajectory shape: ensemble blocks,
+controlled paths and the inner paths of the nested Monte Carlo provider all
+advance through it.  For state-free coefficients (``L == 0``: f and g do
+not read u) the step never builds the nodal field u.  ``ensemble_blocks``
+is the one partition of an ensemble, controlled or not, into whole slabs,
+and recorded paths are rows of ``terminal_states``' pass over it.
 ``mean_var_se`` is the one mean/standard-error estimator.
 """
 
@@ -35,14 +35,14 @@ from numpy.random import Generator, Philox
 from .errors import ShapeError
 from .spectral import EigenBasis
 
-# paths stepped together as one block, and the slab that wider blocks are
-# made of; transient memory grows with it
+# the slab every block is made of: paths stepped together, the smallest
+# block; transient memory grows with it
 PATH_BLOCK = 64
 # largest noise array a PATH_BLOCK-row block may draw:
 # steps x m_noise x PATH_BLOCK doubles
 MAX_BLOCK_NOISE_BYTES = 2**30
-# largest noise array a block wider than PATH_BLOCK rows may draw:
-# steps x m_noise x rows doubles
+# largest noise array a block wider than PATH_BLOCK rows may draw, steps x
+# m_noise x rows doubles, and largest recorded history a block holds
 MAX_WIDE_NOISE_BYTES = 2**24
 # largest array of one step's terms a wide block may hold:
 # rows x n_modes doubles
@@ -74,13 +74,11 @@ def block_noise_fits(span: float, dt: float, m_noise: int) -> bool:
 
 
 def path_blocks(n_paths: int, rows: int = PATH_BLOCK) -> list:
-    """Consecutive ranges of at most ``rows`` path indices, in index order,
-    covering range(n_paths); ``rows`` is a multiple of ``PATH_BLOCK``.  The
-    last ``n_paths % PATH_BLOCK`` paths form a block of their own, so every
-    other block is a whole number of ``PATH_BLOCK``-row slabs."""
-    tail = n_paths - n_paths % PATH_BLOCK
-    cuts = sorted({*range(0, tail, rows), tail, n_paths})
-    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    """Consecutive ranges of at most ``rows`` path indices from 0, whole
+    ``PATH_BLOCK``-path slabs each (``rows`` is a multiple of ``PATH_BLOCK``),
+    the last one ending with the slab that holds path n_paths - 1."""
+    end = -(-n_paths // PATH_BLOCK) * PATH_BLOCK
+    return [range(a, min(a + rows, end)) for a in range(0, n_paths, rows)]
 
 
 @dataclass(frozen=True)
@@ -133,11 +131,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """One simulated trajectory: modal states per time, optional controls."""
+    """Simulated trajectories: times and the modal states at each."""
 
     times: np.ndarray
     states: np.ndarray
-    controls: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -331,48 +328,16 @@ def rollout(times, dts, initial, dW, coeffs, basis, drift=None):
         yield state
 
 
-def simulate_path(
-    config: SimConfig,
-    coeffs: Coefficients,
-    basis: EigenBasis,
-    initial: np.ndarray,
-    rows: range = range(1),
-) -> PathRecord:
-    """Simulate the trajectories of the paths ``rows``, with states
-    (steps + 1, len(rows), N).  Each path steps as a one-row slab of its
-    own, so it has the bits of the lone one-row block ``range(p, p + 1)``:
-    it is deterministic given (seed, p), whatever else ``rows`` holds."""
-    times, dts = time_steps(config, basis)
-    dW = block_increments(config.seed, rows, dts, config.m_noise)
-    # one-row slabs on their own axis, (steps, rows, 1, m)
-    path = rollout(times, dts, initial, dW[:, :, None], coeffs, basis)
-    states = np.empty((len(times), len(rows), 1, config.n_modes))
-    for out, state in zip(states, path):
-        out[...] = state
-    return PathRecord(times=times, states=states[:, :, 0])
-
-
-def recorded_blocks(config, coeffs, basis, initial, n_paths):
-    """Yield ``(rows, simulate_path(..., rows))`` over paths 0 to n_paths - 1
-    in blocks of as many paths as keep their noise and history, steps x
-    m_noise + (steps + 1) x n_modes doubles each, within 16 MiB
-    (``MAX_WIDE_NOISE_BYTES``), one at the least.  A consumer drops its
-    record before the next block is stepped."""
-    steps = len(time_grid(config)) - 1
-    per_path = (steps * config.m_noise + (steps + 1) * config.n_modes) * 8
-    width = max(1, MAX_WIDE_NOISE_BYTES // per_path)
-    for start in range(0, n_paths, width):
-        rows = range(start, min(start + width, n_paths))
-        yield rows, simulate_path(config, coeffs, basis, initial, rows)
-
-
 def ensemble_blocks(config, coeffs, basis, n_paths):
     """Yield the blocks ``(rows, dW)`` of an ensemble in index order: the
     ranges of ``path_blocks``, ``PATH_BLOCK`` rows wide, or
     ``state_free_rows`` for state-free coefficients (``L == 0``), and their
-    increments, (steps, slabs, PATH_BLOCK, m) for a wider block.  Row p draws
-    ``path_increments(seed, p, ...)``.  A consumer drops its ``dW`` before
-    the next block is drawn.
+    increments (steps, slabs, PATH_BLOCK, m).  ``rows`` are the paths below
+    n_paths; the padding after them is drawn and stepped for whole slabs,
+    then dropped.  Row p draws ``path_increments(seed, p, ...)`` and every
+    matrix product is one a ``PATH_BLOCK``-row block computes, whatever the
+    BLAS does with more, so row p's bits are set by (seed, p) alone.  A
+    consumer drops its ``dW`` before the next block is drawn.
 
     State-dependent blocks stay ``PATH_BLOCK`` rows: their steps build
     (rows, nodes) fields, and 1,024-row blocks measured a third slower at
@@ -383,28 +348,63 @@ def ensemble_blocks(config, coeffs, basis, n_paths):
     if coeffs.L == 0:
         nodes = basis.quad.nodes.size
         width = state_free_rows(len(dts), config.n_modes, config.m_noise, nodes)
-    for rows in path_blocks(n_paths, width):
-        dW = block_increments(config.seed, rows, dts, config.m_noise)
-        if len(rows) > PATH_BLOCK:
-            # slabs on their own axis: every matrix product is then the one
-            # a PATH_BLOCK-row block computes, whatever the BLAS does with more
-            dW = dW.reshape(len(dts), -1, PATH_BLOCK, config.m_noise)
-        yield rows, dW
+    for drawn in path_blocks(n_paths, width):
+        dW = block_increments(config.seed, drawn, dts, config.m_noise)
+        dW = dW.reshape(len(dts), -1, PATH_BLOCK, config.m_noise)
+        yield range(drawn.start, min(drawn.stop, n_paths)), dW
         del dW
 
 
-def terminal_states(config, coeffs, basis, initial, n_paths):
-    """Terminal modal states over the blocks of ``ensemble_blocks``; row p is
-    that of ``PATH_BLOCK``-row blocks, bit for bit, set by (seed, p) alone."""
+def _recorded(path, times, rows, n_modes, sink):
+    # pass ``path`` on, handing its first rows, the paths ``rows``, to
+    # ``sink`` as tables in step chunks of at most MAX_WIDE_NOISE_BYTES
+    k = max(1, MAX_WIDE_NOISE_BYTES // (len(rows) * (n_modes + 1) * 8))
+    held = np.empty((min(k, len(times)), len(rows), n_modes + 1))
+    for i, state in enumerate(path):
+        held[i % k, :, 0] = times[i]
+        held[i % k, :, 1:] = state.reshape(-1, n_modes)[: len(rows)]
+        if i % k == k - 1 or i == len(times) - 1:
+            for r, p in enumerate(rows):
+                sink(p, held[: i % k + 1, r])
+        yield state
+
+
+def terminal_states(config, coeffs, basis, initial, n_paths, record=0, sink=None):
+    """Terminal modal states over the blocks of ``ensemble_blocks``.
+
+    Paths 0 to ``record`` - 1 are handed out as they are stepped, as rows
+    (t, a_0, ..., a_{N-1}): ``sink(p, table)`` gets path p's in step chunks,
+    in time order, each as long as keeps a block's recorded rows within
+    ``MAX_WIDE_NOISE_BYTES``, and overwritten once ``sink`` returns."""
     times, dts = time_steps(config, basis)
     out = np.empty((n_paths, config.n_modes))
     for rows, dW in ensemble_blocks(config, coeffs, basis, n_paths):
-        for state in rollout(times, dts, initial, dW, coeffs, basis):
+        path = rollout(times, dts, initial, dW, coeffs, basis)
+        recorded = range(rows.start, min(rows.stop, record))
+        if recorded:
+            path = _recorded(path, times, recorded, config.n_modes, sink)
+        for state in path:
             pass
         # so that the next block's draw never holds two blocks of noise
         del dW
-        out[rows.start : rows.stop] = state.reshape(len(rows), config.n_modes)
+        out[rows.start : rows.stop] = state.reshape(-1, config.n_modes)[: len(rows)]
     return out
+
+
+def simulate_path(config, coeffs, basis, initial, rows=range(1)) -> PathRecord:
+    """The trajectories of the paths ``rows``, states (steps + 1, len(rows),
+    N): those rows of the ``terminal_states`` pass over paths 0 to
+    rows.stop - 1, recorded as it steps them, so each is its ensemble row,
+    bit for bit."""
+    held = {p: [] for p in rows}
+
+    def keep(p, table):
+        if p in held:
+            held[p].append(table[:, 1:].copy())
+
+    terminal_states(config, coeffs, basis, initial, rows.stop, rows.stop, keep)
+    states = np.stack([np.concatenate(held[p]) for p in rows], axis=1)
+    return PathRecord(times=time_grid(config), states=states)
 
 
 def mean_var_se(samples: np.ndarray):
@@ -420,12 +420,15 @@ def ensemble_stats(
     basis: EigenBasis,
     initial: np.ndarray,
     n_paths: int,
+    record: int = 0,
+    sink=None,
 ) -> EnsembleStats:
     """Terminal mean/variance over an ensemble, with standard errors,
-    reduced in fixed path-index order."""
+    reduced in fixed path-index order; ``record`` and ``sink`` as in
+    ``terminal_states``."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    terminal = terminal_states(config, coeffs, basis, initial, n_paths)
+    terminal = terminal_states(config, coeffs, basis, initial, n_paths, record, sink)
     norm_stats = map(float, mean_var_se(np.linalg.norm(terminal, axis=1)))
     return EnsembleStats(n_paths, *mean_var_se(terminal), *norm_stats)
 

@@ -15,7 +15,7 @@ import dynbc
 from dynbc import BoundaryParams, Coefficients, build_basis, named_coefficients
 from dynbc import cli
 from dynbc import control as ctl
-from dynbc import spde, validate
+from dynbc import formats, spde, validate
 from dynbc.cli import _build_setup, _make_policies, main
 from dynbc.config import RunConfig, default_config, parse_config, with_overrides
 from dynbc.errors import ConfigError
@@ -23,6 +23,7 @@ from dynbc.semigroup import GridState, initial_state, project
 from dynbc.spde import (
     MAX_BLOCK_NOISE_BYTES,
     MAX_WIDE_NOISE_BYTES,
+    PATH_BLOCK,
     block_increments,
     block_noise_fits,
     rollout,
@@ -367,17 +368,40 @@ NODAL = Coefficients(
 )
 
 
-class _Recorded:
-    """Wraps ``spde.simulate_path`` and notes each block's width."""
+class _Drawn:
+    """Wraps ``spde.block_increments`` and notes the rows of each draw."""
 
     def __init__(self, monkeypatch):
-        self.widths = []
-        self._simulate = spde.simulate_path
-        monkeypatch.setattr(spde, "simulate_path", self)
+        self.rows = []
+        self._draw = spde.block_increments
+        monkeypatch.setattr(spde, "block_increments", self)
 
-    def __call__(self, config, coeffs, basis, initial, rows):
-        self.widths.append(len(rows))
-        return self._simulate(config, coeffs, basis, initial, rows)
+    def __call__(self, seed, rows, dts, m_noise):
+        self.rows.append((rows.start, rows.stop))
+        return self._draw(seed, rows, dts, m_noise)
+
+
+class _Stepped:
+    """Wraps the ``rollout`` of ``module`` and keeps, for each call, a copy
+    of the first ``rows`` rows of every state it yields."""
+
+    def __init__(self, monkeypatch, module, rows):
+        self.calls = []
+        self.rows = rows
+        self._rollout = module.rollout
+        monkeypatch.setattr(module, "rollout", self)
+
+    def __call__(self, *args, **kwargs):
+        kept = []
+        self.calls.append(kept)
+        for state in self._rollout(*args, **kwargs):
+            kept.append(state.reshape(-1, state.shape[-1])[: self.rows].copy())
+            yield state
+
+
+def _read_table(path):
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
 
 
 class TestRecordedPaths:
@@ -390,8 +414,9 @@ class TestRecordedPaths:
         "family", ["zero", "additive", "multiplicative", "forced", "nodal"]
     )
     def test_paths_match_lone_rollouts(self, tmp_path, monkeypatch, family):
-        # each recorded path has the bits of the one-row block of its own,
-        # whichever block it is stepped in and whatever else that block holds
+        # each recorded path is its row of the ensemble's one pass, bit for
+        # bit, and so the row of a lone PATH_BLOCK-row block; the pass
+        # draws that block once and hands its rows out 3 steps at a time
         text = self.CONFIG + f"coefficients = {family}\n"
         if family == "nodal":
             text = self.CONFIG
@@ -400,49 +425,64 @@ class TestRecordedPaths:
         _, basis, coeffs, sim = _build_setup(cfg)
         times, dts = time_steps(sim, basis)
         assert dts[-1] < 0.9 * dts[0]
-        # room for the noise and history of two paths: blocks of 2, 2 and 1
-        per_path = (len(dts) * sim.m_noise + len(times) * sim.n_modes) * 8
-        monkeypatch.setattr(spde, "MAX_WIDE_NOISE_BYTES", 3 * per_path - 1)
-        recorded = _Recorded(monkeypatch)
+        held = cfg.record_paths * (1 + sim.n_modes) * 8
+        monkeypatch.setattr(spde, "MAX_WIDE_NOISE_BYTES", 3 * held)
+        drawn = _Drawn(monkeypatch)
+        stepped = _Stepped(monkeypatch, spde, cfg.record_paths)
         code, out = run_cli(tmp_path, "simulate", text)
         assert code == 0
-        assert recorded.widths == [2, 2, 1]
+        assert drawn.rows == [(0, PATH_BLOCK)]
+        (states,) = stepped.calls
         initial = initial_state(cfg.initial, basis)
+        dW = block_increments(sim.seed, range(PATH_BLOCK), dts, sim.m_noise)
+        lone = np.array(list(rollout(times, dts, initial, dW, coeffs, basis)))
         for p in range(cfg.record_paths):
-            lines = (out / f"path_{p:04d}.csv").read_text().splitlines()[1:]
-            table = np.array([[float(v) for v in line.split(",")] for line in lines])
-            dW = block_increments(sim.seed, range(p, p + 1), dts, sim.m_noise)
-            lone = np.array(list(rollout(times, dts, initial, dW, coeffs, basis)))
+            table = _read_table(out / f"path_{p:04d}.csv")
             assert table[:, 0].tobytes() == times.tobytes()
-            assert table[:, 1:].tobytes() == lone[:, 0].tobytes()
+            assert table[:, 1:].tobytes() == np.array(states)[:, p].tobytes()
+            assert table[:, 1:].tobytes() == lone[:, p].tobytes()
         assert not (out / f"path_{cfg.record_paths:04d}.csv").exists()
 
+    def test_recorded_paths_draw_only_ensemble_blocks(self, tmp_path, monkeypatch):
+        # 8 recorded rows of a state-dependent ensemble of 1,000 paths: the
+        # only draws are its 16 blocks, the last one padded, and each path
+        # file is its row of the first block's pass
+        drawn = _Drawn(monkeypatch)
+        stepped = _Stepped(monkeypatch, spde, 8)
+        text = "coefficients = multiplicative\nrecord_paths = 8\nT = 0.1\n"
+        code, out = run_cli(tmp_path, "simulate", text)
+        assert code == 0
+        assert drawn.rows == [(a, a + PATH_BLOCK) for a in range(0, 1000, PATH_BLOCK)]
+        states = np.array(stepped.calls[0])
+        for p in range(8):
+            table = _read_table(out / f"path_{p:04d}.csv")
+            assert table[:, 1:].tobytes() == states[:, p].tobytes()
+        assert sorted(os.listdir(out))[-1] == "path_0007.csv"
+
     def test_no_recorded_paths_writes_no_path_file(self, tmp_path, monkeypatch):
-        recorded = _Recorded(monkeypatch)
+        drawn = _Drawn(monkeypatch)
         text = self.CONFIG.replace("record_paths = 5", "record_paths = 0")
         code, out = run_cli(tmp_path, "simulate", text)
         assert code == 0
-        assert recorded.widths == []
+        assert drawn.rows == [(0, PATH_BLOCK)]
         assert os.listdir(out) == ["ensemble.json"]
 
     def test_recorded_blocks_stay_within_cap(self, tmp_path, monkeypatch):
-        # 2,000 steps at 64 modes and one noise mode: a path's noise and
-        # history take 1.04 MB, so 64 recorded paths held at once would
-        # take 4 times the cap; the bound steps them 16 at a time
+        # 2,000 steps at 64 modes: the history of 64 recorded paths takes 4
+        # times the cap, so it leaves the pass in chunks of 504 steps
         text = (
             "n_modes = 64\nm_noise = 1\ndt = 2.5e-4\nn_paths = 64\n"
             "record_paths = 64\n"
         )
-        history = 64 * (2000 * 1 + 2001 * 64) * 8
+        history = 64 * 2001 * 64 * 8
         assert history > 3.9 * MAX_WIDE_NOISE_BYTES
-        recorded = _Recorded(monkeypatch)
         # the tables are not what this measures
         written = []
 
-        def write_csv(path, header, rows):
-            written.append(rows.shape)
+        def write_csv(path, header, rows, append=False):
+            written.append((os.path.basename(path), rows.shape, append))
 
-        monkeypatch.setattr(cli, "write_csv", write_csv)
+        monkeypatch.setattr(formats, "write_csv", write_csv)
         tracemalloc.start()
         try:
             code, _ = run_cli(tmp_path, "simulate", text)
@@ -450,11 +490,40 @@ class TestRecordedPaths:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert recorded.widths == [16] * 4
-        assert written == [(2001, 65)] * 64
-        # one block fills the cap to within a path; the rest is one path's
-        # table, the basis and the ensemble
+        chunks = [(0, 504), (504, 504), (1008, 504), (1512, 489)]
+        assert written == [
+            (f"path_{p:04d}.csv", (rows, 65), start > 0)
+            for start, rows in chunks
+            for p in range(64)
+        ]
+        # one chunk fills the cap; the rest is one chunk's table, the
+        # block's noise, the basis and the ensemble
         assert peak < 1.25 * MAX_WIDE_NOISE_BYTES
+
+    def test_non_finite_chunk_leaves_no_table(self, tmp_path, monkeypatch):
+        # the drift turns infinite after the first chunks of the recorded
+        # paths are written: the run exits 1 and leaves no file behind
+        blowup = Coefficients(
+            f=lambda t, x, u: math.inf if t > 0.1 else 0.0,
+            g=lambda t, x, u: 0.2,
+            h=lambda t: (1.0, 1.0),
+            K=1.0,
+            L=0.0,
+        )
+        monkeypatch.setattr(cli, "named_coefficients", lambda *a, **k: blowup)
+        monkeypatch.setattr(spde, "MAX_WIDE_NOISE_BYTES", 3 * 5 * 9 * 8)
+        appended = []
+        real = formats.write_csv
+
+        def write_csv(path, header, rows, append=False):
+            appended.append(append)
+            return real(path, header, rows, append)
+
+        monkeypatch.setattr(formats, "write_csv", write_csv)
+        code, out = run_cli(tmp_path, "simulate", self.CONFIG)
+        assert code == 1
+        assert True in appended
+        assert os.listdir(out) == []
 
 
 class TestControlCommand:
@@ -529,22 +598,55 @@ class TestControlCommand:
         assert outputs[0] == outputs[1]
 
     def test_traces_draw_path_zero_once(self, tmp_path, monkeypatch):
-        # the ensemble's two blocks, then one draw of path 0 for all six
-        # traces
-        drawn = []
-        real = spde.block_increments
+        # the ensemble's one block is the only draw, and each of the six
+        # traces is row 0 of that block under its policy, bit for bit
+        drawn = _Drawn(monkeypatch)
+        stepped = _Stepped(monkeypatch, ctl, 1)
+        controls = []
+        real = ctl.control_drift
 
-        def counting(seed, rows, dts, m_noise):
-            drawn.append((rows.start, rows.stop))
-            return real(seed, rows, dts, m_noise)
+        def control_drift(t, z, coeffs, basis):
+            controls.append(z[0].copy())
+            return real(t, z, coeffs, basis)
 
-        monkeypatch.setattr(spde, "block_increments", counting)
-        monkeypatch.setattr(ctl, "block_increments", counting)
+        monkeypatch.setattr(ctl, "control_drift", control_drift)
         text = "policies = zero, grid:2, feedback:terminal_proxy\n"
         code, out = run_cli(tmp_path, "control", text)
         assert code == 0
-        assert drawn == [(0, 960), (960, 1000), (0, 1)]
-        assert len([n for n in os.listdir(out) if n.startswith("trace_")]) == 6
+        assert drawn.rows == [(0, 1024)]
+        names = sorted(n for n in os.listdir(out) if n.startswith("trace_"))
+        assert len(names) == len(stepped.calls) == 6
+        steps = len(controls) // 6
+        for k, (name, states) in enumerate(zip(names, stepped.calls)):
+            table = _read_table(out / name)
+            assert table[:, 1:3].tobytes() == np.array(
+                controls[k * steps : (k + 1) * steps]
+            ).tobytes()
+            assert table[:, 3:].tobytes() == np.array(states)[:steps, 0].tobytes()
+
+    def test_traces_stay_within_cap(self, tmp_path, monkeypatch):
+        # the shape of test_recorded_blocks_stay_within_cap, for six traces
+        # of 2,000 steps at 64 modes: each is handed out and dropped before
+        # the next policy steps
+        text = (
+            "n_modes = 64\nm_noise = 1\ndt = 2.5e-4\nn_paths = 64\n"
+            "policies = zero, grid:2, feedback:terminal_proxy\n"
+        )
+        written = []
+
+        def write_csv(path, header, rows, append=False):
+            written.append((os.path.basename(path)[:8], rows.shape, append))
+
+        monkeypatch.setattr(formats, "write_csv", write_csv)
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(tmp_path, "control", text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert written == [(f"trace_{k:02d}", (2000, 67), False) for k in range(6)]
+        assert peak < 1.25 * MAX_WIDE_NOISE_BYTES
 
     def test_unknown_policy_rejected(self, tmp_path, capsys):
         code, _ = run_cli(

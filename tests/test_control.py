@@ -26,7 +26,6 @@ from dynbc import (
     hamiltonian,
     hamiltonian_argmin,
     named_coefficients,
-    policy_paths,
     quadratic_problem,
     reconstruct,
     simulate_path,
@@ -159,14 +158,32 @@ def _compared_costs(problem, policies, config, coeffs, basis, initial, n_paths):
 
 def _block_loop_costs(policy, problem, config, coeffs, basis, initial, n_paths):
     # the partition compare_policies stepped before its blocks followed
-    # ensemble_blocks: PATH_BLOCK-row blocks, each drawing its own noise
+    # ensemble_blocks: PATH_BLOCK-row blocks, each drawing its own noise,
+    # the last one padded past n_paths
     dts = time_steps(config, basis)[1]
     costs = []
-    for rows in path_blocks(n_paths):
-        dW = block_increments(config.seed, rows, dts, config.m_noise)
+    for drawn in path_blocks(n_paths):
+        rows = range(drawn.start, min(drawn.stop, n_paths))
+        dW = block_increments(config.seed, drawn, dts, config.m_noise)
         args = (problem, config, coeffs, basis, initial, rows, dW)
-        costs.append(_rollout(policy, *args)[0])
+        costs.append(_rollout(policy, *args))
     return np.concatenate(costs)
+
+
+def _traces(problem, policies, config, coeffs, basis, initial, n_paths=2):
+    """The traces ``compare_policies`` hands out: path 0 under each policy."""
+    records = []
+    compare_policies(
+        problem,
+        policies,
+        config,
+        coeffs,
+        basis,
+        initial,
+        n_paths,
+        lambda k, record: records.append(record),
+    )
+    return records
 
 
 class _LoopNestedMC(NestedMCGradient):
@@ -704,15 +721,16 @@ class TestPolicies:
 
     def test_every_emitted_control_admissible(self, bench):
         provider = TerminalProxyGradient(bench.problem, bench.basis)
-        (record,) = policy_paths(
-            [FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis)],
+        feedback = FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis)
+        table, _ = _traces(
             bench.problem,
+            [feedback, ZeroPolicy()],
             bench.config,
             bench.coeffs,
             bench.basis,
             bench.initial,
         )
-        norms = np.hypot(record.controls[:, 0], record.controls[:, 1])
+        norms = np.hypot(table[:, 1], table[:, 2])
         assert np.all(norms <= bench.problem.Z.radius + 1e-12)
 
     def test_rogue_policy_rejected_at_recording_time(self, bench):
@@ -723,56 +741,71 @@ class TestPolicies:
                 return np.tile([5.0, 0.0], (len(state), 1))
 
         with pytest.raises(ValueError, match="inadmissible"):
-            list(
-                policy_paths(
-                    [Rogue()],
-                    bench.problem,
-                    bench.config,
-                    bench.coeffs,
-                    bench.basis,
-                    bench.initial,
-                )
+            _traces(
+                bench.problem,
+                [Rogue(), ZeroPolicy()],
+                bench.config,
+                bench.coeffs,
+                bench.basis,
+                bench.initial,
             )
 
 
 class TestPolicyPaths:
     def test_one_draw_for_every_trace(self, bench, monkeypatch):
-        # the traces are those each policy has alone, from one draw of the
-        # row's noise
+        # the traces are row 0 of the ensemble's one block under each
+        # policy, from its one draw: each equals row 0 of the hand-written
+        # loop over a PATH_BLOCK-row block, (t, z0, z1, a) at every step
         provider = TerminalProxyGradient(bench.problem, bench.basis)
         policies = [
             ZeroPolicy(),
             ConstantPolicy((0.3, -0.2), bench.problem.Z),
             FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis),
         ]
-        args = (bench.problem, bench.config, bench.coeffs, bench.basis, bench.initial, 3)
-        alone = [next(policy_paths([policy], *args)) for policy in policies]
+        args = (bench.config, bench.coeffs, bench.basis, bench.initial)
         drawn = []
-        real = control.block_increments
+        real = spde.block_increments
 
         def counting(seed, rows, dts, m_noise):
             drawn.append(rows)
             return real(seed, rows, dts, m_noise)
 
-        monkeypatch.setattr(control, "block_increments", counting)
-        together = list(policy_paths(policies, *args))
-        assert drawn == [range(3, 4)]
-        assert len(together) == len(policies)
-        for a, b in zip(alone, together):
-            assert a.times.tobytes() == b.times.tobytes()
-            assert a.states.tobytes() == b.states.tobytes()
-            assert a.controls.tobytes() == b.controls.tobytes()
+        monkeypatch.setattr(spde, "block_increments", counting)
+        traces = _traces(bench.problem, policies, *args, n_paths=PATH_BLOCK + 5)
+        assert drawn == [range(0, 2 * PATH_BLOCK)]
+        assert len(traces) == len(policies)
+        times = time_steps(bench.config, bench.basis)[0]
+        for policy, table in zip(policies, traces):
+            _, states, controls = _loop_rollout(
+                policy, bench.problem, *args, range(PATH_BLOCK)
+            )
+            assert table[:, 0].tobytes() == times[:-1].tobytes()
+            assert table[:, 1:3].tobytes() == np.array(controls)[:, 0].tobytes()
+            assert table[:, 3:].tobytes() == np.array(states)[:-1, 0].tobytes()
 
     def test_each_trace_stepped_when_asked_for(self, bench):
+        # a trace is handed out as soon as its policy has stepped the first
+        # block, before the next policy steps it: one is held at a time
         class Rogue:
             name = "rogue"
 
             def __call__(self, t, state):
-                raise AssertionError("stepped before it was asked for")
+                raise AssertionError("rogue stepped")
 
-        args = (bench.problem, bench.config, bench.coeffs, bench.basis, bench.initial)
-        traces = policy_paths([ZeroPolicy(), Rogue()], *args)
-        assert np.all(next(traces).controls == 0.0)
+        traces = []
+        with pytest.raises(AssertionError, match="rogue stepped"):
+            compare_policies(
+                bench.problem,
+                [ZeroPolicy(), Rogue()],
+                bench.config,
+                bench.coeffs,
+                bench.basis,
+                bench.initial,
+                2,
+                lambda k, record: traces.append((k, record)),
+            )
+        assert [k for k, _ in traces] == [0]
+        assert np.all(traces[0][1][:, 1:3] == 0.0)
 
 
 class TestPolicyCost:
@@ -862,6 +895,8 @@ class TestBatchedRollout:
         return coeffs, policy
 
     def test_block_rows_match_single_path_costs(self, bench, setup):
+        # each path's cost is its row of the hand-written loop over its
+        # PATH_BLOCK-row block, the last one padded past N_PATHS
         coeffs, policy = setup
         args = (bench.problem, bench.config, coeffs, bench.basis, bench.initial)
         costs, _ = _compared_costs(
@@ -873,32 +908,18 @@ class TestBatchedRollout:
             bench.initial,
             self.N_PATHS,
         )
-        for p in (0, PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1):
-            (record,) = policy_paths([policy], *args, p)
-            single = 0.0
-            for i, dt in enumerate(np.diff(record.times)):
-                single += bench.problem.running_cost(
-                    record.times[i], record.states[i], record.controls[i]
-                ) * dt
-            single += bench.problem.terminal_cost(record.states[-1])
-            assert abs(costs[p] - single) <= 1e-13 * abs(single)
+        for start in (0, PATH_BLOCK):
+            block = range(start, start + PATH_BLOCK)
+            loop_costs = _loop_rollout(policy, *args, block)[0]
+            stop = min(start + PATH_BLOCK, self.N_PATHS)
+            assert costs[start:stop].tobytes() == loop_costs[: stop - start].tobytes()
 
     def test_inadmissible_row_named(self, bench, setup):
         coeffs, _ = setup
-
-        class OneBadRow:
-            name = "one_bad_row"
-
-            def __call__(self, t, state):
-                z = np.zeros((len(state), 2))
-                if len(state) == 5:
-                    z[2] = (5.0, 0.0)
-                return z
-
         with pytest.raises(ValueError, match=f"inadmissible.*path {PATH_BLOCK + 2}$"):
             compare_policies(
                 bench.problem,
-                [OneBadRow(), ZeroPolicy()],
+                [_BadOnBlock("one_bad_row", 1, 2), ZeroPolicy()],
                 bench.config,
                 coeffs,
                 bench.basis,
@@ -906,38 +927,58 @@ class TestBatchedRollout:
                 self.N_PATHS,
             )
 
+    def test_padded_rows_never_fail_a_run(self, bench, setup):
+        # a policy that leaves Z on every padded row of the last block: the
+        # padding is stepped but never checked or costed, so the run passes
+        # and every path costs what it costs under the zero policy
+        coeffs, _ = setup
+        rogue = _BadOnBlock("padding", 1, slice(self.N_PATHS - PATH_BLOCK, None))
+        costs = _compared_costs(
+            bench.problem,
+            [rogue, ZeroPolicy()],
+            bench.config,
+            coeffs,
+            bench.basis,
+            bench.initial,
+            self.N_PATHS,
+        )
+        assert rogue.blocks == 1
+        assert costs[0].tobytes() == costs[1].tobytes()
+
 
 class TestClosedLoop:
     def test_zero_provider_matches_uncontrolled_bitwise(self, bench):
         problem = quadratic_problem(
             ball(1.0), lambda t, a: 0.0, lambda a: 0.0, 0.0, 0.5
         )
-        (record,) = policy_paths(
-            [FeedbackPolicy(ZeroGradient(8), problem, bench.coeffs, bench.basis)],
+        feedback = FeedbackPolicy(ZeroGradient(8), problem, bench.coeffs, bench.basis)
+        table, _ = _traces(
             problem,
+            [feedback, ZeroPolicy()],
             bench.config,
             bench.coeffs,
             bench.basis,
             bench.initial,
         )
-        assert np.all(record.controls == 0.0)
+        assert np.all(table[:, 1:3] == 0.0)
         free = simulate_path(bench.config, bench.coeffs, bench.basis, bench.initial)
-        assert np.array_equal(record.states, free.states[:, 0])
+        assert np.array_equal(table[:, 3:], free.states[:-1, 0])
 
     def test_zero_gains_kill_any_provider_bitwise(self, bench):
         coeffs = named_coefficients("additive", g_scale=0.2, h0=0.0, h1=0.0)
         provider = TerminalProxyGradient(bench.problem, bench.basis)
-        (record,) = policy_paths(
-            [FeedbackPolicy(provider, bench.problem, coeffs, bench.basis)],
+        feedback = FeedbackPolicy(provider, bench.problem, coeffs, bench.basis)
+        table, _ = _traces(
             bench.problem,
+            [feedback, ZeroPolicy()],
             bench.config,
             coeffs,
             bench.basis,
             bench.initial,
         )
-        assert np.all(record.controls == 0.0)
+        assert np.all(table[:, 1:3] == 0.0)
         free = simulate_path(bench.config, coeffs, bench.basis, bench.initial)
-        assert np.array_equal(record.states, free.states[:, 0])
+        assert np.array_equal(table[:, 3:], free.states[:-1, 0])
 
     def test_feedback_improves_on_zero_policy(self, bench):
         provider = TerminalProxyGradient(bench.problem, bench.basis)
@@ -1083,16 +1124,19 @@ class TestRolloutReference:
     def _assert_matches_loop(self, policy, problem, config, coeffs, bench, ref=None):
         args = (problem, config, coeffs, bench.basis, bench.initial)
         dts = time_steps(config, bench.basis)[1]
-        for rows in path_blocks(self.N_PATHS):
-            dW = block_increments(config.seed, rows, dts, config.m_noise)
-            cost, states, controls = _rollout(policy, *args, rows, dW, record=True)
+        for drawn in path_blocks(self.N_PATHS):
+            rows = range(drawn.start, min(drawn.stop, self.N_PATHS))
+            dW = block_increments(config.seed, drawn, dts, config.m_noise)
+            traces = []
+            cost = _rollout(policy, *args, rows, dW, traces.append)
             ref_cost, ref_states, ref_controls = _loop_rollout(
-                ref or policy, *args, rows
+                ref or policy, *args, drawn
             )
-            assert np.array_equal(cost, ref_cost)
-            assert np.array_equal(_rollout(policy, *args, rows, dW)[0], ref_cost)
-            assert np.array_equal(states, np.array(ref_states))
-            assert np.array_equal(controls, np.array(ref_controls))
+            assert np.array_equal(cost, ref_cost[: len(rows)])
+            assert np.array_equal(_rollout(policy, *args, rows, dW), cost)
+            (table,) = traces
+            assert np.array_equal(table[:, 1:3], np.array(ref_controls)[:, 0])
+            assert np.array_equal(table[:, 3:], np.array(ref_states)[:-1, 0])
 
     @pytest.mark.parametrize("family", ["additive", "multiplicative"])
     def test_terminal_proxy_feedback(self, bench, family):
@@ -1161,13 +1205,19 @@ class _Recording:
 
 
 class _BadOnBlock:
-    # leaves the admissible set at one row of the blocks of ``rows`` rows
-    def __init__(self, name, rows, row):
-        self.name, self.rows, self.row = name, rows, row
+    # leaves the admissible set at the rows ``row`` (an index or a slice) of
+    # the ``block``-th block it steps, counting from 0; each block's first
+    # step is at the first time the policy saw
+    def __init__(self, name, block, row):
+        self.name, self.block, self.row = name, block, row
+        self.t0, self.blocks = None, -1
 
     def __call__(self, t, state):
+        if self.t0 is None:
+            self.t0 = t
+        self.blocks += t == self.t0
         z = np.zeros((len(state), 2))
-        if len(state) == self.rows:
+        if self.blocks == self.block:
             z[self.row] = (5.0, 0.0)
         return z
 
@@ -1178,7 +1228,7 @@ class TestEnsembleBlocks:
     policy; its costs are those of ``PATH_BLOCK``-row blocks, bit for bit."""
 
     N_PATHS = 2500
-    BLOCKS = [1024, 1024, 448, 4]
+    BLOCKS = [1024, 1024, 512]
 
     @pytest.fixture(scope="class")
     def setup(self, basis16):
@@ -1219,7 +1269,7 @@ class TestEnsembleBlocks:
         [
             ("additive", N_PATHS, BLOCKS),
             ("nodal", N_PATHS, BLOCKS),
-            ("multiplicative", PATH_BLOCK + 5, [PATH_BLOCK, 5]),
+            ("multiplicative", PATH_BLOCK + 5, [PATH_BLOCK, PATH_BLOCK]),
         ],
     )
     def test_policy_sees_row_blocks(self, basis16, setup, family, n_paths, blocks):
@@ -1249,9 +1299,9 @@ class TestEnsembleBlocks:
         assert drawn == self.BLOCKS
 
     def test_state_dependent_blocks_stay_narrow(self, basis16, monkeypatch):
-        # a multiplicative ensemble steps PATH_BLOCK-row blocks and the
-        # 4-row remainder, uncontrolled and controlled, where a state-free
-        # one of the same size steps 1,024-row blocks
+        # a multiplicative ensemble steps PATH_BLOCK-row blocks, the last
+        # one padded, uncontrolled and controlled, where a state-free one of
+        # the same size steps 1,024-row blocks
         config = SimConfig(n_modes=16, m_noise=16, dt=5e-3, T=0.01, seed=7)
         problem = benchmark_problem(1.0, 0.0, 0.01)
         _, dts = time_steps(config, basis16)
@@ -1265,7 +1315,7 @@ class TestEnsembleBlocks:
 
         monkeypatch.setattr(spde, "block_increments", counting)
         args = (config, MULTIPLICATIVE, basis16, np.zeros(16), self.N_PATHS)
-        narrow = [PATH_BLOCK] * (self.N_PATHS // PATH_BLOCK) + [4]
+        narrow = [PATH_BLOCK] * -(-self.N_PATHS // PATH_BLOCK)
         spde.terminal_states(*args)
         assert drawn == narrow
         drawn.clear()
@@ -1291,10 +1341,23 @@ class TestEnsembleBlocks:
             tracemalloc.stop()
         assert noise < peak < 1.5 * noise
 
+    @pytest.mark.parametrize("family", ["additive", "multiplicative"])
+    def test_costs_independent_of_n_paths(self, basis16, setup, family):
+        # path p costs the same, bit for bit, whatever n_paths is: at 965
+        # the last block holds 5 paths and the padding after them
+        config, problem, initial = setup
+        coeffs = named_coefficients(family)
+        policies = self._policies(problem, coeffs, basis16)
+        args = (config, coeffs, basis16, initial)
+        fewer = _compared_costs(problem, policies, *args, 965)
+        more = _compared_costs(problem, policies, *args, 1024)
+        for a, b in zip(fewer, more):
+            assert a.tobytes() == b[:965].tobytes()
+
     def test_earlier_block_reported_first(self, bench):
         # the first policy leaves Z on the second block, the second policy
         # on the first; blocks are the outer loop, so the second is named
-        policies = [_BadOnBlock("later", 5, 2), _BadOnBlock("earlier", PATH_BLOCK, 3)]
+        policies = [_BadOnBlock("later", 1, 2), _BadOnBlock("earlier", 0, 3)]
         with pytest.raises(InadmissibleControlError, match="'earlier'.*path 3$"):
             compare_policies(
                 bench.problem,

@@ -7,7 +7,7 @@ import pytest
 
 from dynbc import formats
 from dynbc.errors import NonFiniteError
-from dynbc.formats import write_csv, write_json
+from dynbc.formats import csv_tables, write_csv, write_json
 
 NON_FINITE = [
     pytest.param(kind(value), id=f"{kind.__name__}-{value}")
@@ -125,6 +125,34 @@ class TestCsvChunks:
         finally:
             tracemalloc.stop()
         assert peak < table.nbytes
+
+
+class TestCsvTables:
+    TABLE = np.array([[0.0, 1.5], [0.1, -0.0], [0.2, 5e-324], [0.3, 1e308]])
+
+    def test_chunks_make_the_one_pass_table(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        with csv_tables(paths, ["t", "a"]) as append:
+            for chunk in (self.TABLE[:1], self.TABLE[1:3], self.TABLE[3:]):
+                append(0, chunk)
+                append(1, -chunk)
+        write_csv(tmp_path / "one.csv", ["t", "a"], self.TABLE)
+        assert paths[0].read_bytes() == (tmp_path / "one.csv").read_bytes()
+        write_csv(tmp_path / "one.csv", ["t", "a"], -self.TABLE)
+        assert paths[1].read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_non_finite_chunk_removes_every_table(self, tmp_path):
+        # the first table is complete and the second half written when the
+        # third chunk is refused: neither is left behind, nor the unbegun one
+        paths = [tmp_path / f"{name}.csv" for name in "abc"]
+        bad = self.TABLE[2:].copy()
+        bad[1, 1] = math.nan
+        with pytest.raises(NonFiniteError, match="nan"):
+            with csv_tables(paths, ["t", "a"]) as append:
+                append(0, self.TABLE)
+                append(1, self.TABLE[:2])
+                append(1, bad)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonStrings:

@@ -313,19 +313,39 @@ class TestNoise:
                 assert np.max(np.abs(terminal[p] - final)) <= 1e-13 * scale
 
 
+class TestRowBits:
+    """Row p of an ensemble is set by (seed, p) alone, bit for bit, whatever
+    n_paths is: also where its block is the last, short one."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_independent_of_n_paths(self, basis16, family):
+        # the default grid cut to T = 0.1: 20 steps at 16 modes; 965 paths
+        # end on a block of 5, 1,000 on one of 40 and 2,500 on one of 4
+        # an unpadded block of 5 rows rounds a multiplicative row at n = 965
+        # differently from a 64-row block
+        cfg = SimConfig(n_modes=16, m_noise=16, dt=5e-3, T=0.1, seed=12345)
+        coeffs = NODAL if family == "nodal" else named_coefficients(family)
+        a0 = constant_one_state(basis16)
+        largest = terminal_states(cfg, coeffs, basis16, a0, 2500)
+        for n in (965, 1000, 1024):
+            rows = terminal_states(cfg, coeffs, basis16, a0, n)
+            assert rows.tobytes() == largest[:n].tobytes(), n
+
+
 def _loop_terminal_states(config, coeffs, basis, initial, n_paths):
     # the hand-written block loop terminal_states had before it called
-    # rollout, kept as its reference
+    # rollout, kept as its reference: PATH_BLOCK-row blocks, the last one
+    # stepping the paths past n_paths to the end of its slab
     times, dts = time_steps(config, basis)
-    out = np.empty((n_paths, config.n_modes))
+    out = np.empty((n_paths + PATH_BLOCK, config.n_modes))
     for start in range(0, n_paths, PATH_BLOCK):
-        rows = range(start, min(start + PATH_BLOCK, n_paths))
+        rows = range(start, start + PATH_BLOCK)
         dW = block_increments(config.seed, rows, dts, config.m_noise)
         block = np.tile(np.asarray(initial, dtype=float), (len(rows), 1))
         for i, dt in enumerate(dts):
             block = step_exp_euler(times[i], block, dW[i], coeffs, basis, dt)
         out[rows.start : rows.stop] = block
-    return out
+    return out[:n_paths]
 
 
 class _Drawn(Exception):
@@ -334,15 +354,19 @@ class _Drawn(Exception):
 
 class TestRollout:
     def test_path_blocks_partition(self):
+        # whole slabs in index order, covering range(n) up to the end of
+        # the last slab, each block holding some path below n
         for width in (PATH_BLOCK, 16 * PATH_BLOCK):
             for n in (1, width, width + 5, 3 * width, 2 * width + PATH_BLOCK + 5):
                 blocks = path_blocks(n, width)
-                assert [p for rows in blocks for p in rows] == list(range(n))
+                end = -(-n // PATH_BLOCK) * PATH_BLOCK
+                assert [p for rows in blocks for p in rows] == list(range(end))
                 assert all(0 < len(rows) <= width for rows in blocks)
-                # every block but the remainder is whole slabs
-                assert all(len(rows) % PATH_BLOCK == 0 for rows in blocks[:-1])
+                assert all(len(rows) % PATH_BLOCK == 0 for rows in blocks)
+                assert blocks[-1].start < n
         assert path_blocks(PATH_BLOCK + 5) == path_blocks(PATH_BLOCK + 5, PATH_BLOCK)
-        assert [len(rows) for rows in path_blocks(1000, 1024)] == [960, 40]
+        assert [len(rows) for rows in path_blocks(1000, 1024)] == [1024]
+        assert [len(rows) for rows in path_blocks(965)] == [PATH_BLOCK] * 16
 
     def test_state_free_rows(self):
         # 100 steps at 16 modes and 512 quadrature nodes, the default
@@ -373,10 +397,10 @@ class TestRollout:
         assert dts[-1] < 0.9 * dts[0]
         width = state_free_rows(len(dts), n_modes, m_noise, basis.quad.nodes.size)
         assert width == MAX_WIDE_STEP_BYTES // (n_modes * 8) // PATH_BLOCK * PATH_BLOCK
-        # two wide blocks, a short one of whole slabs and the remainder
+        # two wide blocks and a short one, whose last slab is partly padding
         n = 2 * width + 3 * PATH_BLOCK + 37
         blocks = [len(rows) for rows in path_blocks(n, width)]
-        assert blocks == [width, width, 3 * PATH_BLOCK, 37]
+        assert blocks == [width, width, 4 * PATH_BLOCK]
         coeffs = FAMILIES[family]
         a0 = constant_one_state(basis)
         assert np.array_equal(
@@ -407,9 +431,9 @@ class TestRollout:
             assert rows >= PATH_BLOCK
             assert nbytes <= (MAX_WIDE_NOISE_BYTES if wide else MAX_BLOCK_NOISE_BYTES)
             widths.append(rows)
-        # the whole slabs of the default ensemble are one block
+        # the default ensemble, padded to whole slabs, is one block
         assert widths[0] == PATH_BLOCK
-        assert widths[-1] == cfg.n_paths - cfg.n_paths % PATH_BLOCK
+        assert widths[-1] == -(-cfg.n_paths // PATH_BLOCK) * PATH_BLOCK
         with pytest.raises(ConfigError, match="takes too many steps"):
             with_overrides(default_config(), dt=0.5 / largest, m_noise=m_noise)
 
@@ -445,13 +469,15 @@ class TestRollout:
         coeffs = FAMILIES[family]
         times, dts = time_steps(cfg, basis8)
         assert dts[-1] < 0.9 * dts[0]
-        dW = path_increments(cfg.seed, 4, dts, cfg.m_noise)
-        a = constant_one_state(basis8)
-        states = [a]
+        # path 4 is row 4 of the PATH_BLOCK-row block the ensemble steps
+        dW = block_increments(cfg.seed, range(PATH_BLOCK), dts, cfg.m_noise)
+        a0 = constant_one_state(basis8)
+        block = np.tile(a0, (PATH_BLOCK, 1))
+        states = [block[4]]
         for i, dt in enumerate(dts):
-            a = step_exp_euler(times[i], a, dW[i], coeffs, basis8, dt)
-            states.append(a)
-        record = simulate_path(cfg, coeffs, basis8, states[0], rows=range(4, 5))
+            block = step_exp_euler(times[i], block, dW[i], coeffs, basis8, dt)
+            states.append(block[4])
+        record = simulate_path(cfg, coeffs, basis8, a0, rows=range(4, 5))
         assert np.array_equal(record.states[:, 0], np.array(states))
 
     def test_ensemble_holds_one_block_of_noise(self, basis16):
