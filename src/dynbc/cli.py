@@ -28,6 +28,8 @@ from .spectral import (
     normalization_bound,
 )
 
+# largest --threads accepted: the number of ensemble blocks stepped at once
+MAX_THREADS = 64
 # a policy pair's report entry peaks at about 1.4 KB while report.json is
 # written, so a pair counts as this many doubles however few paths there are
 _PAIR_MIN_DOUBLES = 256
@@ -80,7 +82,7 @@ def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
     paths = [os.path.join(out, f"path_{p:04d}.csv") for p in recorded]
     with csv_tables(paths, header) as append:
         stats = ensemble_stats(
-            sim, coeffs, basis, initial, cfg.n_paths, len(recorded), append
+            sim, coeffs, basis, initial, cfg.n_paths, len(recorded), append, threads
         )
         payload = {
             "config": cfg.as_dict(),
@@ -176,7 +178,7 @@ def cmd_control(cfg: RunConfig, out: str, threads: int) -> int:
     names = [f"trace_{k:02d}_{_sanitize(p.name)}.csv" for k, p in enumerate(policies)]
     with csv_tables([os.path.join(out, name) for name in names], header) as append:
         report = ctl.compare_policies(
-            problem, policies, sim, coeffs, basis, initial, cfg.n_paths, append
+            problem, policies, sim, coeffs, basis, initial, cfg.n_paths, append, threads
         )
         payload = {
             "config": cfg.as_dict(),
@@ -233,13 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
-            "--threads", type=int, default=1, help="accepted; has no effect"
+            "--threads",
+            type=int,
+            default=1,
+            help=(
+                f"worker threads stepping ensemble blocks, 1 to {MAX_THREADS}; "
+                "simulate and control only, and the results do not depend on it"
+            ),
         )
     return parser
 
 
-# every command is called as (config, out, threads) and ignores ``threads``:
-# perfbench/child.py wraps the commands and passes --threads through
+# every command is called as (config, out, threads); simulate and control
+# step their ensemble blocks on ``threads`` workers, spectrum and validate
+# ignore it (perfbench/child.py wraps the commands and passes it through)
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "simulate": cmd_simulate,
@@ -250,6 +259,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not 1 <= args.threads <= MAX_THREADS:
+        message = f"--threads must be from 1 to {MAX_THREADS}, got {args.threads}"
+        return _emit_error(message, 2)
     try:
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:

@@ -15,9 +15,10 @@ axis, taking states (..., N) and controls (..., 2) to values (...).
 
 Controlled paths and the inner paths of ``NestedMCGradient`` are stepped
 by ``spde.rollout``, the control entering through its drift hook, over
-the blocks of ``spde.ensemble_blocks``, each drawn once for all policies;
-costs and paired differences are reduced by ``spde.mean_var_se``, and a
-trace is path 0 of the first block, kept as a policy steps it.
+the blocks of ``spde.ensemble_blocks``, each drawn once for all policies
+and stepped on a worker thread of ``spde.run_blocks``; costs and paired
+differences are reduced by ``spde.mean_var_se``, and a trace is path 0 of
+the first block, kept as a policy steps it.
 
 The value function of the underlying infinite-dimensional control problem
 is never solved for; feedback laws are driven by pluggable gradient
@@ -36,10 +37,10 @@ from .semigroup import initial_state
 from .spde import (
     Coefficients,
     SimConfig,
-    ensemble_blocks,
     mean_var_se,
     named_coefficients,
     rollout,
+    run_blocks,
     time_steps,
 )
 from .spectral import BoundaryParams, EigenBasis, build_basis
@@ -545,28 +546,33 @@ def compare_policies(
     initial: np.ndarray,
     n_paths: int,
     trace=None,
+    threads: int = 1,
 ) -> ComparisonReport:
     """Evaluate policies on shared random numbers and pair the differences.
 
     Every policy sees the identical noise per path index, so paired
     standard errors isolate genuine policy differences from Monte Carlo
     noise.  Each block's noise is drawn once and stepped by every policy,
-    so an inadmissible control on an earlier block is reported first,
-    whichever policy emits it.  Deterministic given the config seed.
+    on one of ``threads`` workers (``spde.run_blocks``), so a policy must
+    bear calls from several threads at once; an inadmissible control on an
+    earlier block is reported first, whichever policy emits it.
+    Deterministic given the config seed, whatever ``threads`` is.
     ``trace(k, table)``, when given, gets path 0 under ``policies[k]`` (see
-    ``_rollout``) as soon as it is stepped: one table is held at a time."""
+    ``_rollout``) as soon as it is stepped, on the worker stepping the
+    first block: one table is held at a time."""
     if len(policies) < 2:
         raise ValueError("need at least 2 policies to compare")
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     costs = np.empty((len(policies), n_paths))
-    for rows, dW in ensemble_blocks(config, coeffs, basis, n_paths):
+
+    def work(rows, dW):
         args = (problem, config, coeffs, basis, initial, rows, dW)
         for k, (policy, cost) in enumerate(zip(policies, costs)):
             keep = partial(trace, k) if trace and rows.start == 0 else None
             cost[rows.start : rows.stop] = _rollout(policy, *args, keep)
-        # so that the next block's draw never holds two blocks of noise
-        del dW, args
+
+    run_blocks(config, coeffs, basis, n_paths, threads, work)
     runs = [(policy.name, cost) for policy, cost in zip(policies, costs)]
     results = tuple(PolicyResult(name, *_mean_se(c)) for name, c in runs)
     pairs = tuple(

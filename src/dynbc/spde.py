@@ -19,13 +19,13 @@ controlled paths and the inner paths of the nested Monte Carlo provider all
 advance through it.  For state-free coefficients (``L == 0``: f and g do
 not read u) the step never builds the nodal field u.  ``ensemble_blocks``
 is the one partition of an ensemble, controlled or not, into whole slabs,
-and recorded paths are rows of ``terminal_states``' pass over it.
-``mean_var_se`` is the one mean/standard-error estimator.
+and ``run_blocks`` the one pass over it, stepping blocks on worker threads;
+recorded paths are rows of ``terminal_states``' pass.  ``mean_var_se`` is
+the one mean/standard-error estimator.
 """
 
-# unused: perfbench/spans.py traces thread pools through this name and
-# refuses to install when no dynbc module binds it
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,11 +38,12 @@ from .spectral import EigenBasis
 # the slab every block is made of: paths stepped together, the smallest
 # block; transient memory grows with it
 PATH_BLOCK = 64
-# largest noise array a PATH_BLOCK-row block may draw:
-# steps x m_noise x PATH_BLOCK doubles
+# largest noise array a PATH_BLOCK-row block may draw, steps x m_noise x
+# PATH_BLOCK doubles, and the noise that the blocks ``run_blocks`` holds at
+# once may take when it holds more than one
 MAX_BLOCK_NOISE_BYTES = 2**30
 # largest noise array a block wider than PATH_BLOCK rows may draw, steps x
-# m_noise x rows doubles, and largest recorded history a block holds
+# m_noise x rows doubles, and largest recorded history the blocks hold
 MAX_WIDE_NOISE_BYTES = 2**24
 # largest array of one step's terms a wide block may hold:
 # rows x n_modes doubles
@@ -215,11 +216,18 @@ def _interior_moments(fv, basis: EigenBasis) -> np.ndarray:
 
 
 def _interior_noise(gv, dW, basis: EigenBasis) -> np.ndarray:
-    # the interior noise field g dW projected on the modes
+    # the interior noise field g dW projected on the modes, with the bits of
+    # _interior_moments(gv * field); the field is weighted in place, since
+    # every fresh node-sized array was handed back to the OS and faulted in
+    # again (a default multiplicative control: 23k minor faults, 56-66k on
+    # two workers, against 1-2k in place)
     m = np.shape(dW)[-1]
     if np.ndim(gv) == 0:
         return float(gv) * (dW @ basis.interior_gram[:m])
-    return _interior_moments(gv * (dW @ basis.values[:, :m].T), basis)
+    field = dW @ basis.values[:, :m].T
+    field *= gv
+    field *= basis.quad.weights
+    return field @ basis.values
 
 
 def _apply_diffusion(interior, h, dW, basis: EigenBasis) -> np.ndarray:
@@ -328,6 +336,14 @@ def rollout(times, dts, initial, dW, coeffs, basis, drift=None):
         yield state
 
 
+def _block_rows(config, coeffs, basis, steps):
+    # rows a block draws: PATH_BLOCK, or state_free_rows when L == 0
+    if coeffs.L != 0:
+        return PATH_BLOCK
+    nodes = basis.quad.nodes.size
+    return state_free_rows(steps, config.n_modes, config.m_noise, nodes)
+
+
 def ensemble_blocks(config, coeffs, basis, n_paths):
     """Yield the blocks ``(rows, dW)`` of an ensemble in index order: the
     ranges of ``path_blocks``, ``PATH_BLOCK`` rows wide, or
@@ -336,18 +352,16 @@ def ensemble_blocks(config, coeffs, basis, n_paths):
     n_paths; the padding after them is drawn and stepped for whole slabs,
     then dropped.  Row p draws ``path_increments(seed, p, ...)`` and every
     matrix product is one a ``PATH_BLOCK``-row block computes, whatever the
-    BLAS does with more, so row p's bits are set by (seed, p) alone.  A
-    consumer drops its ``dW`` before the next block is drawn.
+    BLAS does with more, so row p's bits are set by (seed, p) alone, and
+    not by the block's neighbours or by when or where it is stepped.  The
+    generator holds no block while it draws the next.
 
     State-dependent blocks stay ``PATH_BLOCK`` rows: their steps build
     (rows, nodes) fields, and 1,024-row blocks measured a third slower at
     the same bits (default multiplicative ``dynbc control``: 29k minor page
     faults, 0.05 s system time and 41 MB peak RSS became 646k, 0.9 s, 67 MB)."""
     dts = time_steps(config, basis)[1]
-    width = PATH_BLOCK
-    if coeffs.L == 0:
-        nodes = basis.quad.nodes.size
-        width = state_free_rows(len(dts), config.n_modes, config.m_noise, nodes)
+    width = _block_rows(config, coeffs, basis, len(dts))
     for drawn in path_blocks(n_paths, width):
         dW = block_increments(config.seed, drawn, dts, config.m_noise)
         dW = dW.reshape(len(dts), -1, PATH_BLOCK, config.m_noise)
@@ -355,10 +369,41 @@ def ensemble_blocks(config, coeffs, basis, n_paths):
         del dW
 
 
-def _recorded(path, times, rows, n_modes, sink):
+def run_blocks(config, coeffs, basis, n_paths, threads, work):
+    """Call ``work(rows, dW)`` on every block of ``ensemble_blocks`` on
+    ``threads`` worker threads, and return once every call has returned.
+
+    The blocks are drawn on the calling thread, in index order, and at
+    most ``threads`` drawn blocks are held at a time, fewer when their
+    noise would exceed ``MAX_BLOCK_NOISE_BYTES``, and at least one: the
+    next block is drawn once the oldest one held has been stepped.  The
+    calls run at the same time, so each may write only its own rows.
+    Results are read in block order, so a failure raises the exception of
+    the earliest failing block; blocks not yet started are then cancelled,
+    and every worker has stopped before the exception leaves."""
+    steps = len(time_steps(config, basis)[1])
+    noise = steps * _block_rows(config, coeffs, basis, steps) * config.m_noise * 8
+    in_flight = max(1, min(threads, MAX_BLOCK_NOISE_BYTES // noise))
+    pool = ThreadPoolExecutor(in_flight)
+    held = deque()
+    try:
+        for rows, dW in ensemble_blocks(config, coeffs, basis, n_paths):
+            held.append(pool.submit(work, rows, dW))
+            # from here its task holds the block, and drops it once stepped
+            del dW
+            if len(held) == in_flight:
+                held.popleft().result()
+        for future in held:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _recorded(path, times, rows, record, n_modes, sink):
     # pass ``path`` on, handing its first rows, the paths ``rows``, to
-    # ``sink`` as tables in step chunks of at most MAX_WIDE_NOISE_BYTES
-    k = max(1, MAX_WIDE_NOISE_BYTES // (len(rows) * (n_modes + 1) * 8))
+    # ``sink`` as tables in step chunks sized so that ``record`` recorded
+    # paths, in however many blocks, hold at most MAX_WIDE_NOISE_BYTES
+    k = max(1, MAX_WIDE_NOISE_BYTES // (record * (n_modes + 1) * 8))
     held = np.empty((min(k, len(times)), len(rows), n_modes + 1))
     for i, state in enumerate(path):
         held[i % k, :, 0] = times[i]
@@ -369,25 +414,32 @@ def _recorded(path, times, rows, n_modes, sink):
         yield state
 
 
-def terminal_states(config, coeffs, basis, initial, n_paths, record=0, sink=None):
-    """Terminal modal states over the blocks of ``ensemble_blocks``.
+def terminal_states(
+    config, coeffs, basis, initial, n_paths, record=0, sink=None, threads=1
+):
+    """Terminal modal states over the blocks of ``ensemble_blocks``, stepped
+    on ``threads`` workers by ``run_blocks``; the bits do not depend on
+    ``threads``.
 
     Paths 0 to ``record`` - 1 are handed out as they are stepped, as rows
     (t, a_0, ..., a_{N-1}): ``sink(p, table)`` gets path p's in step chunks,
-    in time order, each as long as keeps a block's recorded rows within
-    ``MAX_WIDE_NOISE_BYTES``, and overwritten once ``sink`` returns."""
+    in time order, each as long as keeps all ``record`` paths' held rows
+    within ``MAX_WIDE_NOISE_BYTES``, and overwritten once ``sink`` returns.
+    ``sink`` runs on the worker stepping the path, at the same time as the
+    calls for paths of other blocks."""
     times, dts = time_steps(config, basis)
     out = np.empty((n_paths, config.n_modes))
-    for rows, dW in ensemble_blocks(config, coeffs, basis, n_paths):
+
+    def work(rows, dW):
         path = rollout(times, dts, initial, dW, coeffs, basis)
         recorded = range(rows.start, min(rows.stop, record))
         if recorded:
-            path = _recorded(path, times, recorded, config.n_modes, sink)
+            path = _recorded(path, times, recorded, record, config.n_modes, sink)
         for state in path:
             pass
-        # so that the next block's draw never holds two blocks of noise
-        del dW
         out[rows.start : rows.stop] = state.reshape(-1, config.n_modes)[: len(rows)]
+
+    run_blocks(config, coeffs, basis, n_paths, threads, work)
     return out
 
 
@@ -422,13 +474,16 @@ def ensemble_stats(
     n_paths: int,
     record: int = 0,
     sink=None,
+    threads: int = 1,
 ) -> EnsembleStats:
     """Terminal mean/variance over an ensemble, with standard errors,
-    reduced in fixed path-index order; ``record`` and ``sink`` as in
-    ``terminal_states``."""
+    reduced in fixed path-index order; ``record``, ``sink`` and ``threads``
+    as in ``terminal_states``."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    terminal = terminal_states(config, coeffs, basis, initial, n_paths, record, sink)
+    terminal = terminal_states(
+        config, coeffs, basis, initial, n_paths, record, sink, threads
+    )
     norm_stats = map(float, mean_var_se(np.linalg.norm(terminal, axis=1)))
     return EnsembleStats(n_paths, *mean_var_se(terminal), *norm_stats)
 

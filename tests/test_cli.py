@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -18,7 +20,7 @@ from dynbc import control as ctl
 from dynbc import formats, spde, validate
 from dynbc.cli import _build_setup, _make_policies, main
 from dynbc.config import RunConfig, default_config, parse_config, with_overrides
-from dynbc.errors import ConfigError
+from dynbc.errors import ConfigError, InadmissibleControlError, NonFiniteError
 from dynbc.semigroup import GridState, initial_state, project
 from dynbc.spde import (
     MAX_BLOCK_NOISE_BYTES,
@@ -654,6 +656,83 @@ class TestControlCommand:
         )
         assert code == 2
         assert "unknown policy" in capsys.readouterr().err
+
+
+class TestThreads:
+    """``--threads`` steps ensemble blocks on that many workers: the
+    artifacts do not depend on it, and a failed run leaves no table."""
+
+    # three whole 64-path blocks and a padded one of 5; the recorded paths
+    # fill block 0 and begin block 1, and the traces are rows of block 0
+    CONFIG = (
+        "coefficients = multiplicative\nn_modes = 8\nm_noise = 8\n"
+        "dt = 1e-2\nT = 0.1\nn_paths = 197\nrecord_paths = 70\n"
+        "policies = zero, feedback:terminal_proxy\n"
+    )
+
+    @pytest.mark.parametrize("threads", ["0", "-3", str(cli.MAX_THREADS + 1)])
+    def test_out_of_range_exits_two(self, tmp_path, capsys, threads):
+        # rejected before any directory is made or any thread started
+        code, out = run_cli(tmp_path, "simulate", "", ["--threads", threads])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {
+            "error": f"--threads must be from 1 to {cli.MAX_THREADS}, got {threads}",
+            "exit_code": 2,
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "control"])
+    def test_artifacts_independent_of_threads(self, tmp_path, command):
+        files = []
+        for threads in ("1", "2", "3"):
+            work = tmp_path / threads
+            work.mkdir()
+            code, out = run_cli(work, command, self.CONFIG, ["--threads", threads])
+            assert code == 0
+            files.append(read_files(out))
+        assert len(files[0]) == {"simulate": 71, "control": 3}[command]
+        assert files[0] == files[1] == files[2]
+
+    def test_failed_simulate_leaves_no_table(self, tmp_path, monkeypatch):
+        # path 0's first chunk fails on block 0 while block 1, held back,
+        # still writes paths 64-69: the tables are removed once it is done
+        real = formats.write_csv
+
+        def write_csv(path, header, rows, append=False):
+            name = os.path.basename(path)
+            if name == "path_0000.csv":
+                raise NonFiniteError("refusing to serialize non-finite value nan")
+            if name == "path_0064.csv":
+                time.sleep(0.2)
+            return real(path, header, rows, append)
+
+        monkeypatch.setattr(formats, "write_csv", write_csv)
+        self._assert_fails_leaving_nothing(tmp_path, "simulate")
+
+    def test_failed_control_leaves_no_table(self, tmp_path, monkeypatch):
+        # block 1 fails at once while block 0, held back, writes the traces:
+        # the exception waits for block 0, and the tables are then removed
+        real = ctl._rollout
+
+        def rollout(policy, *args):
+            rows = args[5]
+            if rows.start == PATH_BLOCK:
+                raise InadmissibleControlError(f"on path {rows.start}")
+            time.sleep(0.1)
+            return real(policy, *args)
+
+        monkeypatch.setattr(ctl, "_rollout", rollout)
+        self._assert_fails_leaving_nothing(tmp_path, "control")
+
+    def _assert_fails_leaving_nothing(self, tmp_path, command):
+        # every worker has stopped when main returns, so no table can
+        # appear after the run has removed them
+        threads = threading.active_count()
+        code, out = run_cli(tmp_path, command, self.CONFIG, ["--threads", "2"])
+        assert code == 1
+        assert threading.active_count() == threads
+        assert os.listdir(out) == []
 
 
 class TestPolicySpecs:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -140,7 +141,9 @@ def _loop_rollout(policy, problem, config, coeffs, basis, initial, rows):
     return cost, states, controls
 
 
-def _compared_costs(problem, policies, config, coeffs, basis, initial, n_paths):
+def _compared_costs(
+    problem, policies, config, coeffs, basis, initial, n_paths, trace=None, threads=1
+):
     """The per-path costs of each policy in ``compare_policies``, in order:
     the arrays its first ``len(policies)`` calls of ``_mean_se`` reduce."""
     seen = []
@@ -150,9 +153,10 @@ def _compared_costs(problem, policies, config, coeffs, basis, initial, n_paths):
         return real(costs)
 
     real = control._mean_se
+    args = (problem, policies, config, coeffs, basis, initial, n_paths, trace, threads)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(control, "_mean_se", spy)
-        compare_policies(problem, policies, config, coeffs, basis, initial, n_paths)
+        compare_policies(*args)
     return seen[: len(policies)]
 
 
@@ -1367,4 +1371,96 @@ class TestEnsembleBlocks:
                 bench.basis,
                 bench.initial,
                 n_paths=PATH_BLOCK + 5,
+            )
+
+
+class TestWorkerThreads:
+    """``compare_policies`` steps its blocks on ``threads`` workers; costs,
+    traces and the failure reported do not depend on how many."""
+
+    # three whole blocks and a padded one of 5 paths
+    N_PATHS = 3 * PATH_BLOCK + 5
+
+    @staticmethod
+    def _config():
+        return SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.1, seed=23)
+
+    @staticmethod
+    def _run(problem, policies, config, coeffs, basis, initial, n_paths, threads):
+        traces = {}
+
+        def trace(k, table):
+            traces[k] = table.copy()
+
+        args = (problem, policies, config, coeffs, basis, initial, n_paths)
+        return _compared_costs(*args, trace, threads), traces
+
+    def test_costs_and_traces_identical_across_threads(self, bench):
+        config = self._config()
+        problem = benchmark_problem(1.0, 0.0, config.T)
+        coeffs = MULTIPLICATIVE
+        provider = TerminalProxyGradient(problem, bench.basis)
+        policies = [
+            ZeroPolicy(),
+            FeedbackPolicy(provider, problem, coeffs, bench.basis),
+            ConstantPolicy((0.3, -0.2), problem.Z),
+        ]
+        args = (problem, policies, config, coeffs, bench.basis, bench.initial)
+        reference = [
+            _block_loop_costs(policy, problem, *args[2:], self.N_PATHS)
+            for policy in policies
+        ]
+        runs = [self._run(*args, self.N_PATHS, threads) for threads in (1, 2, 3)]
+        for costs, traces in runs:
+            assert [c.tobytes() for c in costs] == [c.tobytes() for c in reference]
+            assert sorted(traces) == [0, 1, 2]
+            for k, table in traces.items():
+                assert table.tobytes() == runs[0][1][k].tobytes()
+
+    def test_nested_mc_identical_across_threads(self, bench):
+        config = SimConfig(n_modes=8, m_noise=8, dt=5e-2, T=0.1, seed=29)
+        problem = benchmark_problem(1.0, 0.0, config.T)
+        # multiplicative noise keeps the blocks PATH_BLOCK rows: two of them
+        provider = NestedMCGradient(
+            problem, MULTIPLICATIVE, bench.basis,
+            inner_paths=4, n_dirs=2, inner_dt=5e-2, seed=29,
+        )
+        policies = [
+            ZeroPolicy(),
+            FeedbackPolicy(provider, problem, MULTIPLICATIVE, bench.basis),
+        ]
+        args = (problem, policies, config, MULTIPLICATIVE, bench.basis, bench.initial)
+        one, two = (self._run(*args, PATH_BLOCK + 3, threads) for threads in (1, 2))
+        assert [c.tobytes() for c in one[0]] == [c.tobytes() for c in two[0]]
+        assert [t.tobytes() for t in one[1].values()] == [
+            t.tobytes() for t in two[1].values()
+        ]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_earliest_failing_block_reported(self, bench, monkeypatch, threads):
+        # the zero policy leaves Z at row 2 of blocks 1 and 3; block 1 is
+        # held back so that, on three workers, block 3 fails first in time
+        real = control._rollout
+
+        def rollout(policy, problem, config, coeffs, basis, initial, rows, dW, keep):
+            block = rows.start // PATH_BLOCK
+            if block in (1, 3):
+                policy = _BadOnBlock("zero", 0, 2)
+            if block == 1:
+                time.sleep(0.2)
+            return real(policy, problem, config, coeffs, basis, initial, rows, dW, keep)
+
+        monkeypatch.setattr(control, "_rollout", rollout)
+        config = self._config()
+        problem = benchmark_problem(1.0, 0.0, config.T)
+        with pytest.raises(InadmissibleControlError, match=f"path {PATH_BLOCK + 2}$"):
+            compare_policies(
+                problem,
+                [ZeroPolicy(), ZeroPolicy()],
+                config,
+                MULTIPLICATIVE,
+                bench.basis,
+                bench.initial,
+                self.N_PATHS,
+                threads=threads,
             )

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -330,6 +331,75 @@ class TestRowBits:
         for n in (965, 1000, 1024):
             rows = terminal_states(cfg, coeffs, basis16, a0, n)
             assert rows.tobytes() == largest[:n].tobytes(), n
+
+
+class TestWorkerThreads:
+    """``run_blocks`` steps blocks on worker threads: the bits, the order of
+    each recorded path's chunks and the noise held do not depend on it."""
+
+    # three whole blocks and a padded one of 5 paths; the recorded rows
+    # fill block 0 and begin block 1
+    N_PATHS = 3 * PATH_BLOCK + 5
+    RECORD = 70
+
+    def test_terminal_states_identical_across_threads(self, basis8, monkeypatch):
+        cfg = SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.1, seed=21)
+        a0 = constant_one_state(basis8)
+        # recorded paths leave in chunks of 4 steps
+        held = self.RECORD * (1 + cfg.n_modes) * 8
+        monkeypatch.setattr(spde, "MAX_WIDE_NOISE_BYTES", 4 * held)
+        reference = _loop_terminal_states(cfg, MULTIPLICATIVE, basis8, a0, self.N_PATHS)
+        runs = []
+        # more workers than cores, switching threads as often as it can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 3):
+                tables = {}
+
+                def sink(p, table):
+                    tables.setdefault(p, []).append(table.copy())
+
+                out = terminal_states(
+                    cfg, MULTIPLICATIVE, basis8, a0, self.N_PATHS,
+                    self.RECORD, sink, threads,
+                )
+                runs.append((out, tables))
+        finally:
+            sys.setswitchinterval(interval)
+        times = time_grid(cfg)
+        for out, tables in runs:
+            assert out.tobytes() == reference.tobytes()
+            assert sorted(tables) == list(range(self.RECORD))
+            for p, chunks in tables.items():
+                assert [len(c) for c in chunks] == [4, 4, 3]
+                table = np.concatenate(chunks)
+                assert table[:, 0].tobytes() == times.tobytes()
+                assert table[-1, 1:].tobytes() == reference[p].tobytes()
+                assert table.tobytes() == np.concatenate(runs[0][1][p]).tobytes()
+
+    @pytest.mark.parametrize(
+        "threads, cap_blocks, held", [(2, None, 2), (3, 1.5, 1), (3, 2.5, 2)]
+    )
+    def test_blocks_in_flight_bounded(
+        self, basis16, monkeypatch, threads, cap_blocks, held
+    ):
+        # 2,500 steps make the blocks PATH_BLOCK rows wide, 20 MB of noise
+        # each; at most ``threads`` of them are held, fewer when their noise
+        # would exceed MAX_BLOCK_NOISE_BYTES
+        cfg = SimConfig(n_modes=16, m_noise=16, dt=2e-4, T=0.5, seed=3)
+        _, dts = time_steps(cfg, basis16)
+        assert state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size) == PATH_BLOCK
+        noise = len(dts) * 16 * PATH_BLOCK * 8
+        if cap_blocks is not None:
+            monkeypatch.setattr(spde, "MAX_BLOCK_NOISE_BYTES", int(cap_blocks * noise))
+        tracemalloc.start()
+        try:
+            terminal_states(cfg, ADDITIVE, basis16, 1.0, 4 * PATH_BLOCK, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert noise < peak < (held + 0.5) * noise
 
 
 def _loop_terminal_states(config, coeffs, basis, initial, n_paths):
