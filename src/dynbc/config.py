@@ -123,7 +123,8 @@ def _validate(cfg: RunConfig):
             f"n_paths = {cfg.n_paths} is too many: the terminal states would "
             f"take more than {MAX_BLOCK_NOISE_BYTES} bytes"
         )
-    # the basis samples and a block's nodal field, one row per node
+    # the basis samples and a PATH_BLOCK-row block's nodal field, one row
+    # per node; a wider block's field takes at most MAX_NODAL_FIELD_BYTES
     nodes = cfg.panels * cfg.nodes_per_panel
     if nodes * max(cfg.n_modes, PATH_BLOCK) * 8 > MAX_BLOCK_NOISE_BYTES:
         raise ConfigError(

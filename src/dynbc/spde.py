@@ -17,11 +17,14 @@ block with one Philox, resetting its counter for each row.
 and a block of paths (P, N) is the one trajectory shape: ensemble blocks,
 controlled paths and the inner paths of the nested Monte Carlo provider all
 advance through it.  For state-free coefficients (``L == 0``: f and g do
-not read u) the step never builds the nodal field u.  ``ensemble_blocks``
-is the one partition of an ensemble, controlled or not, into whole slabs,
-and ``run_blocks`` the one pass over it, stepping blocks on worker threads;
-recorded paths are rows of ``terminal_states``' pass.  ``mean_var_se`` is
-the one mean/standard-error estimator.
+not read u) the step never builds the nodal field u; for state-dependent
+ones it writes u and the noise field into one pair of (P, nodes) arrays
+that ``rollout`` holds for the whole block.  ``ensemble_blocks`` is the one
+partition of an ensemble, controlled or not, into blocks of whole slabs as
+wide as ``block_rows`` allows, and ``run_blocks`` the one pass over it,
+stepping blocks on worker threads; recorded paths are rows of
+``terminal_states``' pass.  ``mean_var_se`` is the one mean/standard-error
+estimator.
 """
 
 from collections import deque
@@ -48,19 +51,27 @@ MAX_WIDE_NOISE_BYTES = 2**24
 # largest array of one step's terms a wide block may hold:
 # rows x n_modes doubles
 MAX_WIDE_STEP_BYTES = 2**17
+# largest nodal field of one step a wide state-dependent block may hold:
+# rows x nodes doubles, for u and for the noise field each
+MAX_NODAL_FIELD_BYTES = 2**20
 
 
-def state_free_rows(steps: int, n_modes: int, m_noise: int, nodes: int) -> int:
-    """Rows of a block of a state-free ensemble, a multiple of ``PATH_BLOCK``:
-    as many as keep one step's (rows, n_modes) terms within
-    ``MAX_WIDE_STEP_BYTES``, and the block's (steps, rows, m_noise) noise and
-    the (rows, nodes) noise field of a nodal g within
-    ``MAX_WIDE_NOISE_BYTES``; ``PATH_BLOCK`` at the least, whose arrays the
-    run configuration bounds."""
+def block_rows(
+    steps: int, n_modes: int, m_noise: int, nodes: int, state_dependent=False
+) -> int:
+    """Rows of a block of an ensemble, a multiple of ``PATH_BLOCK``: as many
+    as keep one step's (rows, n_modes) terms within ``MAX_WIDE_STEP_BYTES``,
+    the block's (steps, rows, m_noise) noise and the (rows, nodes) noise
+    field of a nodal g within ``MAX_WIDE_NOISE_BYTES`` and, for
+    ``state_dependent`` coefficients, the (rows, nodes) fields of one step
+    within ``MAX_NODAL_FIELD_BYTES``; ``PATH_BLOCK`` at the least, whose
+    arrays the run configuration bounds."""
     rows = min(
         MAX_WIDE_STEP_BYTES // (n_modes * 8),
         MAX_WIDE_NOISE_BYTES // (max(steps * m_noise, nodes) * 8),
     )
+    if state_dependent:
+        rows = min(rows, MAX_NODAL_FIELD_BYTES // (nodes * 8))
     return PATH_BLOCK * max(1, rows // PATH_BLOCK)
 
 
@@ -215,16 +226,16 @@ def _interior_moments(fv, basis: EigenBasis) -> np.ndarray:
     return (basis.quad.weights * fv) @ basis.values
 
 
-def _interior_noise(gv, dW, basis: EigenBasis) -> np.ndarray:
+def _interior_noise(gv, dW, basis: EigenBasis, out=None) -> np.ndarray:
     # the interior noise field g dW projected on the modes, with the bits of
-    # _interior_moments(gv * field); the field is weighted in place, since
-    # every fresh node-sized array was handed back to the OS and faulted in
-    # again (a default multiplicative control: 23k minor faults, 56-66k on
-    # two workers, against 1-2k in place)
+    # _interior_moments(gv * field); the field is built in ``out`` when
+    # given, else in a fresh array, and weighted in place, since a fresh
+    # node-sized array each time is handed back to the OS and faulted in
+    # again (see ``rollout``)
     m = np.shape(dW)[-1]
     if np.ndim(gv) == 0:
         return float(gv) * (dW @ basis.interior_gram[:m])
-    field = dW @ basis.values[:, :m].T
+    field = np.matmul(dW, basis.values[:, :m].T, out=out)
     field *= gv
     field *= basis.quad.weights
     return field @ basis.values
@@ -283,21 +294,29 @@ def step_exp_euler(
     basis: EigenBasis,
     dt: float,
     extra_drift: np.ndarray = None,
+    fields: tuple = None,
 ) -> np.ndarray:
     """One exponential-Euler step with coefficients frozen at time t.
 
     ``state`` is one modal state (N,) or a block of independent paths
     (P, N), with ``dW`` of shape (m,) or (P, m) holding N(0, dt) samples.
     ``extra_drift`` (used by the control layer) is added to the modal
-    drift before the semigroup is applied.
+    drift before the semigroup is applied.  ``fields``, when given, is a
+    pair of arrays shaped like the nodal field, (*P, nodes), that a
+    state-dependent step writes u and the noise field into in place of
+    fresh ones; the bits are the same.
     """
     x = basis.quad.nodes
+    u_out, noise_out = fields or (None, None)
     # state-free coefficients never read u, so the nodal field is not built
-    u = _zero_field(x.size) if coeffs.L == 0 else state @ basis.values.T
+    if coeffs.L == 0:
+        u = _zero_field(x.size)
+    else:
+        u = np.matmul(state, basis.values.T, out=u_out)
     drift = _interior_moments(coeffs.f(t, x, u), basis)
     if extra_drift is not None:
         drift = drift + extra_drift
-    interior = _interior_noise(coeffs.g(t, x, u), dW, basis)
+    interior = _interior_noise(coeffs.g(t, x, u), dW, basis, noise_out)
     noise = _apply_diffusion(interior, coeffs.h(t), dW, basis)
     # exp(lambda dt) * (a + F dt + G dW), summed left to right and scaled
     # in place; ``state`` is left as it is
@@ -326,29 +345,37 @@ def rollout(times, dts, initial, dW, coeffs, basis, drift=None):
     ``step_exp_euler``.  ``drift(t, state)``, when given, returns the extra
     modal drift of each step (the control hook).  Only the current state
     is held; a caller keeps what it needs of the history.
+
+    For state-dependent coefficients (``L != 0``) the block's nodal field
+    u and noise field, (*P, nodes) each, are allocated once and every step
+    writes into them: fresh ones each step, 1 MiB each on a 256-row block,
+    were handed back to the OS and faulted in again (a default
+    multiplicative ``dynbc control --threads 2``: 120-135k minor page
+    faults, against about 7k with the pair).
     """
-    state = np.empty(dW.shape[1:-1] + (basis.n_modes,))
+    rows = dW.shape[1:-1]
+    state = np.empty(rows + (basis.n_modes,))
     state[...] = initial
+    fields = None
+    if coeffs.L != 0:
+        fields = tuple(np.empty(rows + (basis.quad.nodes.size,)) for _ in range(2))
     yield state
     for i, dt in enumerate(dts):
         extra = None if drift is None else drift(times[i], state)
-        state = step_exp_euler(times[i], state, dW[i], coeffs, basis, dt, extra)
+        state = step_exp_euler(times[i], state, dW[i], coeffs, basis, dt, extra, fields)
         yield state
 
 
 def _block_rows(config, coeffs, basis, steps):
-    # rows a block draws: PATH_BLOCK, or state_free_rows when L == 0
-    if coeffs.L != 0:
-        return PATH_BLOCK
+    # rows a block of the run draws
     nodes = basis.quad.nodes.size
-    return state_free_rows(steps, config.n_modes, config.m_noise, nodes)
+    return block_rows(steps, config.n_modes, config.m_noise, nodes, coeffs.L != 0)
 
 
 def ensemble_blocks(config, coeffs, basis, n_paths):
     """Yield the blocks ``(rows, dW)`` of an ensemble in index order: the
-    ranges of ``path_blocks``, ``PATH_BLOCK`` rows wide, or
-    ``state_free_rows`` for state-free coefficients (``L == 0``), and their
-    increments (steps, slabs, PATH_BLOCK, m).  ``rows`` are the paths below
+    ranges of ``path_blocks``, ``block_rows`` wide, and their increments
+    (steps, slabs, PATH_BLOCK, m).  ``rows`` are the paths below
     n_paths; the padding after them is drawn and stepped for whole slabs,
     then dropped.  Row p draws ``path_increments(seed, p, ...)`` and every
     matrix product is one a ``PATH_BLOCK``-row block computes, whatever the
@@ -356,10 +383,9 @@ def ensemble_blocks(config, coeffs, basis, n_paths):
     not by the block's neighbours or by when or where it is stepped.  The
     generator holds no block while it draws the next.
 
-    State-dependent blocks stay ``PATH_BLOCK`` rows: their steps build
-    (rows, nodes) fields, and 1,024-row blocks measured a third slower at
-    the same bits (default multiplicative ``dynbc control``: 29k minor page
-    faults, 0.05 s system time and 41 MB peak RSS became 646k, 0.9 s, 67 MB)."""
+    A state-dependent block (``L != 0``) is narrower than a state-free one
+    of the same run when its (rows, nodes) fields would pass
+    ``MAX_NODAL_FIELD_BYTES``: 256 rows at the default 512 nodes."""
     dts = time_steps(config, basis)[1]
     width = _block_rows(config, coeffs, basis, len(dts))
     for drawn in path_blocks(n_paths, width):

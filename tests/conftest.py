@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,15 @@ def fd_op_cache():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.Generator(np.random.Philox(key=2024))
+
+
+@pytest.fixture
+def switch_often():
+    # worker threads switch as often as the interpreter lets them, so
+    # blocks stepped at the same time interleave at every step
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)

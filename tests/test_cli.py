@@ -447,14 +447,16 @@ class TestRecordedPaths:
 
     def test_recorded_paths_draw_only_ensemble_blocks(self, tmp_path, monkeypatch):
         # 8 recorded rows of a state-dependent ensemble of 1,000 paths: the
-        # only draws are its 16 blocks, the last one padded, and each path
-        # file is its row of the first block's pass
+        # only draws are its 4 blocks of 256 rows at the default 512 nodes,
+        # the last one padded, and each path file is its row of the first
+        # block's pass
         drawn = _Drawn(monkeypatch)
         stepped = _Stepped(monkeypatch, spde, 8)
         text = "coefficients = multiplicative\nrecord_paths = 8\nT = 0.1\n"
         code, out = run_cli(tmp_path, "simulate", text)
         assert code == 0
-        assert drawn.rows == [(a, a + PATH_BLOCK) for a in range(0, 1000, PATH_BLOCK)]
+        width = 4 * PATH_BLOCK
+        assert drawn.rows == [(a, a + width) for a in range(0, 1000, width)]
         states = np.array(stepped.calls[0])
         for p in range(8):
             table = _read_table(out / f"path_{p:04d}.csv")
@@ -662,11 +664,14 @@ class TestThreads:
     """``--threads`` steps ensemble blocks on that many workers: the
     artifacts do not depend on it, and a failed run leaves no table."""
 
-    # three whole 64-path blocks and a padded one of 5; the recorded paths
-    # fill block 0 and begin block 1, and the traces are rows of block 0
+    # three whole 256-path blocks (the width of a state-dependent block at
+    # the default 512 quadrature nodes) and a padded one of 5; the recorded
+    # paths fill block 0 and begin block 1, and the traces are rows of
+    # block 0
+    WIDTH = 4 * PATH_BLOCK
     CONFIG = (
         "coefficients = multiplicative\nn_modes = 8\nm_noise = 8\n"
-        "dt = 1e-2\nT = 0.1\nn_paths = 197\nrecord_paths = 70\n"
+        "dt = 1e-2\nT = 0.1\nn_paths = 773\nrecord_paths = 260\n"
         "policies = zero, feedback:terminal_proxy\n"
     )
 
@@ -691,19 +696,19 @@ class TestThreads:
             code, out = run_cli(work, command, self.CONFIG, ["--threads", threads])
             assert code == 0
             files.append(read_files(out))
-        assert len(files[0]) == {"simulate": 71, "control": 3}[command]
+        assert len(files[0]) == {"simulate": 261, "control": 3}[command]
         assert files[0] == files[1] == files[2]
 
     def test_failed_simulate_leaves_no_table(self, tmp_path, monkeypatch):
         # path 0's first chunk fails on block 0 while block 1, held back,
-        # still writes paths 64-69: the tables are removed once it is done
+        # still writes paths 256-259: the tables are removed once it is done
         real = formats.write_csv
 
         def write_csv(path, header, rows, append=False):
             name = os.path.basename(path)
             if name == "path_0000.csv":
                 raise NonFiniteError("refusing to serialize non-finite value nan")
-            if name == "path_0064.csv":
+            if name == f"path_{self.WIDTH:04d}.csv":
                 time.sleep(0.2)
             return real(path, header, rows, append)
 
@@ -717,7 +722,7 @@ class TestThreads:
 
         def rollout(policy, *args):
             rows = args[5]
-            if rows.start == PATH_BLOCK:
+            if rows.start == self.WIDTH:
                 raise InadmissibleControlError(f"on path {rows.start}")
             time.sleep(0.1)
             return real(policy, *args)

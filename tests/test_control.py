@@ -47,11 +47,15 @@ from dynbc.semigroup import GridState, project
 from dynbc.spde import (
     PATH_BLOCK,
     block_increments,
+    block_rows,
     path_blocks,
-    state_free_rows,
     step_exp_euler,
     time_steps,
 )
+
+# the rows of a block of a state-dependent ensemble at the 512 quadrature
+# nodes of every basis here
+NODAL_WIDTH = 4 * PATH_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -889,7 +893,8 @@ class TestPolicyCost:
 
 
 class TestBatchedRollout:
-    N_PATHS = PATH_BLOCK + 5
+    # a multiplicative block and a padded one of 5 paths
+    N_PATHS = NODAL_WIDTH + 5
 
     @pytest.fixture(scope="class")
     def setup(self, bench):
@@ -900,7 +905,7 @@ class TestBatchedRollout:
 
     def test_block_rows_match_single_path_costs(self, bench, setup):
         # each path's cost is its row of the hand-written loop over its
-        # PATH_BLOCK-row block, the last one padded past N_PATHS
+        # PATH_BLOCK-row slab, the last one padded past N_PATHS
         coeffs, policy = setup
         args = (bench.problem, bench.config, coeffs, bench.basis, bench.initial)
         costs, _ = _compared_costs(
@@ -912,7 +917,7 @@ class TestBatchedRollout:
             bench.initial,
             self.N_PATHS,
         )
-        for start in (0, PATH_BLOCK):
+        for start in range(0, self.N_PATHS, PATH_BLOCK):
             block = range(start, start + PATH_BLOCK)
             loop_costs = _loop_rollout(policy, *args, block)[0]
             stop = min(start + PATH_BLOCK, self.N_PATHS)
@@ -920,7 +925,8 @@ class TestBatchedRollout:
 
     def test_inadmissible_row_named(self, bench, setup):
         coeffs, _ = setup
-        with pytest.raises(ValueError, match=f"inadmissible.*path {PATH_BLOCK + 2}$"):
+        message = f"inadmissible.*path {NODAL_WIDTH + 2}$"
+        with pytest.raises(ValueError, match=message):
             compare_policies(
                 bench.problem,
                 [_BadOnBlock("one_bad_row", 1, 2), ZeroPolicy()],
@@ -936,7 +942,7 @@ class TestBatchedRollout:
         # padding is stepped but never checked or costed, so the run passes
         # and every path costs what it costs under the zero policy
         coeffs, _ = setup
-        rogue = _BadOnBlock("padding", 1, slice(self.N_PATHS - PATH_BLOCK, None))
+        rogue = _BadOnBlock("padding", 1, slice(self.N_PATHS - NODAL_WIDTH, None))
         costs = _compared_costs(
             bench.problem,
             [rogue, ZeroPolicy()],
@@ -1254,7 +1260,7 @@ class TestEnsembleBlocks:
 
     def test_partition(self, basis16, setup):
         dts = time_steps(setup[0], basis16)[1]
-        width = state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size)
+        width = block_rows(len(dts), 16, 16, basis16.quad.nodes.size)
         assert [len(rows) for rows in path_blocks(self.N_PATHS, width)] == self.BLOCKS
 
     @pytest.mark.parametrize("family", STATE_FREE)
@@ -1273,7 +1279,8 @@ class TestEnsembleBlocks:
         [
             ("additive", N_PATHS, BLOCKS),
             ("nodal", N_PATHS, BLOCKS),
-            ("multiplicative", PATH_BLOCK + 5, [PATH_BLOCK, PATH_BLOCK]),
+            # one block of two slabs, the second one padded
+            ("multiplicative", PATH_BLOCK + 5, [2 * PATH_BLOCK]),
         ],
     )
     def test_policy_sees_row_blocks(self, basis16, setup, family, n_paths, blocks):
@@ -1302,14 +1309,18 @@ class TestEnsembleBlocks:
         )
         assert drawn == self.BLOCKS
 
-    def test_state_dependent_blocks_stay_narrow(self, basis16, monkeypatch):
-        # a multiplicative ensemble steps PATH_BLOCK-row blocks, the last
-        # one padded, uncontrolled and controlled, where a state-free one of
-        # the same size steps 1,024-row blocks
+    def test_state_dependent_block_widths(self, basis16, monkeypatch):
+        # a multiplicative ensemble steps NODAL_WIDTH-row blocks, whose
+        # (rows, 512) nodal fields take 1 MiB, the last one padded,
+        # uncontrolled and controlled, where a state-free one of the same
+        # size steps 1,024-row blocks
         config = SimConfig(n_modes=16, m_noise=16, dt=5e-3, T=0.01, seed=7)
         problem = benchmark_problem(1.0, 0.0, 0.01)
         _, dts = time_steps(config, basis16)
-        assert state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size) == 1024
+        nodes = basis16.quad.nodes.size
+        assert block_rows(len(dts), 16, 16, nodes) == 1024
+        assert block_rows(len(dts), 16, 16, nodes, True) == NODAL_WIDTH
+        assert NODAL_WIDTH * nodes * 8 == spde.MAX_NODAL_FIELD_BYTES
         drawn = []
         real = spde.block_increments
 
@@ -1319,20 +1330,21 @@ class TestEnsembleBlocks:
 
         monkeypatch.setattr(spde, "block_increments", counting)
         args = (config, MULTIPLICATIVE, basis16, np.zeros(16), self.N_PATHS)
-        narrow = [PATH_BLOCK] * -(-self.N_PATHS // PATH_BLOCK)
+        # 2,500 paths end 60 rows into the tenth block
+        wide = [NODAL_WIDTH] * 10
         spde.terminal_states(*args)
-        assert drawn == narrow
+        assert drawn == wide
         drawn.clear()
         policies = [ZeroPolicy(), ConstantPolicy((0.3, -0.2), problem.Z)]
         compare_policies(problem, policies, *args)
-        assert drawn == narrow
+        assert drawn == wide
 
     def test_holds_one_block_of_noise(self, basis16):
         # 2,500 steps make the blocks PATH_BLOCK rows wide, 20 MB of noise
         # each; the second block's draw must not find the first one alive
         config = SimConfig(n_modes=16, m_noise=16, dt=2e-4, T=0.5, seed=3)
         _, dts = time_steps(config, basis16)
-        assert state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size) == PATH_BLOCK
+        assert block_rows(len(dts), 16, 16, basis16.quad.nodes.size) == PATH_BLOCK
         noise = len(dts) * 16 * PATH_BLOCK * 8
         problem = benchmark_problem()
         policies = [ZeroPolicy(), ConstantPolicy((0.3, -0.2), problem.Z)]
@@ -1378,8 +1390,8 @@ class TestWorkerThreads:
     """``compare_policies`` steps its blocks on ``threads`` workers; costs,
     traces and the failure reported do not depend on how many."""
 
-    # three whole blocks and a padded one of 5 paths
-    N_PATHS = 3 * PATH_BLOCK + 5
+    # three whole multiplicative blocks and a padded one of 5 paths
+    N_PATHS = 3 * NODAL_WIDTH + 5
 
     @staticmethod
     def _config():
@@ -1417,10 +1429,50 @@ class TestWorkerThreads:
             for k, table in traces.items():
                 assert table.tobytes() == runs[0][1][k].tobytes()
 
+    @pytest.mark.parametrize("n_paths", [197, 965])
+    def test_wide_blocks_match_narrow_blocks(
+        self, bench, monkeypatch, switch_often, n_paths
+    ):
+        # multiplicative costs and traces are the same bits in NODAL_WIDTH-row
+        # blocks as in blocks forced to PATH_BLOCK rows, on 1, 2 and 3
+        # workers: 197 paths are one block or 4, 965 are 4 blocks or 16,
+        # the last one padded
+        config = self._config()
+        problem = benchmark_problem(1.0, 0.0, config.T)
+        provider = TerminalProxyGradient(problem, bench.basis)
+        policies = [
+            ZeroPolicy(),
+            FeedbackPolicy(provider, problem, MULTIPLICATIVE, bench.basis),
+        ]
+        args = (problem, policies, config, MULTIPLICATIVE, bench.basis, bench.initial)
+        drawn = []
+        real = spde.block_increments
+
+        def counting(seed, rows, dts, m_noise):
+            drawn.append(len(rows))
+            return real(seed, rows, dts, m_noise)
+
+        monkeypatch.setattr(spde, "block_increments", counting)
+        narrow_cap = PATH_BLOCK * bench.basis.quad.nodes.size * 8
+        runs = {}
+        for width, cap in ((NODAL_WIDTH, None), (PATH_BLOCK, narrow_cap)):
+            if cap is not None:
+                monkeypatch.setattr(spde, "MAX_NODAL_FIELD_BYTES", cap)
+            for threads in (1, 2, 3):
+                drawn.clear()
+                runs[width, threads] = self._run(*args, n_paths, threads)
+                assert drawn == [len(r) for r in path_blocks(n_paths, width)]
+        costs, traces = runs[PATH_BLOCK, 1]
+        assert sorted(traces) == [0, 1]
+        for run_costs, run_traces in runs.values():
+            assert [c.tobytes() for c in run_costs] == [c.tobytes() for c in costs]
+            for k, table in traces.items():
+                assert run_traces[k].tobytes() == table.tobytes()
+
     def test_nested_mc_identical_across_threads(self, bench):
         config = SimConfig(n_modes=8, m_noise=8, dt=5e-2, T=0.1, seed=29)
         problem = benchmark_problem(1.0, 0.0, config.T)
-        # multiplicative noise keeps the blocks PATH_BLOCK rows: two of them
+        # two multiplicative blocks, the second one of a slab
         provider = NestedMCGradient(
             problem, MULTIPLICATIVE, bench.basis,
             inner_paths=4, n_dirs=2, inner_dt=5e-2, seed=29,
@@ -1430,7 +1482,7 @@ class TestWorkerThreads:
             FeedbackPolicy(provider, problem, MULTIPLICATIVE, bench.basis),
         ]
         args = (problem, policies, config, MULTIPLICATIVE, bench.basis, bench.initial)
-        one, two = (self._run(*args, PATH_BLOCK + 3, threads) for threads in (1, 2))
+        one, two = (self._run(*args, NODAL_WIDTH + 3, threads) for threads in (1, 2))
         assert [c.tobytes() for c in one[0]] == [c.tobytes() for c in two[0]]
         assert [t.tobytes() for t in one[1].values()] == [
             t.tobytes() for t in two[1].values()
@@ -1443,7 +1495,7 @@ class TestWorkerThreads:
         real = control._rollout
 
         def rollout(policy, problem, config, coeffs, basis, initial, rows, dW, keep):
-            block = rows.start // PATH_BLOCK
+            block = rows.start // NODAL_WIDTH
             if block in (1, 3):
                 policy = _BadOnBlock("zero", 0, 2)
             if block == 1:
@@ -1453,7 +1505,8 @@ class TestWorkerThreads:
         monkeypatch.setattr(control, "_rollout", rollout)
         config = self._config()
         problem = benchmark_problem(1.0, 0.0, config.T)
-        with pytest.raises(InadmissibleControlError, match=f"path {PATH_BLOCK + 2}$"):
+        message = f"path {NODAL_WIDTH + 2}$"
+        with pytest.raises(InadmissibleControlError, match=message):
             compare_policies(
                 problem,
                 [ZeroPolicy(), ZeroPolicy()],

@@ -30,11 +30,11 @@ from dynbc.spde import (
     MAX_WIDE_STEP_BYTES,
     PATH_BLOCK,
     block_increments,
+    block_rows,
     path_blocks,
     rollout,
     sim_config,
     spot_check_coefficients,
-    state_free_rows,
     time_steps,
 )
 from dynbc.validate import exact_additive_covariance
@@ -61,6 +61,9 @@ FAMILIES = {
     "forced": FORCED,
     "nodal": NODAL,
 }
+# the rows of a block of a state-dependent ensemble at the 512 quadrature
+# nodes of every basis here
+NODAL_WIDTH = 4 * PATH_BLOCK
 
 
 def constant_one_state(basis):
@@ -192,6 +195,25 @@ class TestStepExpEuler:
             errs.append(np.linalg.norm(one - half))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8
+
+    @pytest.mark.parametrize("rows", [(), (5,), (3, PATH_BLOCK)])
+    def test_fields_give_the_same_bits(self, basis8, rng, rows):
+        # two steps of one state, a block or a block of slabs write their
+        # nodal fields into one pair of arrays, left dirty by the first
+        # step, with the bits of steps that allocate them
+        state = rng.normal(size=rows + (8,))
+        dW = rng.normal(size=(2,) + rows + (6,)) * 0.1
+        extra = rng.normal(size=rows + (8,))
+        nodal = rows + (basis8.quad.nodes.size,)
+        fields = (np.full(nodal, np.nan), np.full(nodal, np.nan))
+        fresh, held = state, state
+        for i in range(2):
+            args = (dW[i], MULTIPLICATIVE, basis8, 1e-2, extra)
+            fresh = step_exp_euler(0.1 * i, fresh, *args)
+            u = held @ basis8.values.T
+            held = step_exp_euler(0.1 * i, held, *args, fields)
+            assert held.tobytes() == fresh.tobytes()
+            assert fields[0].tobytes() == u.tobytes()
 
 
 class TestSimulatePath:
@@ -337,10 +359,10 @@ class TestWorkerThreads:
     """``run_blocks`` steps blocks on worker threads: the bits, the order of
     each recorded path's chunks and the noise held do not depend on it."""
 
-    # three whole blocks and a padded one of 5 paths; the recorded rows
-    # fill block 0 and begin block 1
-    N_PATHS = 3 * PATH_BLOCK + 5
-    RECORD = 70
+    # three whole multiplicative blocks and a padded one of 5 paths; the
+    # recorded rows fill block 0 and begin block 1
+    N_PATHS = 3 * NODAL_WIDTH + 5
+    RECORD = NODAL_WIDTH + 6
 
     def test_terminal_states_identical_across_threads(self, basis8, monkeypatch):
         cfg = SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.1, seed=21)
@@ -378,6 +400,51 @@ class TestWorkerThreads:
                 assert table[-1, 1:].tobytes() == reference[p].tobytes()
                 assert table.tobytes() == np.concatenate(runs[0][1][p]).tobytes()
 
+    @pytest.mark.parametrize("n_paths, record", [(197, 70), (965, NODAL_WIDTH + 6)])
+    def test_wide_blocks_match_narrow_blocks(
+        self, basis8, monkeypatch, switch_often, n_paths, record
+    ):
+        # multiplicative terminal states and recorded rows are the same bits
+        # in NODAL_WIDTH-row blocks as in blocks forced to PATH_BLOCK rows,
+        # on 1, 2 and 3 workers: 197 paths are one block or 4, 965 are 4
+        # blocks or 16, the last one padded, and the recorded rows reach
+        # into the second block
+        cfg = SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.1, seed=21)
+        a0 = constant_one_state(basis8)
+        drawn = []
+        real = spde.block_increments
+
+        def counting(seed, rows, dts, m_noise):
+            drawn.append(len(rows))
+            return real(seed, rows, dts, m_noise)
+
+        monkeypatch.setattr(spde, "block_increments", counting)
+        narrow_cap = PATH_BLOCK * basis8.quad.nodes.size * 8
+        runs = {}
+        for width, cap in ((NODAL_WIDTH, None), (PATH_BLOCK, narrow_cap)):
+            if cap is not None:
+                monkeypatch.setattr(spde, "MAX_NODAL_FIELD_BYTES", cap)
+            for threads in (1, 2, 3):
+                tables = {}
+
+                def sink(p, table):
+                    tables.setdefault(p, []).append(table.copy())
+
+                drawn.clear()
+                out = terminal_states(
+                    cfg, MULTIPLICATIVE, basis8, a0, n_paths, record, sink, threads
+                )
+                assert drawn == [len(r) for r in path_blocks(n_paths, width)]
+                runs[width, threads] = out, tables
+        out, tables = runs[PATH_BLOCK, 1]
+        assert sorted(tables) == list(range(record))
+        for run_out, run_tables in runs.values():
+            assert run_out.tobytes() == out.tobytes()
+            for p, chunks in tables.items():
+                assert [c.tobytes() for c in run_tables[p]] == [
+                    c.tobytes() for c in chunks
+                ]
+
     @pytest.mark.parametrize(
         "threads, cap_blocks, held", [(2, None, 2), (3, 1.5, 1), (3, 2.5, 2)]
     )
@@ -389,7 +456,7 @@ class TestWorkerThreads:
         # would exceed MAX_BLOCK_NOISE_BYTES
         cfg = SimConfig(n_modes=16, m_noise=16, dt=2e-4, T=0.5, seed=3)
         _, dts = time_steps(cfg, basis16)
-        assert state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size) == PATH_BLOCK
+        assert block_rows(len(dts), 16, 16, basis16.quad.nodes.size) == PATH_BLOCK
         noise = len(dts) * 16 * PATH_BLOCK * 8
         if cap_blocks is not None:
             monkeypatch.setattr(spde, "MAX_BLOCK_NOISE_BYTES", int(cap_blocks * noise))
@@ -440,20 +507,35 @@ class TestRollout:
 
     def test_state_free_rows(self):
         # 100 steps at 16 modes and 512 quadrature nodes, the default
-        assert state_free_rows(100, 16, 16, 512) == 1024
-        assert state_free_rows(100, 64, 64, 512) == 256
+        assert block_rows(100, 16, 16, 512) == 1024
+        assert block_rows(100, 64, 64, 512) == 256
         # whole slabs only
-        assert state_free_rows(100, 24, 24, 512) == 640
+        assert block_rows(100, 24, 24, 512) == 640
         # the noise cap binds before the step-terms budget
-        rows = state_free_rows(1000, 16, 16, 512)
+        rows = block_rows(1000, 16, 16, 512)
         assert rows == 2 * PATH_BLOCK
         assert 1001 * 16 * rows * 8 <= MAX_WIDE_NOISE_BYTES
         # so does the cap on a nodal noise field
-        assert state_free_rows(100, 16, 16, 4096) == 512
+        assert block_rows(100, 16, 16, 4096) == 512
         # never fewer than PATH_BLOCK rows
-        assert state_free_rows(10**6, 16, 16, 512) == PATH_BLOCK
-        assert state_free_rows(10, 16, 1, 2**20) == PATH_BLOCK
-        assert state_free_rows(10, 4096, 1, 512) == PATH_BLOCK
+        assert block_rows(10**6, 16, 16, 512) == PATH_BLOCK
+        assert block_rows(10, 16, 1, 2**20) == PATH_BLOCK
+        assert block_rows(10, 4096, 1, 512) == PATH_BLOCK
+
+    def test_state_dependent_rows(self):
+        # one step's (rows, nodes) fields within MAX_NODAL_FIELD_BYTES:
+        # 256 rows at the default 512 nodes
+        assert block_rows(100, 16, 16, 512, True) == NODAL_WIDTH
+        assert NODAL_WIDTH * 512 * 8 == spde.MAX_NODAL_FIELD_BYTES
+        assert block_rows(100, 16, 16, 1024, True) == 2 * PATH_BLOCK
+        # whole slabs only: 218 rows of 600 nodes fit
+        assert block_rows(100, 16, 16, 600, True) == 3 * PATH_BLOCK
+        # the step-terms budget and the noise cap still bind
+        assert block_rows(100, 16, 16, 128, True) == 1024
+        assert block_rows(100, 64, 64, 128, True) == 256
+        assert block_rows(1000, 16, 16, 512, True) == 2 * PATH_BLOCK
+        # never fewer than PATH_BLOCK rows
+        assert block_rows(100, 16, 16, 2**15, True) == PATH_BLOCK
 
     # 16 modes: 1,024-row blocks; 64 modes: 256 rows; both grids end on a
     # short step.  The nodal g multiplies over the 512 quadrature nodes,
@@ -465,7 +547,7 @@ class TestRollout:
         cfg = SimConfig(n_modes=n_modes, m_noise=m_noise, dt=1e-2, T=0.055, seed=8)
         _, dts = time_steps(cfg, basis)
         assert dts[-1] < 0.9 * dts[0]
-        width = state_free_rows(len(dts), n_modes, m_noise, basis.quad.nodes.size)
+        width = block_rows(len(dts), n_modes, m_noise, basis.quad.nodes.size)
         assert width == MAX_WIDE_STEP_BYTES // (n_modes * 8) // PATH_BLOCK * PATH_BLOCK
         # two wide blocks and a short one, whose last slab is partly padding
         n = 2 * width + 3 * PATH_BLOCK + 37
@@ -555,7 +637,7 @@ class TestRollout:
         # each; the second block's draw must not find the first one alive
         cfg = SimConfig(n_modes=16, m_noise=16, dt=2e-4, T=0.5, seed=3)
         _, dts = time_steps(cfg, basis16)
-        assert state_free_rows(len(dts), 16, 16, basis16.quad.nodes.size) == PATH_BLOCK
+        assert block_rows(len(dts), 16, 16, basis16.quad.nodes.size) == PATH_BLOCK
         noise = len(dts) * 16 * PATH_BLOCK * 8
         tracemalloc.start()
         try:
