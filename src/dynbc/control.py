@@ -15,10 +15,10 @@ axis, taking states (..., N) and controls (..., 2) to values (...).
 
 Controlled paths and the inner paths of ``NestedMCGradient`` are stepped
 by ``spde.rollout``, the control entering through its drift hook, over
-the blocks of ``spde.ensemble_blocks``, each drawn once for all policies
-and stepped on a worker thread of ``spde.run_blocks``; costs and paired
-differences are reduced by ``spde.mean_var_se``, and a trace is path 0 of
-the first block, kept as a policy steps it.
+the blocks of ``spde.run_blocks``, each drawn once for all policies by the
+worker thread that steps it; costs and paired differences are reduced by
+``spde.mean_var_se``, and a trace is path 0 of the first block, kept as a
+policy steps it.
 
 The value function of the underlying infinite-dimensional control problem
 is never solved for; feedback laws are driven by pluggable gradient
@@ -472,8 +472,6 @@ def _rollout(policy, problem, config, coeffs, basis, initial, rows, dW, trace=No
     when given, gets the table of the block's first row once it is stepped:
     a row (t, z0, z1, a_0, ..., a_{N-1}) per step, the state and the control
     applied on [t, t + dt)."""
-    if abs(problem.t0 - config.t0) > 1e-12 or abs(problem.T - config.T) > 1e-12:
-        raise ValueError("problem horizon and simulation config disagree")
     times, dts = time_steps(config, basis)
     n, n_modes = len(rows), basis.n_modes
     step_dts = iter(dts)
@@ -552,10 +550,12 @@ def compare_policies(
 
     Every policy sees the identical noise per path index, so paired
     standard errors isolate genuine policy differences from Monte Carlo
-    noise.  Each block's noise is drawn once and stepped by every policy,
-    on one of ``threads`` workers (``spde.run_blocks``), so a policy must
-    bear calls from several threads at once; an inadmissible control on an
-    earlier block is reported first, whichever policy emits it.
+    noise.  Each block's noise is drawn once, by the one of ``threads``
+    workers (``spde.run_blocks``) that steps it under every policy, so a
+    policy must bear calls from several threads at once; an inadmissible
+    control on an earlier block is reported first, whichever policy emits
+    it.  A horizon that disagrees with ``config`` raises before any noise
+    is drawn.
     Deterministic given the config seed, whatever ``threads`` is.
     ``trace(k, table)``, when given, gets path 0 under ``policies[k]`` (see
     ``_rollout``) as soon as it is stepped, on the worker stepping the
@@ -564,6 +564,8 @@ def compare_policies(
         raise ValueError("need at least 2 policies to compare")
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
+    if abs(problem.t0 - config.t0) > 1e-12 or abs(problem.T - config.T) > 1e-12:
+        raise ValueError("problem horizon and simulation config disagree")
     costs = np.empty((len(policies), n_paths))
 
     def work(rows, dW):

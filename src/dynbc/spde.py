@@ -19,18 +19,17 @@ controlled paths and the inner paths of the nested Monte Carlo provider all
 advance through it.  For state-free coefficients (``L == 0``: f and g do
 not read u) the step never builds the nodal field u; for state-dependent
 ones it writes u and the noise field into one pair of (P, nodes) arrays
-that ``rollout`` holds for the whole block.  ``ensemble_blocks`` is the one
-partition of an ensemble, controlled or not, into blocks of whole slabs as
-wide as ``block_rows`` allows, and ``run_blocks`` the one pass over it,
-stepping blocks on worker threads; recorded paths are rows of
-``terminal_states``' pass.  ``mean_var_se`` is the one mean/standard-error
-estimator.
+that ``rollout`` holds for the whole block.  ``run_blocks`` is the one
+pass over an ensemble, controlled or not, in blocks of whole slabs as wide
+as ``block_rows`` allows: each of its workers draws and steps one block at
+a time.  Recorded paths are rows of ``terminal_states``' pass.
+``mean_var_se`` is the one mean/standard-error estimator.
 """
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from threading import Event
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -42,8 +41,8 @@ from .spectral import EigenBasis
 # block; transient memory grows with it
 PATH_BLOCK = 64
 # largest noise array a PATH_BLOCK-row block may draw, steps x m_noise x
-# PATH_BLOCK doubles, and the noise that the blocks ``run_blocks`` holds at
-# once may take when it holds more than one
+# PATH_BLOCK doubles, and the noise that the blocks ``run_blocks``' workers
+# hold at once may take when there is more than one
 MAX_BLOCK_NOISE_BYTES = 2**30
 # largest noise array a block wider than PATH_BLOCK rows may draw, steps x
 # m_noise x rows doubles, and largest recorded history the blocks hold
@@ -366,60 +365,50 @@ def rollout(times, dts, initial, dW, coeffs, basis, drift=None):
         yield state
 
 
-def _block_rows(config, coeffs, basis, steps):
-    # rows a block of the run draws
-    nodes = basis.quad.nodes.size
-    return block_rows(steps, config.n_modes, config.m_noise, nodes, coeffs.L != 0)
-
-
-def ensemble_blocks(config, coeffs, basis, n_paths):
-    """Yield the blocks ``(rows, dW)`` of an ensemble in index order: the
-    ranges of ``path_blocks``, ``block_rows`` wide, and their increments
-    (steps, slabs, PATH_BLOCK, m).  ``rows`` are the paths below
-    n_paths; the padding after them is drawn and stepped for whole slabs,
-    then dropped.  Row p draws ``path_increments(seed, p, ...)`` and every
-    matrix product is one a ``PATH_BLOCK``-row block computes, whatever the
-    BLAS does with more, so row p's bits are set by (seed, p) alone, and
-    not by the block's neighbours or by when or where it is stepped.  The
-    generator holds no block while it draws the next.
-
-    A state-dependent block (``L != 0``) is narrower than a state-free one
-    of the same run when its (rows, nodes) fields would pass
-    ``MAX_NODAL_FIELD_BYTES``: 256 rows at the default 512 nodes."""
-    dts = time_steps(config, basis)[1]
-    width = _block_rows(config, coeffs, basis, len(dts))
-    for drawn in path_blocks(n_paths, width):
-        dW = block_increments(config.seed, drawn, dts, config.m_noise)
-        dW = dW.reshape(len(dts), -1, PATH_BLOCK, config.m_noise)
-        yield range(drawn.start, min(drawn.stop, n_paths)), dW
-        del dW
-
-
 def run_blocks(config, coeffs, basis, n_paths, threads, work):
-    """Call ``work(rows, dW)`` on every block of ``ensemble_blocks`` on
-    ``threads`` worker threads, and return once every call has returned.
+    """Call ``work(rows, dW)`` on every block of the ensemble on ``threads``
+    worker threads, and return once every call has returned.
 
-    The blocks are drawn on the calling thread, in index order, and at
-    most ``threads`` drawn blocks are held at a time, fewer when their
-    noise would exceed ``MAX_BLOCK_NOISE_BYTES``, and at least one: the
-    next block is drawn once the oldest one held has been stepped.  The
-    calls run at the same time, so each may write only its own rows.
-    Results are read in block order, so a failure raises the exception of
-    the earliest failing block; blocks not yet started are then cancelled,
-    and every worker has stopped before the exception leaves."""
-    steps = len(time_steps(config, basis)[1])
-    noise = steps * _block_rows(config, coeffs, basis, steps) * config.m_noise * 8
-    in_flight = max(1, min(threads, MAX_BLOCK_NOISE_BYTES // noise))
-    pool = ThreadPoolExecutor(in_flight)
-    held = deque()
+    The blocks are the ranges of ``path_blocks``, ``block_rows`` wide, and
+    ``dW`` their increments (steps, slabs, PATH_BLOCK, m); ``rows`` are the
+    paths below n_paths, and the padding after them is drawn and stepped
+    for whole slabs, then dropped.  Row p draws ``path_increments(seed, p,
+    ...)`` and every matrix product is one a ``PATH_BLOCK``-row block
+    computes, whatever the BLAS does with more, so row p's bits are set by
+    (seed, p) alone, and not by the block's neighbours or by when or where
+    it is stepped.  A state-dependent block (``L != 0``) is narrower than a
+    state-free one of the same run when its (rows, nodes) fields would pass
+    ``MAX_NODAL_FIELD_BYTES``: 256 rows at the default 512 nodes.
+
+    Each worker draws and steps one block at a time, so at most ``threads``
+    blocks are held, fewer when their noise would exceed
+    ``MAX_BLOCK_NOISE_BYTES``, and at least one.  The calls run at the same
+    time, so each may write only its own rows.  Results are read in block
+    order, so a failure raises the exception of the earliest failing block;
+    blocks not yet started are then skipped, and every worker has stopped
+    before the exception leaves."""
+    dts = time_steps(config, basis)[1]
+    nodes = basis.quad.nodes.size
+    width = block_rows(len(dts), config.n_modes, config.m_noise, nodes, coeffs.L != 0)
+    noise = len(dts) * width * config.m_noise * 8
+    failed = Event()
+
+    def task(drawn):
+        # blocks start in index order, so one skipped here is later than
+        # the block that failed
+        if failed.is_set():
+            return
+        try:
+            dW = block_increments(config.seed, drawn, dts, config.m_noise)
+            dW = dW.reshape(len(dts), -1, PATH_BLOCK, config.m_noise)
+            work(range(drawn.start, min(drawn.stop, n_paths)), dW)
+        except BaseException:
+            failed.set()
+            raise
+
+    pool = ThreadPoolExecutor(max(1, min(threads, MAX_BLOCK_NOISE_BYTES // noise)))
     try:
-        for rows, dW in ensemble_blocks(config, coeffs, basis, n_paths):
-            held.append(pool.submit(work, rows, dW))
-            # from here its task holds the block, and drops it once stepped
-            del dW
-            if len(held) == in_flight:
-                held.popleft().result()
-        for future in held:
+        for future in [pool.submit(task, b) for b in path_blocks(n_paths, width)]:
             future.result()
     finally:
         pool.shutdown(cancel_futures=True)
@@ -443,9 +432,8 @@ def _recorded(path, times, rows, record, n_modes, sink):
 def terminal_states(
     config, coeffs, basis, initial, n_paths, record=0, sink=None, threads=1
 ):
-    """Terminal modal states over the blocks of ``ensemble_blocks``, stepped
-    on ``threads`` workers by ``run_blocks``; the bits do not depend on
-    ``threads``.
+    """Terminal modal states over the blocks of ``run_blocks``, stepped on
+    ``threads`` workers; the bits do not depend on ``threads``.
 
     Paths 0 to ``record`` - 1 are handed out as they are stepped, as rows
     (t, a_0, ..., a_{N-1}): ``sink(p, table)`` gets path p's in step chunks,

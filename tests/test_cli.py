@@ -20,7 +20,12 @@ from dynbc import control as ctl
 from dynbc import formats, spde, validate
 from dynbc.cli import _build_setup, _make_policies, main
 from dynbc.config import RunConfig, default_config, parse_config, with_overrides
-from dynbc.errors import ConfigError, InadmissibleControlError, NonFiniteError
+from dynbc.errors import (
+    ConfigError,
+    InadmissibleControlError,
+    NonFiniteError,
+    ShapeError,
+)
 from dynbc.semigroup import GridState, initial_state, project
 from dynbc.spde import (
     MAX_BLOCK_NOISE_BYTES,
@@ -729,6 +734,22 @@ class TestThreads:
 
         monkeypatch.setattr(ctl, "_rollout", rollout)
         self._assert_fails_leaving_nothing(tmp_path, "control")
+
+    def test_failed_draw_leaves_no_table(self, tmp_path, monkeypatch, capsys):
+        # block 1's draw fails on its worker while block 0 writes paths
+        # 0-255: the run exits 1 with the error record, and no table is left
+        real = spde.block_increments
+
+        def draw(seed, rows, dts, m_noise):
+            if rows.start == self.WIDTH:
+                raise ShapeError(f"no noise for path {rows.start}")
+            return real(seed, rows, dts, m_noise)
+
+        monkeypatch.setattr(spde, "block_increments", draw)
+        self._assert_fails_leaving_nothing(tmp_path, "simulate")
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        error = f"ShapeError: no noise for path {self.WIDTH}"
+        assert record == {"error": error, "exit_code": 1}
 
     def _assert_fails_leaving_nothing(self, tmp_path, command):
         # every worker has stopped when main returns, so no table can

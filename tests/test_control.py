@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 import tracemalloc
 import warnings
@@ -41,7 +42,7 @@ from dynbc.control import (
     control_drift,
 )
 from dynbc.control import _rollout
-from dynbc.errors import InadmissibleControlError, NonUniqueArgminError
+from dynbc.errors import InadmissibleControlError, NonUniqueArgminError, ShapeError
 from dynbc import control, spde
 from dynbc.semigroup import GridState, project
 from dynbc.spde import (
@@ -166,7 +167,7 @@ def _compared_costs(
 
 def _block_loop_costs(policy, problem, config, coeffs, basis, initial, n_paths):
     # the partition compare_policies stepped before its blocks followed
-    # ensemble_blocks: PATH_BLOCK-row blocks, each drawing its own noise,
+    # the ensemble's: PATH_BLOCK-row blocks, each drawing its own noise,
     # the last one padded past n_paths
     dts = time_steps(config, basis)[1]
     costs = []
@@ -891,6 +892,22 @@ class TestPolicyCost:
                 n_paths=4,
             )
 
+    def test_horizon_checked_before_any_draw(self, bench, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(spde, "block_increments", lambda *args: drawn.append(args))
+        bad = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.4, seed=1)
+        with pytest.raises(ValueError, match="horizon"):
+            compare_policies(
+                bench.problem,
+                [ZeroPolicy(), ZeroPolicy()],
+                bad,
+                bench.coeffs,
+                bench.basis,
+                bench.initial,
+                n_paths=4,
+            )
+        assert drawn == []
+
 
 class TestBatchedRollout:
     # a multiplicative block and a padded one of 5 paths
@@ -1233,7 +1250,7 @@ class _BadOnBlock:
 
 
 class TestEnsembleBlocks:
-    """``compare_policies`` steps the blocks of ``spde.ensemble_blocks``, wide
+    """``compare_policies`` steps the blocks of ``spde.run_blocks``, wide
     for a state-free family, and draws each block's noise once for every
     policy; its costs are those of ``PATH_BLOCK``-row blocks, bit for bit."""
 
@@ -1487,6 +1504,37 @@ class TestWorkerThreads:
         assert [t.tobytes() for t in one[1].values()] == [
             t.tobytes() for t in two[1].values()
         ]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_failing_draw_raises_after_workers_stop(self, bench, monkeypatch, threads):
+        # the draw of block 1 fails on its worker: the ensemble and the
+        # comparison raise it once every worker has stopped, and one worker,
+        # taking the blocks in order, draws none after it
+        drawn = []
+        real = spde.block_increments
+
+        def draw(seed, rows, dts, m_noise):
+            drawn.append(rows.start)
+            if rows.start == NODAL_WIDTH:
+                raise ShapeError(f"no noise for path {rows.start}")
+            return real(seed, rows, dts, m_noise)
+
+        monkeypatch.setattr(spde, "block_increments", draw)
+        config = self._config()
+        problem = benchmark_problem(1.0, 0.0, config.T)
+        args = (config, MULTIPLICATIVE, bench.basis, bench.initial, self.N_PATHS)
+        policies = [ZeroPolicy(), ZeroPolicy()]
+        running = threading.active_count()
+        for run in (
+            lambda: spde.terminal_states(*args, threads=threads),
+            lambda: compare_policies(problem, policies, *args, threads=threads),
+        ):
+            drawn.clear()
+            with pytest.raises(ShapeError, match=f"path {NODAL_WIDTH}$"):
+                run()
+            assert threading.active_count() == running
+            if threads == 1:
+                assert drawn == [0, NODAL_WIDTH]
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_earliest_failing_block_reported(self, bench, monkeypatch, threads):

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -444,6 +445,45 @@ class TestWorkerThreads:
                 assert [c.tobytes() for c in run_tables[p]] == [
                     c.tobytes() for c in chunks
                 ]
+
+    def test_short_last_block_drawn_concurrently(
+        self, basis8, monkeypatch, switch_often
+    ):
+        # 300 multiplicative paths are a block of NODAL_WIDTH rows and a
+        # short one of a slab, drawn by the workers in no set order: each
+        # range is drawn once, never on the calling thread, and the terminal
+        # states and the 2 recorded paths are the bits of one worker
+        cfg = SimConfig(n_modes=8, m_noise=8, dt=1e-2, T=0.1, seed=21)
+        a0 = constant_one_state(basis8)
+        drawn = []
+        real = spde.block_increments
+
+        def counting(seed, rows, dts, m_noise):
+            drawn.append((rows.start, rows.stop, threading.get_ident()))
+            return real(seed, rows, dts, m_noise)
+
+        monkeypatch.setattr(spde, "block_increments", counting)
+        blocks = [(0, NODAL_WIDTH), (NODAL_WIDTH, NODAL_WIDTH + PATH_BLOCK)]
+        assert [(r.start, r.stop) for r in path_blocks(300, NODAL_WIDTH)] == blocks
+        runs = []
+        for threads in (1, 2, 3):
+            tables = {}
+
+            def sink(p, table):
+                tables.setdefault(p, []).append(table.copy())
+
+            drawn.clear()
+            args = (cfg, MULTIPLICATIVE, basis8, a0, 300, 2, sink, threads)
+            out = terminal_states(*args)
+            assert sorted((start, stop) for start, stop, _ in drawn) == blocks
+            assert threading.get_ident() not in {ident for *_, ident in drawn}
+            chunks = {p: [c.tobytes() for c in t] for p, t in tables.items()}
+            runs.append((out, chunks))
+        out, tables = runs[0]
+        assert sorted(tables) == [0, 1]
+        for run_out, run_tables in runs[1:]:
+            assert run_out.tobytes() == out.tobytes()
+            assert run_tables == tables
 
     @pytest.mark.parametrize(
         "threads, cap_blocks, held", [(2, None, 2), (3, 1.5, 1), (3, 2.5, 2)]
