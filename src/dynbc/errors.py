@@ -14,10 +14,9 @@ class DirichletPointError(DynbcError):
 
 
 class BracketError(DynbcError):
-    """Root scan could not isolate the expected eigenvalues.
-
-    Signals parameter degeneracy (e.g. a root colliding with -b0, -b1 or a
-    Dirichlet point) or insufficient scan resolution.
+    """A scanned Dirichlet gap does not hold the roots the counting rule
+    predicts: a root lies too near a gap end or another root for the scan
+    to resolve, or the characteristic function overflows.
     """
 
 

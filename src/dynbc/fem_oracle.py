@@ -47,7 +47,7 @@ class DiscreteOperator:
     nodes: np.ndarray
     stiffness: np.ndarray
     mass: np.ndarray
-    _decomposition: tuple = field(default=None, repr=False, compare=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mass_norm(self, vec: np.ndarray) -> float:
         return float(np.sqrt(vec @ _band_apply(self.mass, vec)))
@@ -124,14 +124,15 @@ def _stiffness_solver(op: DiscreteOperator):
 def _decompose(op: DiscreteOperator, k: int):
     """Leading k generalized pairs: mu ascending, M-orthonormal vectors.
 
-    The largest solve is cached on the operator and smaller k are served by
-    slicing it.
+    Solved once per (operator, k) and cached read-only on the operator, so
+    the pairs depend on (n, params, k) alone, not on earlier calls.
     """
-    if op._decomposition is None or len(op._decomposition[0]) < k:
+    if k not in op._pairs:
         # converging k pairs takes about 2 k + 10 vectors (k = 1 ... 128)
-        op._decomposition = _lanczos(op, k, min(op.n + 1, 3 * k + 40))
-    mu, vecs = op._decomposition
-    return mu[:k], vecs[:, :k]
+        mu, vecs = _lanczos(op, k, min(op.n + 1, 3 * k + 40))
+        mu.flags.writeable = vecs.flags.writeable = False
+        op._pairs[k] = mu, vecs
+    return op._pairs[k]
 
 
 def _lanczos(op: DiscreteOperator, k: int, max_dim: int):

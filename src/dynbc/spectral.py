@@ -139,22 +139,22 @@ def _gap_brackets(params: BoundaryParams, k: np.ndarray, samples: int):
     """Sign-change brackets of the regularized characteristic function in
     the Dirichlet gaps numbered ``k``, as arrays (lo, hi, gap number).
 
-    Each gap is sampled on ``samples`` points and subdivided at the poles
-    -b0 and -b1 falling inside it, where the determinant flips sign
-    without a root; all gaps are evaluated in one call.
+    Gap k is scanned on ``samples`` points of (lo + eps, hi - eps), eps =
+    1e-9 (1 + |hi|), plus the pole cuts b - delta, b, b + delta (b = -b0,
+    -b1; delta = 1e-7 (1 + |b|)) inside it; all gaps are scanned at once.
     """
     hi = -math.pi**2 * k**2
     lo = -math.pi**2 * (k + 1) ** 2
     eps = 1e-9 * (1.0 + np.abs(hi))
     rows = list(np.linspace(lo + eps, hi - eps, samples, axis=1))
     for b in (-params.b0, -params.b1):
-        for g in np.flatnonzero((lo + eps < b) & (b < hi - eps)):
-            delta = 1e-7 * (1.0 + abs(b))
-            rows[g] = np.array(sorted({*rows[g].tolist(), b - delta, b, b + delta}))
+        delta = 1e-7 * (1.0 + abs(b))
+        for cut in (b - delta, b, b + delta):
+            for g in np.flatnonzero((lo + eps < cut) & (cut < hi - eps)):
+                rows[g] = np.sort(np.append(rows[g], cut))
     xs = np.concatenate(rows)
     gap = np.repeat(k, [len(row) for row in rows])
-    ys = characteristic_regularized(xs, params)
-    sign = np.sign(ys)
+    sign = np.sign(characteristic_regularized(xs, params))
     i = np.flatnonzero((np.diff(sign) != 0) & (gap[1:] == gap[:-1]))
     return xs[i], xs[i + 1], gap[i]
 
@@ -163,14 +163,15 @@ def find_eigenvalues(params: BoundaryParams, n_modes: int) -> np.ndarray:
     """First ``n_modes`` eigenvalues, in decreasing order (all negative).
 
     Scans the first ``n_modes + 5`` Dirichlet gaps (-pi^2 (k+1)^2,
-    -pi^2 k^2), up to ``_SCAN_GAPS`` of them per array, locating sign
-    changes of the regularized characteristic function on
-    ``_SAMPLES_PER_GAP`` points per gap, subdivided at -b0 and -b1, and
+    -pi^2 k^2), up to ``_SCAN_GAPS`` of them per array, for sign changes of
+    the regularized characteristic function (see ``_gap_brackets``), and
     refines all brackets together to width 1e-12 (1 + |lambda|), relative
-    for |lambda| >= 1 and absolute below.  Roots within 1e-8 relative of a
-    pole or a Dirichlet point are dropped.  Every gap holds exactly one
-    root except the gap containing -(b0+b1)/2, which holds two;
-    ``BracketError`` when fewer than ``n_modes`` roots remain.
+    for |lambda| >= 1 and absolute below.  Every root is kept, and the
+    roots must follow the counting rule: one per gap, two in gap
+    k* = floor(sqrt((b0+b1)/2) / pi); ``BracketError`` names the first gap
+    that breaks it.  A root within 1e-9 (1 + |hi|) of a gap end cannot be
+    bracketed, so the solvable range is b0 + b1 + b0 b1 above about 3e-9
+    and, at b0 = b1, b0 up to about 4e9 (measured).
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -181,21 +182,18 @@ def find_eigenvalues(params: BoundaryParams, n_modes: int) -> np.ndarray:
         for part in zip(*(_gap_brackets(params, k, _SAMPLES_PER_GAP) for k in blocks))
     )
     roots = _refine_roots(lambda x: characteristic_regularized(x, params), lo, hi)
-    rel = 1e-8 * (1.0 + np.abs(roots))
-    gap_hi = -math.pi**2 * gap**2
-    gap_lo = -math.pi**2 * (gap + 1) ** 2
-    near_pole = np.minimum(np.abs(roots + params.b0), np.abs(roots + params.b1)) <= rel
-    near_dirichlet = (
-        np.minimum(np.abs(roots - gap_lo), np.abs(roots - gap_hi)) <= rel
-    ) | (np.abs(roots) <= 1e-10)
-    kept = roots[~(near_pole | near_dirichlet)]
-    if len(kept) < n_modes:
+    # halved before adding, so that b0 + b1 cannot overflow
+    k_star = math.floor(math.sqrt(0.5 * params.b0 + 0.5 * params.b1) / math.pi)
+    expected = 1 + (gaps == k_star)
+    counts = np.bincount(gap, minlength=len(gaps))
+    wrong = np.flatnonzero(counts != expected)
+    if len(wrong):
+        k = wrong[0]
         raise BracketError(
-            f"found only {len(kept)} roots of {n_modes} requested for "
-            f"b0={params.b0}, b1={params.b1}; parameter degeneracy or "
-            f"a root pair closer than the scan grid resolves"
+            f"Dirichlet gap {k} holds {counts[k]} roots, not {expected[k]}, for b0="
+            f"{params.b0}, b1={params.b1}; the scan does not resolve these roots"
         )
-    return np.sort(kept)[::-1][:n_modes].copy()
+    return np.sort(roots)[::-1][:n_modes].copy()
 
 
 @dataclass(frozen=True)

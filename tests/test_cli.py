@@ -375,6 +375,36 @@ NODAL = Coefficients(
 )
 
 
+class TestDampingRange:
+    """``simulate`` at damping rates the root scan once got wrong: solved
+    where the roots follow the gap counting rule, and a ``BracketError``
+    record where the scan cannot resolve them."""
+
+    CONFIG = "n_modes = 4\nm_noise = 4\ndt = 1e-2\nT = 0.02\nn_paths = 8\n"
+
+    def test_tiny_b0_solves(self, tmp_path):
+        # the pole cut -b0 + 1e-7 (1 + b0) is positive here; cuts now stay
+        # inside their gap's scanned interval
+        code, out = run_cli(tmp_path, "simulate", self.CONFIG + "b0 = 5e-8\n")
+        assert code == 0
+        assert "ensemble.json" in os.listdir(out)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rate", ["1e-10", "1e308"])
+    def test_unresolved_spectrum_exits_one(self, tmp_path, capsys, rate):
+        # 1e-10: the lowest root lies above the top scan sample; 1e308: the
+        # characteristic function overflows into spurious sign changes
+        config = self.CONFIG + f"b0 = {rate}\nb1 = {rate}\n"
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record == {"error": record["error"], "exit_code": 1}
+        assert record["error"].startswith("BracketError: Dirichlet gap 0 holds ")
+        assert not (out / "ensemble.json").exists()
+
+
 class _Drawn:
     """Wraps ``spde.block_increments`` and notes the rows of each draw."""
 

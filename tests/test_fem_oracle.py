@@ -148,6 +148,22 @@ class TestEigensolve:
             for x, y in zip(first[key], second[key]):
                 assert np.array_equal(x, y)
 
+    def test_pairs_independent_of_earlier_calls(self, params11):
+        # each (operator, k) is solved on its own: 8 pairs after a 9-pair
+        # solve on the same operator equal a fresh operator's, bit for bit
+        # (a slice of the 9-pair solve differs in the last bits and in signs)
+        op = fem_oracle.build(300, params11)
+        fem_oracle.eigensolve(op, 9)
+        lams, vecs = fem_oracle.eigensolve(op, 8)
+        fresh_lams, fresh_vecs = fem_oracle.eigensolve(
+            fem_oracle.build(300, params11), 8
+        )
+        assert lams.tobytes() == fresh_lams.tobytes()
+        assert vecs.tobytes() == fresh_vecs.tobytes()
+        # the cached pairs cannot be changed through what a call returns
+        assert not vecs.flags.writeable
+        assert fem_oracle.eigensolve(op, 8)[1] is vecs
+
     @pytest.mark.parametrize("n", [8, 300, 2000, 4001])
     def test_pair_residuals(self, n):
         worst = 0.0

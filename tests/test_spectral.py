@@ -25,7 +25,8 @@ from dynbc.errors import (
     PoleError,
 )
 from dynbc.quadrature import gauss_legendre_rule
-from dynbc.spectral import basis_payload
+from dynbc.spectral import basis_payload, build_basis
+from dynbc.validate import GRAM_TOL, ORACLE_REL_TOL
 
 from conftest import ACCEPTANCE_PARAM_SETS
 
@@ -174,6 +175,55 @@ class TestFindEigenvalues:
         monkeypatch.setattr(spectral, "_gap_brackets", lambda *a, **k: no_brackets)
         with pytest.raises(BracketError):
             spectral.find_eigenvalues(params11, 4)
+
+    @pytest.mark.parametrize("b0, b1", [(5e-8, 1.0), (1e-8, 1e-8), (1e9, 1e9)])
+    def test_edge_rates_match_fem_oracle(self, b0, b1):
+        # -b0 + delta > 0 at b0 = 5e-8, the lowest root within 1e-8 of 0 at
+        # 1e-8, roots within 1e-8 relative of Dirichlet points at 1e9: all
+        # solved, and within the verdict's oracle and Gram tolerances
+        params = BoundaryParams(b0, b1)
+        basis = build_basis(params, 8)
+        fd_lams, _ = fem_oracle.eigensolve(fem_oracle.build(2000, params), 8)
+        assert np.max(np.abs((basis.lam - fd_lams) / fd_lams)) <= ORACLE_REL_TOL
+        assert np.max(np.abs(basis.gram_matrix() - np.eye(8))) <= GRAM_TOL
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "b0, b1, message",
+        [
+            # the lowest root lies above the top scan sample
+            (1e-10, 1e-10, "Dirichlet gap 0 holds 1 roots, not 2, "),
+            # the characteristic function overflows into spurious sign changes
+            (1.7e308, 1.0, r"Dirichlet gap 1 holds \d+ roots, not 1, "),
+            (1e308, 1e308, r"Dirichlet gap 0 holds \d+ roots, not 1, "),
+        ],
+        ids=["tiny", "huge_b0", "huge_both"],
+    )
+    def test_unresolved_gap_named(self, b0, b1, message):
+        with pytest.raises(BracketError, match=message):
+            find_eigenvalues(BoundaryParams(b0, b1), 16)
+
+    def test_counting_rule_or_bracket_error_on_decade_grid(self):
+        # at every decade of b0, b1 in [1e-12, 1e8] the eigenvalues lie
+        # strictly inside the gaps the rule assigns to their ranks, or
+        # BracketError is raised, exactly where b0 + b1 + b0 b1 < 3e-9 puts
+        # the lowest root too close to 0; no other exception escapes
+        rates = np.logspace(-12, 8, 21)
+        for b0 in rates:
+            for b1 in rates:
+                unresolved = b0 + b1 + b0 * b1 < 3e-9
+                try:
+                    lams = find_eigenvalues(BoundaryParams(float(b0), float(b1)), 16)
+                except BracketError:
+                    assert unresolved, (b0, b1)
+                    continue
+                assert not unresolved, (b0, b1)
+                k_star = math.floor(math.sqrt((b0 + b1) / 2.0) / math.pi)
+                gaps = [dirichlet_gap(lam) for lam in lams]
+                assert [k for k, _, _ in gaps] == [
+                    j - (j > k_star) for j in range(16)
+                ], (b0, b1)
+                assert all(lo < lam < hi for lam, (_, lo, hi) in zip(lams, gaps))
 
 
 # The scalar root solve that the array scan and the lockstep refiner
