@@ -17,7 +17,6 @@ from .control import (
     benchmark_bundle,
     boundary_costate,
     boundary_immersion,
-    box,
     compare_policies,
     constant_grid_policies,
     hamiltonian,

@@ -5,9 +5,10 @@ Control enters the dynamics only through the boundary noise gains: the
 two-dimensional control z is immersed into the state space as (0, z) and
 multiplied by the diagonal gain h(t), which in modal coordinates is the
 vector h0 z0 e_k(0) + h1 z1 e_k(1).  The pointwise Hamiltonian
-inf_z { running_cost + <costate, z> } has a closed-form minimizer for the
-built-in quadratic cost family (projection of the negated costate onto the
-admissible set) and falls back to an adaptive grid search otherwise.
+min_z { running_cost + <costate, z> } over the admissible ball is taken in
+closed form for the quadratic cost family, running cost state_cost +
+|z|^2/2: its minimizer is the projection of the negated costate onto the
+ball.  Other costs can be evaluated along paths but have no Hamiltonian.
 
 Every callable acts on blocks: policies map states (P, N) to controls
 (P, 2), gradient providers map (P, N) to (P, N), and costs act on the last
@@ -32,7 +33,7 @@ from itertools import combinations
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import InadmissibleControlError, NonUniqueArgminError
+from .errors import InadmissibleControlError
 from .semigroup import initial_state
 from .spde import (
     Coefficients,
@@ -45,64 +46,33 @@ from .spde import (
 )
 from .spectral import BoundaryParams, EigenBasis, build_basis
 
-GRID_RESOLUTION = 101
 # relative bump of the nested Monte Carlo finite differences
 NESTED_BUMP_REL = 1e-2
-_ARGMIN_VALUE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
 class AdmissibleSet:
-    """Bounded closed convex control set in R^2: a ball or a box.
+    """The control set, the closed ball of ``radius`` about 0 in R^2;
+    ``contains`` and ``project`` act on the last axis of ``z`` (..., 2)."""
 
-    ``contains`` and ``project`` act on the last axis of ``z`` (..., 2).
-    """
-
-    kind: str
-    radius: float = None
-    bounds: tuple = None
+    radius: float
 
     def __post_init__(self):
-        if self.kind == "ball":
-            if not (self.radius is not None and self.radius > 0.0):
-                raise ValueError("ball needs a positive radius")
-        elif self.kind == "box":
-            if self.bounds is None or len(self.bounds) != 2:
-                raise ValueError("box needs bounds ((lo0,hi0),(lo1,hi1))")
-            for lo, hi in self.bounds:
-                if not lo <= hi:
-                    raise ValueError("box bounds must satisfy lo <= hi")
-        else:
-            raise ValueError(f"unknown admissible set kind: {self.kind!r}")
+        if not self.radius > 0.0:
+            raise ValueError("ball needs a positive radius")
 
     def contains(self, z, tol: float = 1e-12):
         z = np.asarray(z, dtype=float)
-        if self.kind == "ball":
-            return np.hypot(z[..., 0], z[..., 1]) <= self.radius + tol
-        lo, hi = np.transpose(self.bounds)
-        return np.all((lo - tol <= z) & (z <= hi + tol), axis=-1)
+        return np.hypot(z[..., 0], z[..., 1]) <= self.radius + tol
 
     def project(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if self.kind == "ball":
-            norm = np.hypot(z[..., 0], z[..., 1])[..., None]
-            return z * (self.radius / np.maximum(norm, self.radius))
-        lo, hi = np.transpose(self.bounds)
-        return np.clip(z, lo, hi)
-
-    def bounding_box(self):
-        if self.kind == "ball":
-            r = self.radius
-            return (-r, r), (-r, r)
-        return self.bounds
+        norm = np.hypot(z[..., 0], z[..., 1])[..., None]
+        return z * (self.radius / np.maximum(norm, self.radius))
 
 
 def ball(radius: float) -> AdmissibleSet:
-    return AdmissibleSet(kind="ball", radius=radius)
-
-
-def box(bounds) -> AdmissibleSet:
-    return AdmissibleSet(kind="box", bounds=tuple(map(tuple, bounds)))
+    return AdmissibleSet(radius)
 
 
 @dataclass(frozen=True)
@@ -112,9 +82,10 @@ class ControlProblem:
     ``running_cost(t, state, z)`` and ``terminal_cost(state)`` act on the
     last axis of modal states (..., N) and controls (..., 2), returning
     values (...).  When ``state_cost`` is set the running cost is
-    declared to be state_cost(t, state) + |z|^2/2, unlocking the
-    closed-form Hamiltonian; use ``quadratic_problem`` to build that
-    consistently.  ``terminal_gradient`` optionally supplies the modal
+    declared to be state_cost(t, state) + |z|^2/2, which gives the
+    Hamiltonian its closed form; use ``quadratic_problem`` to build that
+    consistently.  A problem without it can be costed along paths but has
+    no Hamiltonian.  ``terminal_gradient`` optionally supplies the modal
     gradient of the terminal cost (finite differences otherwise).
     """
 
@@ -128,6 +99,7 @@ class ControlProblem:
 
     @property
     def is_quadratic(self) -> bool:
+        """Whether ``state_cost`` is set; perfbench's span counters read it."""
         return self.state_cost is not None
 
 
@@ -204,99 +176,28 @@ def control_drift(t: float, z, coeffs: Coefficients, basis: EigenBasis) -> np.nd
     return boundary_immersion(np.multiply(coeffs.h(t), z), basis)
 
 
-def _grid_candidates(Z, range0, range1, n):
-    # the n x n grid over range0 x range1 (z0 varying slowest) projected onto
-    # Z, so curved boundaries get sampled densely and constrained minimizers
-    # are resolved to second order in the spacing
-    grid = np.empty((n, n, 2))
-    grid[..., 0] = np.linspace(*range0, n)[:, None]
-    grid[..., 1] = np.linspace(*range1, n)
-    return Z.project(grid.reshape(-1, 2))
-
-
-def _grid_search(t, state, p, problem):
-    """Adaptive minimization of running_cost + p.z over Z.
-
-    ``state`` (..., N) and ``p`` (..., 2) broadcast over their leading
-    axes; each row is searched on its own.  A coarse pass over the bounding
-    box of Z, whose candidates are built once per call, then one local
-    refinement pass around the row's coarse minimizer, each pass one
-    running-cost call on the row's state; ties go to the first candidate.
-    The costate term p.z is ``_dot2``: two products and one sum per
-    candidate, the same bits as a length-2 ``sum`` at a tenth of its cost.
-    Returns (value (...), argmin (..., 2), coarse distance spread of
-    near-minimal points (...), coarse spacing).
-    """
-    state, p = np.asarray(state, dtype=float), np.asarray(p, dtype=float)
-    lead = np.broadcast_shapes(state.shape[:-1], p.shape[:-1])
-    n = state.shape[-1]
-    states = np.broadcast_to(state, lead + (n,)).reshape(-1, n)
-    costates = np.broadcast_to(p, lead + (2,)).reshape(-1, 2)
-    (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
-    spacing = max(hi0 - lo0, hi1 - lo1) / (GRID_RESOLUTION - 1)
-    coarse = _grid_candidates(problem.Z, (lo0, hi0), (lo1, hi1), GRID_RESOLUTION)
-    vals, spreads = np.empty(len(states)), np.empty(len(states))
-    zs = np.empty((len(states), 2))
-    for r, (a, q) in enumerate(zip(states, costates)):
-        values = problem.running_cost(t, a, coarse) + _dot2(coarse, q)
-        best = np.argmin(values)
-        val, z = values[best], coarse[best]
-        tol = _ARGMIN_VALUE_RTOL * (1.0 + abs(val))
-        near = coarse.compress(values <= val + tol, axis=0)
-        spreads[r] = np.max(np.linalg.norm(near - z, axis=1))
-        # refinement: 41 x 41 points within one coarse spacing of z
-        fine = _grid_candidates(problem.Z, *np.add.outer(z, (-spacing, spacing)), 41)
-        values = problem.running_cost(t, a, fine) + _dot2(fine, q)
-        best = np.argmin(values)
-        if values[best] < val:
-            val, z = values[best], fine[best]
-        vals[r], zs[r] = val, z
-    # [()] turns the arrays of one pair into scalars
-    return (
-        vals.reshape(lead)[()],
-        zs.reshape(lead + (2,)),
-        spreads.reshape(lead)[()],
-        spacing,
-    )
+def _minimizer(p, problem):
+    # the projection of -p onto the ball Z, the minimizer of |z|^2/2 + p.z
+    if not problem.is_quadratic:
+        raise ValueError("no closed-form Hamiltonian without state_cost")
+    return problem.Z.project(-p)
 
 
 def hamiltonian(t: float, state: np.ndarray, p, problem: ControlProblem) -> float:
-    """inf over Z of running_cost(t, state, z) + p . z.
-
-    States (..., N) and costates (..., 2) give values (...).  Closed form
-    for the quadratic family; adaptive grid search otherwise.
-    The admissible set is bounded, so the infimum is attained.
-    """
+    """min over Z of running_cost(t, state, z) + p . z, values (...) for
+    states (..., N) and costates (..., 2), attained at ``hamiltonian_argmin``;
+    a problem without ``state_cost`` raises ``ValueError``."""
     p = np.asarray(p, dtype=float)
-    if problem.is_quadratic:
-        z = problem.Z.project(-p)
-        return problem.running_cost(t, state, z) + _dot2(p, z)
-    return _grid_search(t, state, p, problem)[0]
+    z = _minimizer(p, problem)
+    return problem.running_cost(t, state, z) + _dot2(p, z)
 
 
 def hamiltonian_argmin(
     t: float, state: np.ndarray, p, problem: ControlProblem
 ) -> np.ndarray:
-    """Minimizer realizing the Hamiltonian; assumed unique.
-
-    States (..., N) and costates (..., 2) give controls (..., 2).  For the
-    quadratic family this is the projection of -p onto Z.  For
-    grid-searched costs, two near-minimal points farther apart than ten
-    grid cells violate the uniqueness assumption: the first such row, in
-    C order over the leading axes, raises instead of silently picking one.
-    """
-    p = np.asarray(p, dtype=float)
-    if problem.is_quadratic:
-        return problem.Z.project(-p)
-    _, z, spread, spacing = _grid_search(t, state, p, problem)
-    bad = np.flatnonzero(spread > 10.0 * spacing)
-    if len(bad):
-        row = bad[0]
-        raise NonUniqueArgminError(
-            f"two minimizers separated by {np.ravel(spread)[row]:.3e} "
-            f"(> 10 grid cells) in row {row}"
-        )
-    return z
+    """The minimizer (..., 2) realizing the Hamiltonian, unique since
+    |z|^2/2 + p.z = |z + p|^2/2 - |p|^2/2: the projection of -p onto Z."""
+    return _minimizer(np.asarray(p, dtype=float), problem)
 
 
 class ZeroPolicy:
@@ -587,12 +488,10 @@ def compare_policies(
 
 
 def constant_grid_policies(Z: AdmissibleSet, per_axis: int = 3):
-    """Constant policies on a per_axis x per_axis grid spanning half of Z."""
-    (lo0, hi0), (lo1, hi1) = Z.bounding_box()
-    c0, c1 = 0.5 * (lo0 + hi0), 0.5 * (lo1 + hi1)
-    z0s = c0 + 0.5 * np.linspace(lo0 - c0, hi0 - c0, per_axis)
-    z1s = c1 + 0.5 * np.linspace(lo1 - c1, hi1 - c1, per_axis)
-    return [ConstantPolicy((z0, z1), Z) for z0 in z0s for z1 in z1s]
+    """Constant policies on a per_axis x per_axis grid spanning half of the
+    square [-r, r]^2 around the ball Z, projected onto Z."""
+    zs = 0.5 * np.linspace(-Z.radius, Z.radius, per_axis)
+    return [ConstantPolicy((z0, z1), Z) for z0 in zs for z1 in zs]
 
 
 @dataclass(frozen=True)

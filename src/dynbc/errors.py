@@ -44,10 +44,6 @@ class ConvergenceError(DynbcError):
     """Iterative eigenvalue solver failed to converge."""
 
 
-class NonUniqueArgminError(DynbcError):
-    """Hamiltonian grid search found two well-separated minimizers."""
-
-
 class InadmissibleControlError(DynbcError, ValueError):
     """A policy emitted a control outside the admissible set (or nan)."""
 

@@ -2,12 +2,12 @@
 
 Each check measures one structural property of the solver stack against an
 independent reference (closed forms, the finite-element oracle, exact
-Gaussian recursions, grid search) and reports pass/fail with the measured
-value.  A raised package error inside a check is surfaced as a named
-failure rather than aborting the suite.
+Gaussian recursions, optimality conditions) and reports pass/fail with the
+measured value.  A raised package error inside a check is surfaced as a
+named failure rather than aborting the suite.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -32,7 +32,9 @@ ASSOCIATION_TOL = 1e-5
 ORACLE_REL_TOL = 1e-3
 SEMIGROUP_REL_TOL = 1e-3
 COVARIANCE_SE_FACTOR = 3.0
-HAMILTONIAN_TOL = 1e-3
+# KKT residuals and dual gap of hamiltonian_certificate, 0 in exact
+# arithmetic; the closed form's rounding leaves them below 1e-15
+HAMILTONIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -206,28 +208,52 @@ def _check_ito(ctx):
     )
 
 
+def hamiltonian_certificate(states, ps, problem):
+    """Worst KKT residual and worst gap to the Lagrangian dual of the
+    Hamiltonian's minimizer and value at t = 0, over states (P, N) and
+    costates (P, 2) of a quadratic ``problem`` on the ball |z| <= r.
+
+    z minimizes the convex |z|^2/2 + p.z there exactly when some mu >= 0
+    gives z + p + mu z = 0 and mu (|z| - r) = 0 at a feasible z (Boyd &
+    Vandenberghe, *Convex Optimization*, 2004, sec. 5.5.3); the dual value
+    state_cost - |p|^2 / (2 (1 + mu)) - mu r^2 / 2 then equals the minimum.
+    mu is read off z by least squares (0 at z = 0), with z and p in units
+    of max(r, |p|), which no normal radius overflows; the value gap is
+    relative to the size of the Hamiltonian's terms.
+    """
+    r = problem.Z.radius
+    value = ctl.hamiltonian(0.0, states, ps, problem)
+    z = ctl.hamiltonian_argmin(0.0, states, ps, problem)
+    p_norm = np.hypot(*ps.T)
+    s = np.maximum(r, p_norm)[:, None]
+    u, q = z / s, ps / s
+    u_norm = np.hypot(*u.T)
+    # a subnormal radius overflows mu, and the nan left fails the check
+    with np.errstate(all="ignore"):
+        # divided by |u| twice, since |u|^2 underflows at a tiny radius
+        mu = np.where(u_norm > 0.0, -(u * (u + q)).sum(axis=-1) / u_norm / u_norm, 0.0)
+        excess = np.hypot(*z.T) / r - 1.0
+        stationarity = np.hypot(*(u + q + mu[:, None] * u).T)
+        kkt = np.stack((excess, -mu, stationarity, mu / (1.0 + mu) * np.abs(excess)))
+        state_cost = problem.state_cost(0.0, states)
+        dual = state_cost - 0.5 * (p_norm**2 / (1.0 + mu) + mu * r * r)
+        m = np.minimum(r, p_norm)
+        gap = np.abs(value - dual) / (state_cost + m * (m + p_norm))
+    # np.max keeps a nan; + 0.0 turns a -0.0 into 0.0
+    return float(np.max(kkt)) + 0.0, float(np.max(gap))
+
+
 @_named("hamiltonian_oracle")
 def _check_hamiltonian(ctx):
-    basis = ctx["basis"]
-    problem = ctl.benchmark_problem()
-    grid_problem = replace(problem, state_cost=None)
+    radius = ctx["config"].ball_radius
     rng = Generator(Philox(key=ctx["config"].seed))
-    pairs = [
-        (rng.normal(size=basis.n_modes), rng.normal(scale=1.5, size=2))
-        for _ in range(100)
-    ]
-    states, ps = (np.array(column) for column in zip(*pairs))
-    v_closed = ctl.hamiltonian(0.0, states, ps, problem)
-    z_closed = ctl.hamiltonian_argmin(0.0, states, ps, problem)
-    # one grid search per pair: its value is the cost at its argmin
-    z_grid = ctl.hamiltonian_argmin(0.0, states, ps, grid_problem)
-    v_grid = grid_problem.running_cost(0.0, states, z_grid) + (z_grid * ps).sum(axis=-1)
-    worst_v = float(np.max(np.abs(v_closed - v_grid)))
-    worst_z = float(np.max(np.linalg.norm(z_closed - z_grid, axis=-1)))
-    ok = worst_v <= HAMILTONIAN_TOL and worst_z <= HAMILTONIAN_TOL
+    states = rng.normal(size=(100, ctx["basis"].n_modes))
+    ps = rng.normal(scale=1.5, size=(100, 2))
+    kkt, gap = hamiltonian_certificate(states, ps, ctl.benchmark_problem(radius))
+    ok = kkt <= HAMILTONIAN_TOL and gap <= HAMILTONIAN_TOL
     return ok, (
-        f"closed form vs grid search: value gap {worst_v:.2e}, "
-        f"argmin gap {worst_z:.2e} (tol {HAMILTONIAN_TOL})"
+        f"closed form at radius {radius:g} over {len(ps)} pairs: KKT residual "
+        f"{kkt:.2e}, gap to the Lagrangian dual {gap:.2e} (tol {HAMILTONIAN_TOL})"
     )
 
 

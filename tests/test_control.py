@@ -22,7 +22,6 @@ from dynbc import (
     benchmark_bundle,
     boundary_costate,
     boundary_immersion,
-    box,
     compare_policies,
     constant_grid_policies,
     hamiltonian,
@@ -33,16 +32,13 @@ from dynbc import (
     simulate_path,
 )
 from dynbc.control import (
-    _ARGMIN_VALUE_RTOL,
-    GRID_RESOLUTION,
     ControlProblem,
     _dot2,
-    _grid_search,
     benchmark_problem,
     control_drift,
 )
 from dynbc.control import _rollout
-from dynbc.errors import InadmissibleControlError, NonUniqueArgminError, ShapeError
+from dynbc.errors import InadmissibleControlError, ShapeError
 from dynbc import control, spde
 from dynbc.semigroup import GridState, project
 from dynbc.spde import (
@@ -54,6 +50,8 @@ from dynbc.spde import (
     time_steps,
 )
 
+from conftest import grid_minimizer
+
 # the rows of a block of a state-dependent ensemble at the 512 quadrature
 # nodes of every basis here
 NODAL_WIDTH = 4 * PATH_BLOCK
@@ -62,59 +60,6 @@ NODAL_WIDTH = 4 * PATH_BLOCK
 @pytest.fixture(scope="module")
 def bench():
     return benchmark_bundle()
-
-
-def _grid_oracle(t, state, p, problem, resolution=2001):
-    """Brute-force minimizer over a dense grid, masked to Z."""
-    (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
-    best, argbest = np.inf, None
-    for z0 in np.linspace(lo0, hi0, resolution):
-        for z1 in np.linspace(lo1, hi1, resolution):
-            z = np.array([z0, z1])
-            if not problem.Z.contains(z):
-                continue
-            val = problem.running_cost(t, state, z) + p @ z
-            if val < best:
-                best, argbest = val, z
-    return best, argbest
-
-
-def _loop_grid_candidates(t, state, p, problem, resolution):
-    # the scalar double loop _grid_search replaced, kept as its reference
-    (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
-    z0s = np.linspace(lo0, hi0, resolution)
-    z1s = np.linspace(lo1, hi1, resolution)
-    spacing = max(
-        (hi0 - lo0) / max(resolution - 1, 1), (hi1 - lo1) / max(resolution - 1, 1)
-    )
-    best_val, best_z = np.inf, None
-    points, values = [], []
-    for z0 in z0s:
-        for z1 in z1s:
-            z = problem.Z.project(np.array([z0, z1]))
-            val = problem.running_cost(t, state, z) + float(p @ z)
-            points.append(z)
-            values.append(val)
-            if val < best_val:
-                best_val, best_z = val, z
-    return best_val, best_z, np.array(points), np.array(values), spacing
-
-
-def _loop_grid_search(t, state, p, problem, resolution=GRID_RESOLUTION):
-    val, z, points, values, spacing = _loop_grid_candidates(
-        t, state, p, problem, resolution
-    )
-    tol = _ARGMIN_VALUE_RTOL * (1.0 + abs(val))
-    near = points[values <= val + tol]
-    spread = float(np.max(np.linalg.norm(near - z, axis=1))) if len(near) else 0.0
-    fine_val, fine_z = val, z
-    for z0 in np.linspace(z[0] - spacing, z[0] + spacing, 41):
-        for z1 in np.linspace(z[1] - spacing, z[1] + spacing, 41):
-            cand = problem.Z.project(np.array([z0, z1]))
-            v = problem.running_cost(t, state, cand) + float(p @ cand)
-            if v < fine_val:
-                fine_val, fine_z = v, cand
-    return fine_val, fine_z, spread, spacing
 
 
 def _loop_rollout(policy, problem, config, coeffs, basis, initial, rows):
@@ -220,22 +165,16 @@ class TestAdmissibleSet:
         assert Z.contains((0.6, 0.8))
         assert not Z.contains((0.8, 0.8))
 
-    def test_box_projection(self):
-        Z = box(((-1.0, 2.0), (0.0, 1.0)))
-        assert np.array_equal(Z.project((-3.0, 0.5)), (-1.0, 0.5))
-        assert np.array_equal(Z.project((1.0, 7.0)), (1.0, 1.0))
-
     def test_projection_lands_inside(self, rng):
-        for Z in (ball(0.7), box(((-0.5, 0.25), (-1.0, 1.0)))):
+        for Z in (ball(0.7), ball(3.0)):
             for _ in range(50):
                 z = rng.normal(scale=3.0, size=2)
                 assert Z.contains(Z.project(z))
 
     def test_invalid_sets_rejected(self):
-        with pytest.raises(ValueError):
-            ball(-1.0)
-        with pytest.raises(ValueError):
-            box(((1.0, -1.0), (0.0, 1.0)))
+        for radius in (-1.0, 0.0, np.nan):
+            with pytest.raises(ValueError):
+                ball(radius)
 
 
 class TestBoundaryImmersion:
@@ -322,58 +261,43 @@ class TestHamiltonian:
         z = hamiltonian_argmin(0.0, np.zeros(2), p, problem)
         assert np.allclose(z, (-0.3, 0.4), atol=1e-12)
 
-    def test_closed_form_matches_grid_search(self, rng):
-        # run the same quadratic cost through the generic grid machinery
-        quad = quadratic_problem(
-            ball(1.0), lambda t, a: 0.0, lambda a: 0.0, 0.0, 1.0
-        )
-        generic = ControlProblem(
-            Z=quad.Z,
-            running_cost=quad.running_cost,
-            terminal_cost=quad.terminal_cost,
-            t0=0.0,
-            T=1.0,
-        )
-        for _ in range(25):
-            p = rng.normal(scale=1.5, size=2)
-            v1 = hamiltonian(0.0, np.zeros(2), p, quad)
-            v2 = hamiltonian(0.0, np.zeros(2), p, generic)
-            z1 = hamiltonian_argmin(0.0, np.zeros(2), p, quad)
-            z2 = hamiltonian_argmin(0.0, np.zeros(2), p, generic)
-            assert abs(v1 - v2) <= 1e-3
-            assert np.linalg.norm(z1 - z2) <= 1e-3
+    def test_closed_form_matches_grid_search(self):
+        # the brute-force grid of criterion 09 at another radius, with a
+        # state cost that the minimizer must not depend on
+        problem = benchmark_problem(0.5)
+        rng = np.random.Generator(np.random.Philox(key=405))
+        states = rng.normal(size=(25, 8))
+        ps = rng.normal(scale=1.5, size=(25, 2))
+        values, zs = grid_minimizer(0.0, states, ps, problem)
+        assert np.all(hamiltonian(0.0, states, ps, problem) <= values + 1e-12)
+        assert np.allclose(hamiltonian(0.0, states, ps, problem), values, atol=1e-6)
+        assert np.allclose(hamiltonian_argmin(0.0, states, ps, problem), zs, atol=5e-4)
 
-    @pytest.mark.parametrize(
-        "Z", [ball(1.0), box(((-1.0, 0.5), (-0.25, 1.0)))], ids=["ball", "box"]
-    )
-    def test_grid_search_matches_scalar_loop(self, Z):
-        quad = quadratic_problem(
-            Z, lambda t, a: (a * a).sum(axis=-1), lambda a: 0.0, 0.0, 1.0
-        )
-        problems = [
-            ControlProblem(Z, quad.running_cost, quad.terminal_cost, 0.0, 1.0),
-            ControlProblem(
-                Z,
-                lambda t, a, z: (np.hypot(z[..., 0], z[..., 1]) - 0.5) ** 2,
-                lambda a: 0.0,
-                0.0,
-                1.0,
-            ),
-        ]
-        # 100 pairs, the two costs taking turns
-        rng = np.random.Generator(np.random.Philox(key=77))
-        for i in range(100):
-            state = rng.normal(size=8)
-            p = rng.normal(scale=1.5, size=2)
-            problem = problems[i % 2]
-            val, z, spread, spacing = _grid_search(0.0, state, p, problem)
-            ref_val, ref_z, ref_spread, ref_spacing = _loop_grid_search(
-                0.0, state, p, problem
-            )
-            assert abs(val - ref_val) <= 1e-12 * (1.0 + abs(ref_val))
-            assert np.max(np.abs(z - ref_z)) <= 1e-12
-            assert abs(spread - ref_spread) <= 1e-12
-            assert spacing == ref_spacing
+    def test_rows_equal_single_pair_calls(self, bench):
+        # costates (2, 3, 2) against one state and against states (2, 3, 8)
+        rng = np.random.Generator(np.random.Philox(key=91))
+        states = rng.normal(size=(2, 3, 8))
+        ps = rng.normal(scale=1.5, size=(2, 3, 2))
+        problem = bench.problem
+        for state in (states, states[0, 0]):
+            values = hamiltonian(0.3, state, ps, problem)
+            argmins = hamiltonian_argmin(0.3, state, ps, problem)
+            assert values.shape == (2, 3) and argmins.shape == (2, 3, 2)
+            for i, j in np.ndindex(2, 3):
+                a = state if state.ndim == 1 else state[i, j]
+                assert _bits(values[i, j]) == _bits(
+                    hamiltonian(0.3, a, ps[i, j], problem)
+                )
+                assert _bits(argmins[i, j]) == _bits(
+                    hamiltonian_argmin(0.3, a, ps[i, j], problem)
+                )
+
+    def test_generic_problem_has_no_hamiltonian(self, bench):
+        # a running cost without state_cost has no closed-form minimizer
+        generic = replace(bench.problem, state_cost=None)
+        for fn in (hamiltonian, hamiltonian_argmin):
+            with pytest.raises(ValueError, match="closed-form Hamiltonian"):
+                fn(0.0, np.zeros(8), (0.3, -0.4), generic)
 
     def test_infimum_property(self, bench, rng):
         state = rng.normal(size=8)
@@ -412,107 +336,6 @@ class TestHamiltonian:
             ]
             assert vals[0] >= vals[1] >= vals[2]
 
-    def test_non_unique_argmin_detected(self):
-        # ring-shaped cost with p = 0 has a circle of minimizers
-        ring = ControlProblem(
-            Z=ball(1.0),
-            running_cost=lambda t, a, z: (np.hypot(z[..., 0], z[..., 1]) - 0.5) ** 2,
-            terminal_cost=lambda a: 0.0,
-            t0=0.0,
-            T=1.0,
-        )
-        with pytest.raises(NonUniqueArgminError):
-            hamiltonian_argmin(0.0, np.zeros(2), (0.0, 0.0), ring)
-
-
-def _ring_problem(Z):
-    return ControlProblem(
-        Z,
-        lambda t, a, z: (np.hypot(z[..., 0], z[..., 1]) - 0.5) ** 2,
-        lambda a: 0.0,
-        0.0,
-        1.0,
-    )
-
-
-class TestBatchedGridSearch:
-    @pytest.mark.parametrize(
-        "Z", [ball(1.0), box(((-1.0, 0.5), (-0.25, 1.0)))], ids=["ball", "box"]
-    )
-    @pytest.mark.parametrize("cost", ["quadratic", "ring"])
-    def test_rows_equal_single_pair_calls(self, Z, cost):
-        quad = quadratic_problem(
-            Z, lambda t, a: (a * a).sum(axis=-1), lambda a: 0.0, 0.0, 1.0
-        )
-        problem = (
-            ControlProblem(Z, quad.running_cost, quad.terminal_cost, 0.0, 1.0)
-            if cost == "quadratic"
-            else _ring_problem(Z)
-        )
-        rng = np.random.Generator(np.random.Philox(key=91))
-        states = rng.normal(size=(2, 3, 8))
-        # nonzero costates keep the ring's minimizer unique
-        ps = rng.normal(scale=1.5, size=(2, 3, 2)) + 0.5
-        vals, zs, spreads, spacing = _grid_search(0.3, states, ps, problem)
-        assert vals.shape == spreads.shape == (2, 3)
-        assert zs.shape == (2, 3, 2)
-        argmins = hamiltonian_argmin(0.3, states, ps, problem)
-        values = hamiltonian(0.3, states, ps, problem)
-        for i in range(2):
-            for j in range(3):
-                val, z, spread, ref_spacing = _grid_search(
-                    0.3, states[i, j], ps[i, j], problem
-                )
-                assert vals[i, j].tobytes() == val.tobytes()
-                assert zs[i, j].tobytes() == z.tobytes()
-                assert spreads[i, j].tobytes() == spread.tobytes()
-                assert spacing == ref_spacing
-                single = hamiltonian_argmin(0.3, states[i, j], ps[i, j], problem)
-                assert argmins[i, j].tobytes() == single.tobytes()
-                assert values[i, j] == hamiltonian(0.3, states[i, j], ps[i, j], problem)
-
-    def test_state_broadcasts_against_costates(self):
-        problem = _ring_problem(ball(1.0))
-        rng = np.random.Generator(np.random.Philox(key=92))
-        state = rng.normal(size=8)
-        ps = rng.normal(scale=1.5, size=(4, 2)) + 0.5
-        zs = hamiltonian_argmin(0.0, state, ps, problem)
-        for q, z in zip(ps, zs):
-            assert z.tobytes() == hamiltonian_argmin(0.0, state, q, problem).tobytes()
-
-    def test_non_unique_row_named(self):
-        ring = _ring_problem(ball(1.0))
-        ps = np.array([[3.0, 0.0], [0.0, -2.0], [0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(NonUniqueArgminError, match="in row 2$"):
-            hamiltonian_argmin(0.0, np.zeros((4, 2)), ps, ring)
-        # the unique rows on their own pass
-        hamiltonian_argmin(0.0, np.zeros((3, 2)), ps[[0, 1, 3]], ring)
-
-    def test_feedback_policy_matches_per_row_loop(self, bench):
-        # a non-quadratic running cost that reads the state
-        def running(t, a, z):
-            zz = (z * z).sum(axis=-1)
-            return (a * a).sum(axis=-1) + 0.5 * zz + 0.3 * a[..., 0] * zz**2
-
-        problem = ControlProblem(
-            bench.problem.Z,
-            running,
-            bench.problem.terminal_cost,
-            bench.problem.t0,
-            bench.problem.T,
-            terminal_gradient=bench.problem.terminal_gradient,
-        )
-        provider = TerminalProxyGradient(problem, bench.basis)
-        policy = FeedbackPolicy(provider, problem, bench.coeffs, bench.basis)
-        rng = np.random.Generator(np.random.Philox(key=93))
-        block = bench.initial + rng.normal(scale=0.5, size=(6, 8))
-        t = 0.1
-        p = boundary_costate(t, block, provider(t, block), bench.coeffs, bench.basis)
-        loop = np.array(
-            [hamiltonian_argmin(t, a, q, problem) for a, q in zip(block, p)]
-        )
-        assert policy(t, block).tobytes() == loop.tobytes()
-
 
 def _sum_dot(z, q):
     # the length-2 reduction the Hamiltonian path used before _dot2
@@ -528,42 +351,6 @@ def _sum_quadratic_running(state_cost):
     return running
 
 
-def _meshgrid_candidates(Z, range0, range1, n):
-    # _grid_candidates built as a stacked meshgrid
-    z0s, z1s = np.linspace(*range0, n), np.linspace(*range1, n)
-    grid = np.stack(np.meshgrid(z0s, z1s, indexing="ij"), axis=-1)
-    return Z.project(grid.reshape(-1, 2))
-
-
-def _sum_grid_search(t, state, p, problem):
-    # _grid_search with its costate terms as length-2 reductions, its
-    # candidates from a meshgrid and its near-minimal points by a boolean index
-    state, p = np.asarray(state, dtype=float), np.asarray(p, dtype=float)
-    lead = np.broadcast_shapes(state.shape[:-1], p.shape[:-1])
-    n = state.shape[-1]
-    states = np.broadcast_to(state, lead + (n,)).reshape(-1, n)
-    costates = np.broadcast_to(p, lead + (2,)).reshape(-1, 2)
-    (lo0, hi0), (lo1, hi1) = problem.Z.bounding_box()
-    spacing = max(hi0 - lo0, hi1 - lo1) / (GRID_RESOLUTION - 1)
-    coarse = _meshgrid_candidates(problem.Z, (lo0, hi0), (lo1, hi1), GRID_RESOLUTION)
-    rows = []
-    for a, q in zip(states, costates):
-        values = problem.running_cost(t, a, coarse) + _sum_dot(coarse, q)
-        best = np.argmin(values)
-        val, z = values[best], coarse[best]
-        tol = _ARGMIN_VALUE_RTOL * (1.0 + abs(val))
-        spread = np.max(np.linalg.norm(coarse[values <= val + tol] - z, axis=1))
-        around = np.add.outer(z, (-spacing, spacing))
-        fine = _meshgrid_candidates(problem.Z, *around, 41)
-        values = problem.running_cost(t, a, fine) + _sum_dot(fine, q)
-        best = np.argmin(values)
-        if values[best] < val:
-            val, z = values[best], fine[best]
-        rows.append((val, z, spread))
-    vals, zs, spreads = (np.array(column) for column in zip(*rows))
-    return vals.reshape(lead), zs.reshape(lead + (2,)), spreads.reshape(lead), spacing
-
-
 def _bits(x):
     return np.asarray(x).tobytes()
 
@@ -573,10 +360,6 @@ def _pairs(rows, lead):
     return np.array(rows[: math.prod(lead)]).reshape(lead + (2,))
 
 
-# costates with signed zeros; no row is zero, so the ring's minimizer stays
-# unique
-_COSTATES = [(-0.0, 0.9), (0.0, -1.2), (1.1, -0.0), (-0.7, 0.0), (0.8, -1.3),
-             (-1.6, 0.4)]
 # closed-form costates and controls, both entries zero in some rows
 _ZERO_COSTATES = [(0.0, -0.0), (-0.0, -0.0), (-0.0, 0.0), (0.3, -0.0), (-2.0, 1.5),
                   (0.0, 0.0)]
@@ -584,7 +367,7 @@ _ZERO_CONTROLS = [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.6), (0.25, 0.0), (-0.5, -0
                   (0.0, 0.0)]
 _LEADS = pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2", "Cx2", "PxCx2"])
 _SETS = pytest.mark.parametrize(
-    "Z", [ball(1.0), box(((-1.0, 0.5), (-0.25, 1.0)))], ids=["ball", "box"]
+    "Z", [ball(1.0), ball(0.25)], ids=["ball", "ball_0.25"]
 )
 
 
@@ -626,25 +409,6 @@ class TestTwoProductSums:
             reference(0.3, states, zc) + _sum_dot(p, zc)
         )
         assert _bits(hamiltonian_argmin(0.3, states, p, problem)) == _bits(zc)
-
-    @_SETS
-    @pytest.mark.parametrize("cost", ["quadratic", "ring"])
-    @_LEADS
-    def test_grid_search(self, Z, cost, lead):
-        if cost == "quadratic":
-            quad = quadratic_problem(Z, _state_cost, lambda a: 0.0, 0.0, 1.0)
-            problem = ControlProblem(Z, quad.running_cost, quad.terminal_cost, 0.0, 1.0)
-            running = _sum_quadratic_running(_state_cost)
-            reference = replace(problem, running_cost=running)
-        else:
-            problem = reference = _ring_problem(Z)
-        states = _states(lead, 95)
-        p = _pairs(_COSTATES, lead)
-        got = _grid_search(0.3, states, p, problem)
-        want = _sum_grid_search(0.3, states, p, reference)
-        assert [_bits(x) for x in got] == [_bits(x) for x in want]
-        assert _bits(hamiltonian(0.3, states, p, problem)) == _bits(want[0])
-        assert _bits(hamiltonian_argmin(0.3, states, p, problem)) == _bits(want[1])
 
 
 class TestGradientProviders:

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from dynbc import fem_oracle, validate
+from dynbc import ball, control, fem_oracle, validate
+from dynbc.control import _dot2
 from dynbc.config import default_config, with_overrides
 from dynbc.errors import TruncationError
 from dynbc.spectral import BoundaryParams, build_basis, find_eigenvalues
@@ -45,6 +47,53 @@ class TestItoCheck:
         z = float(measured.split(" = ")[1].split()[0])
         assert math.isfinite(z), measured
         assert passed is True, measured
+
+
+def _hamiltonian_context(radius, basis):
+    cfg = with_overrides(default_config(), ball_radius=radius)
+    return {"config": cfg, "basis": basis}
+
+
+def _minimizer_defect(kind):
+    # a closed form gone wrong, for both hamiltonian and hamiltonian_argmin
+    def minimizer(p, problem):
+        r = problem.Z.radius
+        if kind == "plus_p":
+            return ball(r).project(p)
+        if kind == "radius_1.1":
+            return ball(1.1 * r).project(-p)
+        return -p
+
+    return minimizer
+
+
+def _value_without_control_square(t, state, p, problem):
+    z = control.hamiltonian_argmin(t, state, p, problem)
+    return problem.state_cost(t, state) + _dot2(np.asarray(p, dtype=float), z)
+
+
+class TestHamiltonianCheck:
+    # every decade of the radius, and the ends of the normal float range
+    @pytest.mark.parametrize(
+        "radius", [10.0**k for k in range(-6, 7)] + [1e-300, 1e300]
+    )
+    def test_passes_at_every_radius(self, radius, basis8):
+        ctx = _hamiltonian_context(radius, basis8)
+        passed, measured = validate._check_hamiltonian(ctx)
+        assert passed is True, measured
+        assert f"at radius {radius:g} " in measured
+
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("defect", ["plus_p", "radius_1.1", "unclamped", "value"])
+    def test_catches_each_defect(self, radius, defect, basis8, monkeypatch):
+        ctx = _hamiltonian_context(radius, basis8)
+        assert validate._check_hamiltonian(ctx)[0] is True
+        if defect == "value":
+            monkeypatch.setattr(control, "hamiltonian", _value_without_control_square)
+        else:
+            monkeypatch.setattr(control, "_minimizer", _minimizer_defect(defect))
+        passed, measured = validate._check_hamiltonian(ctx)
+        assert passed is False, measured
 
 
 class TestSpectrumVerdict:
