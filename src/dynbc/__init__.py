@@ -21,7 +21,6 @@ from .control import (
     constant_grid_policies,
     hamiltonian,
     hamiltonian_argmin,
-    quadratic_problem,
 )
 from .quadrature import QuadratureRule, gauss_legendre_rule
 from .semigroup import (

@@ -18,6 +18,11 @@ from .spde import (
 )
 
 _CONTROL_PROBLEMS = ("benchmark",)
+# the smallest admissible ball radius: below about 3e-308 the projection
+# -p r/|p| keeps few significant bits and the KKT multiplier |p|/r - 1
+# overflows, so validate's Hamiltonian certificate fails where control
+# runs; 1e-300 leaves margin above that
+MIN_BALL_RADIUS = 1e-300
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,10 @@ def _validate(cfg: RunConfig):
         (8 <= cfg.fd_n <= 4001, "fd_n must be in [8, 4001]"),
         (cfg.n_modes <= cfg.fd_n, "n_modes must be <= fd_n"),
         (1 <= cfg.hs_modes <= 4001, "hs_modes must be in [1, 4001]"),
-        (cfg.ball_radius > 0.0, "ball_radius must be positive"),
+        (
+            cfg.ball_radius >= MIN_BALL_RADIUS,
+            f"ball_radius must be >= {MIN_BALL_RADIUS}",
+        ),
         (
             cfg.coefficients in COEFFICIENT_FAMILIES,
             f"coefficients must be one of {COEFFICIENT_FAMILIES}",

@@ -6,9 +6,9 @@ two-dimensional control z is immersed into the state space as (0, z) and
 multiplied by the diagonal gain h(t), which in modal coordinates is the
 vector h0 z0 e_k(0) + h1 z1 e_k(1).  The pointwise Hamiltonian
 min_z { running_cost + <costate, z> } over the admissible ball is taken in
-closed form for the quadratic cost family, running cost state_cost +
-|z|^2/2: its minimizer is the projection of the negated costate onto the
-ball.  Other costs can be evaluated along paths but have no Hamiltonian.
+closed form, since the one cost family, the paper's, is quadratic in z:
+running cost state_cost + |z|^2/2, whose minimizer is the projection of
+the negated costate onto the ball.
 
 Every callable acts on blocks: policies map states (P, N) to controls
 (P, 2), gradient providers map (P, N) to (P, N), and costs act on the last
@@ -77,30 +77,26 @@ def ball(radius: float) -> AdmissibleSet:
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Cost structure over a fixed horizon [t0, T].
-
-    ``running_cost(t, state, z)`` and ``terminal_cost(state)`` act on the
-    last axis of modal states (..., N) and controls (..., 2), returning
-    values (...).  When ``state_cost`` is set the running cost is
-    declared to be state_cost(t, state) + |z|^2/2, which gives the
-    Hamiltonian its closed form; use ``quadratic_problem`` to build that
-    consistently.  A problem without it can be costed along paths but has
-    no Hamiltonian.  ``terminal_gradient`` optionally supplies the modal
-    gradient of the terminal cost (finite differences otherwise).
-    """
+    """The paper's problem on the ball ``Z`` over [t0, T]: running cost
+    state_cost(t, state) + |z|^2/2, quadratic in z, which gives the
+    Hamiltonian its closed form, and ``terminal_cost`` with the modal
+    gradient ``terminal_gradient``.  Each cost acts on the last axis of
+    states (..., N) and controls (..., 2), returning values (...)."""
 
     Z: AdmissibleSet
-    running_cost: callable
+    state_cost: callable
     terminal_cost: callable
     t0: float
     T: float
-    state_cost: callable = None
-    terminal_gradient: callable = None
+    terminal_gradient: callable
 
-    @property
-    def is_quadratic(self) -> bool:
-        """Whether ``state_cost`` is set; perfbench's span counters read it."""
-        return self.state_cost is not None
+    # every problem is quadratic; kept since perfbench's span counters
+    # read it to tell closed-form calls from grid-search calls
+    is_quadratic = True
+
+    def running_cost(self, t, state, z):
+        z = np.asarray(z, dtype=float)
+        return self.state_cost(t, state) + 0.5 * _dot2(z, z)
 
 
 def _dot2(z, q):
@@ -110,35 +106,10 @@ def _dot2(z, q):
     return z[..., 0] * q[..., 0] + z[..., 1] * q[..., 1] + 0.0
 
 
-def quadratic_problem(
-    Z: AdmissibleSet,
-    state_cost,
-    terminal_cost,
-    t0: float,
-    T: float,
-    terminal_gradient=None,
-) -> ControlProblem:
-    """Problem with running cost state_cost(t, state) + |z|^2 / 2."""
-
-    def running(t, state, z):
-        z = np.asarray(z, dtype=float)
-        return state_cost(t, state) + 0.5 * _dot2(z, z)
-
-    return ControlProblem(
-        Z=Z,
-        running_cost=running,
-        terminal_cost=terminal_cost,
-        t0=t0,
-        T=T,
-        state_cost=state_cost,
-        terminal_gradient=terminal_gradient,
-    )
-
-
 def benchmark_problem(radius: float = 1.0, t0: float = 0.0, T: float = 0.5):
     """The benchmark costs over the ball of ``radius``: |state|^2 + |z|^2/2
     running and |state|^2 terminal, with the exact terminal gradient."""
-    return quadratic_problem(
+    return ControlProblem(
         Z=ball(radius),
         state_cost=lambda t, a: (a * a).sum(axis=-1),
         terminal_cost=lambda a: (a * a).sum(axis=-1),
@@ -176,19 +147,11 @@ def control_drift(t: float, z, coeffs: Coefficients, basis: EigenBasis) -> np.nd
     return boundary_immersion(np.multiply(coeffs.h(t), z), basis)
 
 
-def _minimizer(p, problem):
-    # the projection of -p onto the ball Z, the minimizer of |z|^2/2 + p.z
-    if not problem.is_quadratic:
-        raise ValueError("no closed-form Hamiltonian without state_cost")
-    return problem.Z.project(-p)
-
-
 def hamiltonian(t: float, state: np.ndarray, p, problem: ControlProblem) -> float:
     """min over Z of running_cost(t, state, z) + p . z, values (...) for
-    states (..., N) and costates (..., 2), attained at ``hamiltonian_argmin``;
-    a problem without ``state_cost`` raises ``ValueError``."""
+    states (..., N) and costates (..., 2), attained at ``hamiltonian_argmin``."""
     p = np.asarray(p, dtype=float)
-    z = _minimizer(p, problem)
+    z = problem.Z.project(-p)
     return problem.running_cost(t, state, z) + _dot2(p, z)
 
 
@@ -197,7 +160,7 @@ def hamiltonian_argmin(
 ) -> np.ndarray:
     """The minimizer (..., 2) realizing the Hamiltonian, unique since
     |z|^2/2 + p.z = |z + p|^2/2 - |p|^2/2: the projection of -p onto Z."""
-    return _minimizer(np.asarray(p, dtype=float), problem)
+    return problem.Z.project(-np.asarray(p, dtype=float))
 
 
 class ZeroPolicy:
@@ -217,6 +180,9 @@ class ConstantPolicy:
 
 
 class OpenLoopPolicy:
+    """z = schedule(t) projected onto Z for every state.  No command builds
+    one; it is kept as a target of perfbench's policy span."""
+
     def __init__(self, schedule, Z: AdmissibleSet, name: str = "open_loop"):
         self.schedule = schedule
         self.Z = Z
@@ -275,20 +241,15 @@ class TerminalProxyGradient:
 
     def __call__(self, t, state):
         decay = np.exp(self.basis.lam * (self.problem.T - t))
-        expected = decay * state
-        if self.problem.terminal_gradient is not None:
-            gphi = np.asarray(self.problem.terminal_gradient(expected), dtype=float)
-        else:
-            gphi = _fd_gradient(self.problem.terminal_cost, expected)
-        return decay * gphi
+        gphi = self.problem.terminal_gradient(decay * state)
+        return decay * np.asarray(gphi, dtype=float)
 
 
-def _fd_gradient(fun, state, rel_bump: float = 1e-6, n_dirs: int = None):
-    # central differences of a last-axis ``fun`` along the first n_dirs
-    # modal directions (all of them by default), all 2 n_dirs bumped states
-    # in one call; the other entries stay zero
+def _fd_gradient(fun, state, rel_bump: float, k: int):
+    # central differences of a last-axis ``fun`` along the first k modal
+    # directions, all 2 k bumped states in one call; the other entries
+    # stay zero
     n = np.shape(state)[-1]
-    k = n if n_dirs is None else n_dirs
     bump = rel_bump * (1.0 + np.abs(state[..., :k]))
     steps = bump[..., None] * np.eye(k, n)
     centre = state[..., None, :]
@@ -376,7 +337,7 @@ def _rollout(policy, problem, config, coeffs, basis, initial, rows, dW, trace=No
     times, dts = time_steps(config, basis)
     n, n_modes = len(rows), basis.n_modes
     step_dts = iter(dts)
-    # an accumulator, since running_cost may return a scalar
+    # an accumulator, since state_cost and terminal_cost may return scalars
     cost = np.zeros(n)
     table = []
 
@@ -510,7 +471,8 @@ def benchmark_bundle(seed: int = 12345) -> BenchmarkBundle:
     """Benchmark: additive noise (g=0.2, h=(1,1)), b0=b1=1, unit-ball
     controls, quadratic costs |z|^2/2 + |state|^2 running and |state|^2
     terminal, horizon 0.5 with dt=5e-3, N=M=8, initial state u=1 with
-    matching boundary values."""
+    matching boundary values.  No command builds it; it is kept for the
+    README's quick start and as the tests' fixture."""
     params = BoundaryParams(1.0, 1.0)
     basis = build_basis(params, n_modes=8)
     coeffs = named_coefficients("additive", g_scale=0.2, h0=1.0, h1=1.0)

@@ -93,7 +93,9 @@ def hs_norm_sq(t: float, basis: EigenBasis) -> float:
 
     Sum of exp(2 lambda_k t) over the basis modes; decays like 1/sqrt(t)
     for small t.  Raises when the discarded tail is not negligible, i.e.
-    the last retained term still exceeds 1e-8.
+    the last retained term still exceeds 1e-8.  No command calls it
+    (``validate.weyl_fit`` sums the same terms); it is kept as a perfbench
+    span target.
     """
     if not t > 0.0:
         raise DomainError("Hilbert-Schmidt norm defined for t > 0")

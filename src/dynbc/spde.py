@@ -142,7 +142,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Simulated trajectories: times and the modal states at each."""
+    """Simulated trajectories: times and the modal states at each; the
+    result of ``simulate_path``, kept with it."""
 
     times: np.ndarray
     states: np.ndarray
@@ -184,7 +185,8 @@ def path_increments(
     seed: int, path_index: int, dts: np.ndarray, m_noise: int
 ) -> np.ndarray:
     """Gaussian increments N(0, dt_i) for one path, shape (steps, m_noise):
-    the one-row block of ``block_increments``."""
+    the one-row block of ``block_increments``.  No command calls it; it is
+    kept for perfbench's noise counters and the README's noise contract."""
     p = int(path_index)
     return block_increments(seed, range(p, p + 1), dts, m_noise)[:, 0]
 
@@ -258,6 +260,7 @@ def galerkin_drift(
 
     The boundary block of the drift is zero: the nonlinearity acts on the
     interior only.  ``state`` is one state (N,) or a block of them (P, N).
+    No command calls it; it is kept as a perfbench span target.
     """
     u = state @ basis.values.T
     return _interior_moments(coeffs.f(t, basis.quad.nodes, u), basis)
@@ -461,7 +464,8 @@ def simulate_path(config, coeffs, basis, initial, rows=range(1)) -> PathRecord:
     """The trajectories of the paths ``rows``, states (steps + 1, len(rows),
     N): those rows of the ``terminal_states`` pass over paths 0 to
     rows.stop - 1, recorded as it steps them, so each is its ensemble row,
-    bit for bit."""
+    bit for bit.  No command calls it; it is kept for the README's quick
+    start and as a perfbench span target."""
     held = {p: [] for p in rows}
 
     def keep(p, table):

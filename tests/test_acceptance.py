@@ -303,9 +303,11 @@ def test_criterion_08_strong_self_convergence(basis8):
 
 def test_criterion_09_hamiltonian_oracle():
     started = time.time()
-    from dynbc import ball, hamiltonian, hamiltonian_argmin, quadratic_problem
+    from dynbc import ControlProblem, ball, hamiltonian, hamiltonian_argmin
 
-    quad = quadratic_problem(ball(1.0), lambda t, a: 0.0, lambda a: 0.0, 0.0, 1.0)
+    quad = ControlProblem(
+        ball(1.0), lambda t, a: 0.0, lambda a: 0.0, 0.0, 1.0, np.zeros_like
+    )
     rng = np.random.Generator(np.random.Philox(key=404))
     states = rng.normal(size=(100, 8))
     ps = rng.normal(scale=1.5, size=(100, 2))

@@ -19,7 +19,13 @@ from dynbc import cli
 from dynbc import control as ctl
 from dynbc import formats, spde, validate
 from dynbc.cli import _build_setup, _make_policies, main
-from dynbc.config import RunConfig, default_config, parse_config, with_overrides
+from dynbc.config import (
+    MIN_BALL_RADIUS,
+    RunConfig,
+    default_config,
+    parse_config,
+    with_overrides,
+)
 from dynbc.errors import (
     ConfigError,
     InadmissibleControlError,
@@ -128,6 +134,22 @@ class TestNonFiniteConfig:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": f"{key} must be finite", "exit_code": 2}
+        assert not out.exists() or os.listdir(out) == []
+
+
+class TestBallRadiusFloor:
+    # below the floor validate's Hamiltonian certificate overflows (2.5e-308
+    # is normal, 1e-320 subnormal), so every command rejects the radius
+    @pytest.mark.parametrize("command", ["control", "validate"])
+    @pytest.mark.parametrize("radius", ["1e-320", "2.5e-308"])
+    def test_exit_two_with_json_record(self, tmp_path, capsys, command, radius):
+        code, out = run_cli(tmp_path, command, f"ball_radius = {radius}\n")
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {
+            "error": f"ball_radius must be >= {MIN_BALL_RADIUS}",
+            "exit_code": 2,
+        }
         assert not out.exists() or os.listdir(out) == []
 
 

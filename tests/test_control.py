@@ -3,12 +3,12 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynbc import (
+    BoundaryParams,
     Coefficients,
     ConstantPolicy,
     FeedbackPolicy,
@@ -22,12 +22,12 @@ from dynbc import (
     benchmark_bundle,
     boundary_costate,
     boundary_immersion,
+    build_basis,
     compare_policies,
     constant_grid_policies,
     hamiltonian,
     hamiltonian_argmin,
     named_coefficients,
-    quadratic_problem,
     reconstruct,
     simulate_path,
 )
@@ -60,6 +60,11 @@ NODAL_WIDTH = 4 * PATH_BLOCK
 @pytest.fixture(scope="module")
 def bench():
     return benchmark_bundle()
+
+
+def _problem(Z, state_cost=lambda t, a: 0.0, T=1.0):
+    # a problem on [0, T] with no terminal cost
+    return ControlProblem(Z, state_cost, lambda a: 0.0, 0.0, T, np.zeros_like)
 
 
 def _loop_rollout(policy, problem, config, coeffs, basis, initial, rows):
@@ -199,8 +204,6 @@ class TestBoundaryImmersion:
         assert np.array_equal(control_drift(0.0, z, coeffs, basis16), expected)
 
     def test_truncated_norm_increases_toward_full(self, params11):
-        from dynbc import build_basis
-
         norms = []
         for n in (8, 16, 32):
             basis = build_basis(params11, n)
@@ -221,16 +224,22 @@ class TestBoundaryCostate:
     def test_adjoint_pairing(self, basis8, bench, rng):
         # <G (0, z), w>_X computed from the block structure equals p . z:
         # the interior block contributes nothing since the function part
-        # of the immersed control is zero
-        for _ in range(20):
-            grad = rng.normal(size=8)
-            z = rng.normal(size=2)
-            h0, h1 = bench.coeffs.h(0.0)
-            w = reconstruct(grad, basis8)
-            lhs = basis8.quad.weights @ (np.zeros(basis8.quad.size) * w.u)
-            lhs += (h0 * z[0]) * w.v0 + (h1 * z[1]) * w.v1
-            p = boundary_costate(0.0, np.zeros(8), grad, bench.coeffs, basis8)
-            assert abs(lhs - float(p @ z)) < 1e-8
+        # of the immersed control is zero.  The second input has distinct
+        # rates and gains at the two ends, so a swap of the ends shows
+        asymmetric = (
+            build_basis(BoundaryParams(1.0, 3.0), 8),
+            named_coefficients("additive", g_scale=0.2, h0=1.0, h1=0.3),
+        )
+        for basis, coeffs in ((basis8, bench.coeffs), asymmetric):
+            for _ in range(20):
+                grad = rng.normal(size=8)
+                z = rng.normal(size=2)
+                h0, h1 = coeffs.h(0.0)
+                w = reconstruct(grad, basis)
+                lhs = basis.quad.weights @ (np.zeros(basis.quad.size) * w.u)
+                lhs += (h0 * z[0]) * w.v0 + (h1 * z[1]) * w.v1
+                p = boundary_costate(0.0, np.zeros(8), grad, coeffs, basis)
+                assert abs(lhs - float(p @ z)) < 1e-8
 
 
 class TestHamiltonian:
@@ -243,18 +252,14 @@ class TestHamiltonian:
         )
 
     def test_boundary_minimizer(self):
-        problem = quadratic_problem(
-            ball(1.0), lambda t, a: 0.0, lambda a: 0.0, 0.0, 1.0
-        )
+        problem = _problem(ball(1.0))
         val = hamiltonian(0.0, np.zeros(2), (3.0, 4.0), problem)
         assert val == pytest.approx(0.5 - 5.0, rel=1e-12)
         z = hamiltonian_argmin(0.0, np.zeros(2), (3.0, 4.0), problem)
         assert np.allclose(z, (-0.6, -0.8), atol=1e-12)
 
     def test_interior_minimizer(self):
-        problem = quadratic_problem(
-            ball(1.0), lambda t, a: 0.0, lambda a: 0.0, 0.0, 1.0
-        )
+        problem = _problem(ball(1.0))
         p = (0.3, -0.4)
         val = hamiltonian(0.0, np.zeros(2), p, problem)
         assert val == pytest.approx(-0.125, rel=1e-12)
@@ -292,13 +297,6 @@ class TestHamiltonian:
                     hamiltonian_argmin(0.3, a, ps[i, j], problem)
                 )
 
-    def test_generic_problem_has_no_hamiltonian(self, bench):
-        # a running cost without state_cost has no closed-form minimizer
-        generic = replace(bench.problem, state_cost=None)
-        for fn in (hamiltonian, hamiltonian_argmin):
-            with pytest.raises(ValueError, match="closed-form Hamiltonian"):
-                fn(0.0, np.zeros(8), (0.3, -0.4), generic)
-
     def test_infimum_property(self, bench, rng):
         state = rng.normal(size=8)
         p = rng.normal(size=2)
@@ -324,14 +322,7 @@ class TestHamiltonian:
         for _ in range(20):
             p = rng.normal(scale=2.0, size=2)
             vals = [
-                hamiltonian(
-                    0.0,
-                    np.zeros(2),
-                    p,
-                    quadratic_problem(
-                        ball(r), lambda t, a: 0.0, lambda a: 0.0, 0.0, 1.0
-                    ),
-                )
+                hamiltonian(0.0, np.zeros(2), p, _problem(ball(r)))
                 for r in (0.5, 1.0, 2.0)
             ]
             assert vals[0] >= vals[1] >= vals[2]
@@ -343,7 +334,7 @@ def _sum_dot(z, q):
 
 
 def _sum_quadratic_running(state_cost):
-    # quadratic_problem's running cost with |z|^2 as a length-2 reduction
+    # ControlProblem.running_cost with |z|^2 as a length-2 reduction
     def running(t, state, z):
         z = np.asarray(z, dtype=float)
         return state_cost(t, state) + 0.5 * _sum_dot(z, z)
@@ -396,7 +387,7 @@ class TestTwoProductSums:
     @_SETS
     @_LEADS
     def test_quadratic_running_cost_and_closed_form(self, Z, lead):
-        problem = quadratic_problem(Z, _state_cost, lambda a: 0.0, 0.0, 1.0)
+        problem = _problem(Z, _state_cost)
         reference = _sum_quadratic_running(_state_cost)
         states = _states(lead, 94)
         z = _pairs(_ZERO_CONTROLS, lead)
@@ -419,20 +410,6 @@ class TestGradientProviders:
         decay = np.exp(bench.basis.lam * (bench.problem.T - t))
         expected = decay * (2.0 * (decay * state))
         assert np.allclose(provider(t, state), expected, atol=1e-14)
-
-    def test_terminal_proxy_finite_difference_fallback(self, bench):
-        problem = quadratic_problem(
-            ball(1.0),
-            lambda t, a: 0.0,
-            lambda a: (a * a).sum(axis=-1),
-            0.0,
-            0.5,
-        )
-        provider = TerminalProxyGradient(problem, bench.basis)
-        with_fd = provider(0.1, bench.initial)
-        exact_problem = bench.problem
-        exact = TerminalProxyGradient(exact_problem, bench.basis)(0.1, bench.initial)
-        assert np.allclose(with_fd, exact, rtol=1e-6, atol=1e-9)
 
     def test_nested_mc_deterministic(self, bench):
         provider = NestedMCGradient(
@@ -583,13 +560,7 @@ class TestPolicyPaths:
 
 class TestPolicyCost:
     def test_zero_policy_zero_cost(self, bench):
-        problem = ControlProblem(
-            Z=ball(1.0),
-            running_cost=lambda t, a, z: z[..., 0] ** 2 + z[..., 1] ** 2,
-            terminal_cost=lambda a: 0.0,
-            t0=0.0,
-            T=0.5,
-        )
+        problem = _problem(ball(1.0), T=0.5)
         costs = _compared_costs(
             problem,
             [ZeroPolicy(), ZeroPolicy()],
@@ -602,15 +573,10 @@ class TestPolicyCost:
         assert [c.tolist() for c in costs] == [[0.0] * 16] * 2
 
     def test_constant_running_cost(self, bench):
-        # a unit running cost integrates to T - t0 on every path, whatever
-        # the policy, so J is exact and its standard error zero
-        problem = ControlProblem(
-            Z=ball(1.0),
-            running_cost=lambda t, a, z: 1.0,
-            terminal_cost=lambda a: 0.0,
-            t0=0.0,
-            T=0.5,
-        )
+        # a unit state cost under a constant control z integrates to
+        # (1 + |z|^2/2) (T - t0) on every path, so J is exact and its
+        # standard error zero
+        problem = _problem(ball(1.0), lambda t, a: 1.0, T=0.5)
         report = compare_policies(
             problem,
             [ConstantPolicy((0.3, 0.1), ball(1.0)), ZeroPolicy()],
@@ -620,8 +586,8 @@ class TestPolicyCost:
             bench.initial,
             n_paths=8,
         )
-        for result in report.policies:
-            assert abs(result.J - 0.5) < 1e-12
+        for result, z_sq in zip(report.policies, (0.1, 0.0)):
+            assert abs(result.J - (1.0 + 0.5 * z_sq) * 0.5) < 1e-12
             assert result.se == 0.0
 
     def test_common_random_numbers_shrink_paired_se(self, bench):
@@ -739,9 +705,7 @@ class TestBatchedRollout:
 
 class TestClosedLoop:
     def test_zero_provider_matches_uncontrolled_bitwise(self, bench):
-        problem = quadratic_problem(
-            ball(1.0), lambda t, a: 0.0, lambda a: 0.0, 0.0, 0.5
-        )
+        problem = _problem(ball(1.0), T=0.5)
         feedback = FeedbackPolicy(ZeroGradient(8), problem, bench.coeffs, bench.basis)
         table, _ = _traces(
             problem,
@@ -832,15 +796,9 @@ class TestComparePolicies:
         assert report.pairwise[0].paired_se == 0.0
 
     def test_deterministic_cost_difference(self, bench):
-        # |z|^2 running cost with no state term: costs differ by the
-        # deterministic amount |z|^2 (T - t0) with zero paired variance
-        problem = ControlProblem(
-            Z=ball(1.0),
-            running_cost=lambda t, a, z: (z * z).sum(axis=-1),
-            terminal_cost=lambda a: 0.0,
-            t0=0.0,
-            T=0.5,
-        )
+        # no state cost: costs differ by the deterministic amount
+        # |z|^2/2 (T - t0) with zero paired variance
+        problem = _problem(ball(1.0), T=0.5)
         z = np.array([0.5, 0.5])
         report = compare_policies(
             problem,
@@ -853,7 +811,7 @@ class TestComparePolicies:
         )
         pair = report.pairwise[0]
         assert pair.paired_se == 0.0
-        assert pair.diff == pytest.approx(-float(z @ z) * 0.5, rel=1e-12)
+        assert pair.diff == pytest.approx(-0.5 * float(z @ z) * 0.5, rel=1e-12)
 
     @pytest.mark.parametrize("n_paths", [0, 1])
     def test_too_few_paths_rejected(self, bench, n_paths):
@@ -937,13 +895,8 @@ class TestRolloutReference:
         self._assert_matches_loop(policy, bench.problem, bench.config, coeffs, bench)
 
     def test_scalar_running_cost(self, bench):
-        problem = ControlProblem(
-            Z=ball(1.0),
-            running_cost=lambda t, a, z: 1.0,
-            terminal_cost=lambda a: 0.0,
-            t0=0.0,
-            T=0.5,
-        )
+        # a scalar state cost and terminal cost
+        problem = _problem(ball(1.0), lambda t, a: 1.0, T=0.5)
         policy = ConstantPolicy((0.3, 0.1), problem.Z)
         self._assert_matches_loop(policy, problem, bench.config, bench.coeffs, bench)
 

@@ -8,9 +8,11 @@ import pytest
 from numpy.random import Generator, Philox
 
 from dynbc import (
+    BoundaryParams,
     Coefficients,
     SimConfig,
     apply_semigroup,
+    build_basis,
     ensemble_stats,
     galerkin_diffusion,
     galerkin_drift,
@@ -157,6 +159,26 @@ class TestGalerkinDiffusion:
     def test_m_noise_capped(self, basis8, rng):
         with pytest.raises(ShapeError):
             galerkin_diffusion(0.0, rng.normal(size=8), ADDITIVE, basis8, m_noise=9)
+
+    @pytest.mark.parametrize("family", ["additive", "multiplicative"])
+    def test_matches_independent_reference(self, family, rng):
+        # G_km = int g(u) e_m e_k + h0 e_m(0) e_k(0) + h1 e_m(1) e_k(1) from
+        # the mode profiles on a 200-node Gauss-Legendre rule, not the
+        # basis's composite rule and samples; distinct rates and gains at
+        # the two ends, so a swap of the ends shows
+        basis = build_basis(BoundaryParams(1.0, 3.0), 8)
+        coeffs = named_coefficients(family, g_scale=0.4, h0=1.0, h1=0.3)
+        state = rng.normal(size=8)
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        x, w = 0.5 * (nodes + 1.0), 0.5 * weights
+        e = np.array([mode(x) for mode in basis.modes])
+        gx = np.broadcast_to(coeffs.g(0.0, x, state @ e), x.shape)
+        ends = [np.array([mode(end) for mode in basis.modes]) for end in (0.0, 1.0)]
+        h0, h1 = coeffs.h(0.0)
+        expected = (e * (w * gx)) @ e.T
+        expected += h0 * np.outer(ends[0], ends[0]) + h1 * np.outer(ends[1], ends[1])
+        G = galerkin_diffusion(0.0, state, coeffs, basis)
+        assert np.max(np.abs(G - expected)) < 1e-12
 
     def test_operator_norm_bound(self, basis8, rng):
         # |G|_op <= K (1 + |u|), sampled; constant-in-u families meet the

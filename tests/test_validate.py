@@ -5,7 +5,7 @@ import pytest
 
 from dynbc import ball, control, fem_oracle, validate
 from dynbc.control import _dot2
-from dynbc.config import default_config, with_overrides
+from dynbc.config import MIN_BALL_RADIUS, default_config, with_overrides
 from dynbc.errors import TruncationError
 from dynbc.spectral import BoundaryParams, build_basis, find_eigenvalues
 
@@ -54,17 +54,19 @@ def _hamiltonian_context(radius, basis):
     return {"config": cfg, "basis": basis}
 
 
-def _minimizer_defect(kind):
-    # a closed form gone wrong, for both hamiltonian and hamiltonian_argmin
-    def minimizer(p, problem):
-        r = problem.Z.radius
-        if kind == "plus_p":
-            return ball(r).project(p)
-        if kind == "radius_1.1":
-            return ball(1.1 * r).project(-p)
-        return -p
+def _projection_defect(kind):
+    # a closed form gone wrong, for both hamiltonian and hamiltonian_argmin,
+    # which project -p onto the ball
+    project = control.AdmissibleSet.project
 
-    return minimizer
+    def defect(Z, z):
+        if kind == "plus_p":
+            return project(Z, -z)
+        if kind == "radius_1.1":
+            return project(ball(1.1 * Z.radius), z)
+        return np.asarray(z, dtype=float)
+
+    return defect
 
 
 def _value_without_control_square(t, state, p, problem):
@@ -73,9 +75,9 @@ def _value_without_control_square(t, state, p, problem):
 
 
 class TestHamiltonianCheck:
-    # every decade of the radius, and the ends of the normal float range
+    # every decade of the radius, the config's floor, and 1e300
     @pytest.mark.parametrize(
-        "radius", [10.0**k for k in range(-6, 7)] + [1e-300, 1e300]
+        "radius", [10.0**k for k in range(-6, 7)] + [MIN_BALL_RADIUS, 1e300]
     )
     def test_passes_at_every_radius(self, radius, basis8):
         ctx = _hamiltonian_context(radius, basis8)
@@ -91,7 +93,9 @@ class TestHamiltonianCheck:
         if defect == "value":
             monkeypatch.setattr(control, "hamiltonian", _value_without_control_square)
         else:
-            monkeypatch.setattr(control, "_minimizer", _minimizer_defect(defect))
+            monkeypatch.setattr(
+                control.AdmissibleSet, "project", _projection_defect(defect)
+            )
         passed, measured = validate._check_hamiltonian(ctx)
         assert passed is False, measured
 
