@@ -16,6 +16,7 @@ from .spde import (
     PATH_BLOCK,
     block_noise_fits,
 )
+from .spectral import SCAN_MARGIN, BoundaryParams, characteristic_regularized
 
 _CONTROL_PROBLEMS = ("benchmark",)
 # the smallest admissible ball radius: below about 3e-308 the projection
@@ -120,7 +121,14 @@ def _validate(cfg: RunConfig):
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    # after the checks above, so that dt > 0 and t0 < T
+    # after the checks above, so that b0, b1, dt > 0 and t0 < T.  The root
+    # scan brackets the lowest root, about -(b0 + b1 + b0 b1) / 3, only at
+    # or below its top sample, where the characteristic function is >= 0
+    if characteristic_regularized(-SCAN_MARGIN, BoundaryParams(cfg.b0, cfg.b1)) < 0:
+        raise ConfigError(
+            "b0 + b1 + b0 b1 must be above about 3e-9: the lowest eigenvalue "
+            f"lies above the root scan's top sample {-SCAN_MARGIN!r}"
+        )
     if not block_noise_fits(cfg.T - cfg.t0, cfg.dt, cfg.m_noise):
         raise ConfigError(
             f"dt = {cfg.dt!r} takes too many steps: one block of {PATH_BLOCK} "

@@ -14,12 +14,13 @@ Every callable acts on blocks: policies map states (P, N) to controls
 (P, 2), gradient providers map (P, N) to (P, N), and costs act on the last
 axis, taking states (..., N) and controls (..., 2) to values (...).
 
-Controlled paths and the inner paths of ``NestedMCGradient`` are stepped
-by ``spde.rollout``, the control entering through its drift hook, over
-the blocks of ``spde.run_blocks``, each drawn once for all policies by the
-worker thread that steps it; costs and paired differences are reduced by
-``spde.mean_var_se``, and a trace is path 0 of the first block, kept as a
-policy steps it.
+Controlled paths are stepped by ``spde.rollout``, the control entering
+through its drift hook, over the blocks of ``spde.run_blocks``, each drawn
+once for all policies by the worker thread that steps it; costs and paired
+differences are reduced by ``spde.mean_var_se``, and a trace is path 0 of
+the first block, kept as a policy steps it.  The inner paths of
+``NestedMCGradient`` are rows of ``spde.block_increments`` too, under
+their own key, and are stepped by ``spde.rollout`` as one block.
 
 The value function of the underlying infinite-dimensional control problem
 is never solved for; feedback laws are driven by pluggable gradient
@@ -31,13 +32,13 @@ from functools import partial
 from itertools import combinations
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import InadmissibleControlError
 from .semigroup import initial_state
 from .spde import (
     Coefficients,
     SimConfig,
+    block_increments,
     mean_var_se,
     named_coefficients,
     rollout,
@@ -259,71 +260,55 @@ def _fd_gradient(fun, state, rel_bump: float, k: int):
     return grad
 
 
+@dataclass(eq=False)
 class NestedMCGradient:
     """Central finite differences of a nested Monte Carlo value estimate.
 
     The value at (t, state) is estimated by zero-policy rollouts to the
     horizon; bumps of size NESTED_BUMP_REL*(1+|a_k|) along the first ``n_dirs``
     modal directions share the same inner noise (common random numbers).
-    Deterministic given (seed, t, state).  Oracle-quality but slow; meant
-    for desk-scale runs, with ``inner_dt`` optionally coarser than the
-    outer step.
+    Inner path p is row p of ``spde.block_increments`` under the key (seed,
+    bits of t), stepped on ``spde.time_grid`` from t to T in steps of
+    ``inner_dt`` (1e-2 by default), so the gradient is deterministic given
+    (seed, t, state).  Oracle-quality but slow; meant for desk-scale runs.
     """
 
     name = "nested_mc"
 
-    def __init__(
-        self,
-        problem: ControlProblem,
-        coeffs: Coefficients,
-        basis: EigenBasis,
-        inner_paths: int = 256,
-        n_dirs: int = 8,
-        inner_dt: float = None,
-        seed: int = 0,
-    ):
-        self.problem = problem
-        self.coeffs = coeffs
-        self.basis = basis
-        self.inner_paths = inner_paths
-        self.n_dirs = min(n_dirs, basis.n_modes)
-        self.inner_dt = inner_dt
-        self.seed = seed
+    problem: ControlProblem
+    coeffs: Coefficients
+    basis: EigenBasis
+    inner_paths: int = 256
+    n_dirs: int = 8
+    inner_dt: float = None
+    seed: int = 0
 
-    def _value(self, dW_all, dts, times, states):
-        # every (state, inner path) pair is one row of a single block, and
-        # all states share the inner paths' noise
+    def _value(self, times, dts, dW, states):
+        # every (state, inner path) pair is one row of a single block, the
+        # inner paths in order under each state, all sharing their noise
         block = np.repeat(states, self.inner_paths, axis=0)
-        dW = np.tile(dW_all, (len(states), 1, 1)).transpose(1, 0, 2)
+        dW = np.tile(dW, (1, len(states), 1))
         path = rollout(times, dts, block, dW, self.coeffs, self.basis)
-        zero = np.zeros((len(block), 2))
         cost = np.zeros(len(block))
-        # zip ends on the exhausted dts before it draws the terminal state
+        # the running cost at z = 0; zip ends before it draws the terminal state
         for t, dt, a in zip(times, dts, path):
-            cost += self.problem.running_cost(t, a, zero) * dt
+            cost += self.problem.state_cost(t, a) * dt
         cost += self.problem.terminal_cost(next(path))
         return cost.reshape(len(states), self.inner_paths).mean(axis=1)
 
     def __call__(self, t, state):
         state = np.asarray(state, dtype=float)
-        dt = self.inner_dt or 1e-2
-        span = self.problem.T - t
-        if span <= 0.0:
+        if t >= self.problem.T:
             return np.zeros(state.shape)
-        n_steps = max(1, int(np.ceil(span / dt - 1e-9)))
-        dts = np.full(n_steps, span / n_steps)
-        times = t + np.concatenate(([0.0], np.cumsum(dts)))
-        t_bits = int(np.float64(t).view(np.uint64))
-        rng = Generator(Philox(key=[self.seed, t_bits]))
         m = self.basis.n_modes
-        dW_all = rng.standard_normal((self.inner_paths, n_steps, m)) * np.sqrt(
-            dts
-        )[None, :, None]
-        value = partial(self._value, dW_all, dts, times)
+        inner = SimConfig(m, m, self.inner_dt or 1e-2, self.problem.T, t, self.seed)
+        times, dts = time_steps(inner, self.basis)
+        key = self.seed + (int(np.float64(t).view(np.uint64)) << 64)
+        dW = block_increments(key, range(self.inner_paths), dts, m)
+        value = partial(self._value, times, dts, dW)
+        k = min(self.n_dirs, m)
         # one row at a time: the bumps x inner paths of a row fill a block
-        return np.array(
-            [_fd_gradient(value, a, NESTED_BUMP_REL, self.n_dirs) for a in state]
-        )
+        return np.array([_fd_gradient(value, a, NESTED_BUMP_REL, k) for a in state])
 
 
 def _rollout(policy, problem, config, coeffs, basis, initial, rows, dW, trace=None):

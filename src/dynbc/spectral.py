@@ -34,6 +34,8 @@ from .quadrature import (
 _POLE_RTOL = 1e-13
 _DIRICHLET_RTOL = 1e-9
 _REFINE_RTOL = 1e-12
+# margin of the root scan at each gap end, relative to 1 + |end|
+SCAN_MARGIN = 1e-9
 # sample points per Dirichlet gap in the sign-change scan
 _SAMPLES_PER_GAP = 256
 # Dirichlet gaps sampled per scan call: bounds the scan's temporaries (a
@@ -140,12 +142,12 @@ def _gap_brackets(params: BoundaryParams, k: np.ndarray, samples: int):
     the Dirichlet gaps numbered ``k``, as arrays (lo, hi, gap number).
 
     Gap k is scanned on ``samples`` points of (lo + eps, hi - eps), eps =
-    1e-9 (1 + |hi|), plus the pole cuts b - delta, b, b + delta (b = -b0,
+    SCAN_MARGIN (1 + |hi|), plus the pole cuts b - delta, b, b + delta (b = -b0,
     -b1; delta = 1e-7 (1 + |b|)) inside it; all gaps are scanned at once.
     """
     hi = -math.pi**2 * k**2
     lo = -math.pi**2 * (k + 1) ** 2
-    eps = 1e-9 * (1.0 + np.abs(hi))
+    eps = SCAN_MARGIN * (1.0 + np.abs(hi))
     rows = list(np.linspace(lo + eps, hi - eps, samples, axis=1))
     for b in (-params.b0, -params.b1):
         delta = 1e-7 * (1.0 + abs(b))

@@ -9,6 +9,7 @@ j <= k* and in gap j-1 for j > k*.  The companion test checks the
 rank-free part: every eigenvalue strictly inside some gap.
 """
 
+import json
 import math
 import os
 import time
@@ -418,3 +419,34 @@ def test_criterion_11_determinism(tmp_path):
         started,
     )
     assert identical
+
+
+def test_criterion_12_deterministic_checks_at_asymmetric_ends(tmp_path):
+    # validate's deterministic checks at distinct rates and gains at the two
+    # ends, where a swap of the ends would show; ito_isometry is left out,
+    # since its false alarms at a fixed seed are a matter of its gate
+    started = time.time()
+    cfg_path = tmp_path / "asymmetric.cfg"
+    cfg_path.write_text("b0 = 1\nb1 = 3\nh0 = 1\nh1 = 0.3\n")
+    main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    with open(tmp_path / "out" / "validate.json") as fh:
+        checks = {c["name"]: c for c in json.load(fh)["checks"]}
+    names = [
+        "spectral_brackets",
+        "gram_orthonormality",
+        "form_association",
+        "hs_rate",
+        "fd_eigenvalues",
+        "semigroup_vs_oracle",
+        "hamiltonian_oracle",
+    ]
+    failed = [name for name in names if not checks[name]["passed"]]
+    report(
+        12,
+        "deterministic checks at asymmetric ends",
+        not failed,
+        f"{len(names) - len(failed)} of {len(names)} pass at b0 = 1, b1 = 3, "
+        f"h0 = 1, h1 = 0.3; failed: {failed}",
+        started,
+    )
+    assert not failed, [checks[name] for name in failed]

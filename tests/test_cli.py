@@ -27,6 +27,7 @@ from dynbc.config import (
     with_overrides,
 )
 from dynbc.errors import (
+    BracketError,
     ConfigError,
     InadmissibleControlError,
     NonFiniteError,
@@ -41,6 +42,12 @@ from dynbc.spde import (
     block_noise_fits,
     rollout,
     time_steps,
+)
+from dynbc.spectral import find_eigenvalues
+
+SMALL_RATE_ERROR = (
+    "b0 + b1 + b0 b1 must be above about 3e-9: the lowest eigenvalue lies "
+    "above the root scan's top sample -1e-09"
 )
 
 
@@ -412,10 +419,10 @@ class TestDampingRange:
         assert "ensemble.json" in os.listdir(out)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("rate", ["1e-10", "1e308"])
+    @pytest.mark.parametrize("rate", ["1e308"])
     def test_unresolved_spectrum_exits_one(self, tmp_path, capsys, rate):
-        # 1e-10: the lowest root lies above the top scan sample; 1e308: the
-        # characteristic function overflows into spurious sign changes
+        # the characteristic function overflows into spurious sign changes;
+        # the config accepts these rates, and the scan raises on them
         config = self.CONFIG + f"b0 = {rate}\nb1 = {rate}\n"
         code, out = run_cli(tmp_path, "simulate", config)
         assert code == 1
@@ -425,6 +432,48 @@ class TestDampingRange:
         assert record == {"error": record["error"], "exit_code": 1}
         assert record["error"].startswith("BracketError: Dirichlet gap 0 holds ")
         assert not (out / "ensemble.json").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "simulate", "control", "validate"])
+    @pytest.mark.parametrize("b0, b1", [("1e-10", "1e-10"), ("1.5e-9", "1.5e-9")])
+    def test_below_small_rate_floor_exits_two(self, tmp_path, capsys, command, b0, b1):
+        # the lowest root lies above the root scan's top sample -1e-9, so no
+        # command could solve the spectrum: at 1e-10, and at 1.5e-9, where
+        # b0 + b1 + b0 b1 = 3e-9 (1 + 7.5e-10) but the root is still above
+        config = self.CONFIG + f"b0 = {b0}\nb1 = {b1}\n"
+        code, out = run_cli(tmp_path, command, config)
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": SMALL_RATE_ERROR, "exit_code": 2}
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_just_above_small_rate_floor_solves(self, tmp_path):
+        # 1e-10 relative above the rates the floor rejects
+        config = self.CONFIG + "b0 = 1.50000000015e-9\nb1 = 1.50000000015e-9\n"
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == 0
+        assert "ensemble.json" in os.listdir(out)
+
+    def test_floor_accepts_exactly_the_solvable_rates(self):
+        # across the boundary b0 + b1 + b0 b1 = 3e-9 on rays b1 = c b0, in
+        # steps of 1e-10 relative, a config is accepted exactly where the
+        # root scan resolves the spectrum
+        offsets = np.concatenate((np.linspace(-1e-8, 1e-8, 201), [-1e-6, 1e-6]))
+        for c in (1.0, 0.5, 1e-3, 1e-300):
+            start = 3e-9 / (1.0 + c)
+            for b0 in start * (1.0 + offsets):
+                b0, b1 = float(b0), float(c * b0)
+                try:
+                    find_eigenvalues(BoundaryParams(b0, b1), 4)
+                    solves = True
+                except BracketError:
+                    solves = False
+                try:
+                    parse_config(f"b0 = {b0!r}\nb1 = {b1!r}\n")
+                    accepted = True
+                except ConfigError as exc:
+                    assert str(exc) == SMALL_RATE_ERROR
+                    accepted = False
+                assert accepted == solves, (b0, b1)
 
 
 class _Drawn:

@@ -148,16 +148,15 @@ def _traces(problem, policies, config, coeffs, basis, initial, n_paths=2):
 class _LoopNestedMC(NestedMCGradient):
     # the provider with the stepping loop its _value had before it called
     # spde.rollout, kept as its reference
-    def _value(self, dW_all, dts, times, states):
+    def _value(self, times, dts, dW, states):
         block = np.repeat(states, self.inner_paths, axis=0)
-        dW = np.tile(dW_all, (len(states), 1, 1))
         zero = np.zeros((len(block), 2))
         cost = np.zeros(len(block))
         for i, dt in enumerate(dts):
             cost += self.problem.running_cost(times[i], block, zero) * dt
-            block = step_exp_euler(
-                times[i], block, dW[:, i], self.coeffs, self.basis, dt
-            )
+            # the inner paths' increments of step i, once for each state
+            dW_i = np.concatenate([dW[i]] * len(states))
+            block = step_exp_euler(times[i], block, dW_i, self.coeffs, self.basis, dt)
         cost += self.problem.terminal_cost(block)
         return cost.reshape(len(states), self.inner_paths).mean(axis=1)
 

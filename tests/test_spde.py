@@ -24,6 +24,7 @@ from dynbc import (
     time_grid,
 )
 from dynbc.config import default_config, with_overrides
+from dynbc.control import FeedbackPolicy, TerminalProxyGradient, benchmark_problem
 from dynbc.errors import ConfigError, ShapeError
 from dynbc import spde
 from dynbc.spde import (
@@ -237,6 +238,65 @@ class TestStepExpEuler:
             held = step_exp_euler(0.1 * i, held, *args, fields)
             assert held.tobytes() == fresh.tobytes()
             assert fields[0].tobytes() == u.tobytes()
+
+
+class TestMirror:
+    """x -> 1 - x maps the system (b0, b1, h0, h1) = (1, 3, 1, 0.3) to
+    (3, 1, 0.3, 1), and its mode k to S_k times the reflection of mode k,
+    S the diagonal of mode signs, on the symmetric Gauss-Legendre nodes.
+    So a step of the mirrored system from S a with noise S dW is S times
+    the step from a, and a feedback policy's controls swap ends; a
+    one-sided defect, one end's rate or gain used at both, breaks this."""
+
+    N_MODES, M_NOISE = 8, 6
+    # the modes mirror to the 1e-12 (1 + |lambda|) the roots are refined to
+    TOL = 1e-10
+
+    @pytest.fixture(scope="class")
+    def mirrored(self):
+        basis = build_basis(BoundaryParams(1.0, 3.0), self.N_MODES)
+        mirror = build_basis(BoundaryParams(3.0, 1.0), self.N_MODES)
+        return basis, mirror, np.sign(mirror.trace0 * basis.trace1)
+
+    def test_modes_reflect(self, mirrored):
+        basis, mirror, S = mirrored
+        x = basis.quad.nodes
+        assert np.abs(x[::-1] - (1.0 - x)).max() <= 2.0**-52
+        assert np.abs(basis.quad.weights[::-1] - basis.quad.weights).max() <= 1e-16
+        assert np.array_equal(mirror.lam, basis.lam)
+        assert np.abs(mirror.values - S * basis.values[::-1]).max() < self.TOL
+        assert np.abs(mirror.trace0 - S * basis.trace1).max() < self.TOL
+        assert np.abs(mirror.trace1 - S * basis.trace0).max() < self.TOL
+
+    @pytest.mark.parametrize("family", COEFFICIENT_FAMILIES)
+    def test_step_commutes_with_the_mirror(self, mirrored, family):
+        basis, mirror, S = mirrored
+        # cos(pi (1 - x)) = -cos(pi x): the forced drift mirrors to -f_scale
+        coeffs = named_coefficients(family, g_scale=0.4, h0=1.0, h1=0.3, f_scale=1.0)
+        flipped = named_coefficients(family, g_scale=0.4, h0=0.3, h1=1.0, f_scale=-1.0)
+        rng = Generator(Philox(key=41))
+        a = rng.normal(size=(5, self.N_MODES))
+        dW = rng.normal(scale=0.1, size=(5, self.M_NOISE))
+        step = step_exp_euler(0.1, a, dW, coeffs, basis, 1e-2)
+        mirrored_step = step_exp_euler(
+            0.1, S * a, S[: self.M_NOISE] * dW, flipped, mirror, 1e-2
+        )
+        assert np.abs(mirrored_step - S * step).max() < self.TOL
+
+    def test_feedback_controls_swap_ends(self, mirrored):
+        basis, mirror, S = mirrored
+        # a ball that some of these controls reach and some stay inside
+        problem = benchmark_problem(0.2)
+        coeffs = named_coefficients("additive", h0=1.0, h1=0.3)
+        flipped = named_coefficients("additive", h0=0.3, h1=1.0)
+        a = 0.3 * Generator(Philox(key=43)).normal(size=(6, self.N_MODES))
+        z, mirrored_z = (
+            FeedbackPolicy(TerminalProxyGradient(problem, b), problem, c, b)(0.1, s)
+            for b, c, s in ((basis, coeffs, a), (mirror, flipped, S * a))
+        )
+        radii = np.hypot(*z.T)
+        assert np.any(radii < 0.2 - 1e-6) and np.any(radii > 0.2 - 1e-12)
+        assert np.abs(mirrored_z - z[:, ::-1]).max() < self.TOL
 
 
 class TestSimulatePath:

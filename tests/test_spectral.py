@@ -17,8 +17,10 @@ from dynbc import (
 )
 from dynbc import fem_oracle
 from dynbc.cli import main
+from dynbc.config import parse_config
 from dynbc.errors import (
     BracketError,
+    ConfigError,
     DegenerateModeError,
     DirichletPointError,
     DomainError,
@@ -207,11 +209,17 @@ class TestFindEigenvalues:
         # at every decade of b0, b1 in [1e-12, 1e8] the eigenvalues lie
         # strictly inside the gaps the rule assigns to their ranks, or
         # BracketError is raised, exactly where b0 + b1 + b0 b1 < 3e-9 puts
-        # the lowest root too close to 0; no other exception escapes
+        # the lowest root too close to 0; no other exception escapes, and
+        # the config rejects exactly those rates
         rates = np.logspace(-12, 8, 21)
         for b0 in rates:
             for b1 in rates:
                 unresolved = b0 + b1 + b0 * b1 < 3e-9
+                try:
+                    parse_config(f"b0 = {float(b0)!r}\nb1 = {float(b1)!r}\n")
+                    assert not unresolved, (b0, b1)
+                except ConfigError:
+                    assert unresolved, (b0, b1)
                 try:
                     lams = find_eigenvalues(BoundaryParams(float(b0), float(b1)), 16)
                 except BracketError:

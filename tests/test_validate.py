@@ -15,6 +15,29 @@ def _hs_context(b0, b1, **overrides):
     return {"config": cfg, "params": BoundaryParams(b0, b1)}
 
 
+# distinct rates and gains at the two ends, so a swap of the ends shows
+ASYMMETRIC = {"b0": 1.0, "b1": 3.0, "h0": 1.0, "h1": 0.3}
+# every check but ito_isometry, whose seed-dependent false alarms are a
+# matter of its gate
+DETERMINISTIC_CHECKS = [
+    "spectral_brackets",
+    "gram_orthonormality",
+    "form_association",
+    "hs_rate",
+    "fd_eigenvalues",
+    "semigroup_vs_oracle",
+    "hamiltonian_oracle",
+]
+
+
+def test_deterministic_checks_pass_at_asymmetric_ends():
+    results = validate.run_all(with_overrides(default_config(), **ASYMMETRIC))
+    verdicts = {r.name: (r.passed, r.measured) for r in results}
+    assert [r.name for r in results if r.name != "ito_isometry"] == DETERMINISTIC_CHECKS
+    for name in DETERMINISTIC_CHECKS:
+        assert verdicts[name][0] is True, (name, verdicts[name][1])
+
+
 class TestHsRate:
     @pytest.mark.parametrize(
         "b0, b1", [(1.0, 1.0), (0.1, 0.1), (50.0, 50.0), (300.0, 1.0)]
