@@ -18,9 +18,10 @@ Controlled paths are stepped by ``spde.rollout``, the control entering
 through its drift hook, over the blocks of ``spde.run_blocks``, each drawn
 once for all policies by the worker thread that steps it; costs and paired
 differences are reduced by ``spde.mean_var_se``, and a trace is path 0 of
-the first block, kept as a policy steps it.  The inner paths of
-``NestedMCGradient`` are rows of ``spde.block_increments`` too, under
-their own key, and are stepped by ``spde.rollout`` as one block.
+the first block, handed out in step chunks by ``spde.recorder`` as a
+policy steps it.  The inner paths of ``NestedMCGradient`` are rows of
+``spde.block_increments`` too, under their own key, and are stepped by
+``spde.rollout`` as one block.
 
 The value function of the underlying infinite-dimensional control problem
 is never solved for; feedback laws are driven by pluggable gradient
@@ -41,6 +42,7 @@ from .spde import (
     block_increments,
     mean_var_se,
     named_coefficients,
+    recorder,
     rollout,
     run_blocks,
     time_steps,
@@ -316,18 +318,19 @@ def _rollout(policy, problem, config, coeffs, basis, initial, rows, dW, trace=No
     which sees all its rows (P, N), and return the cost of its first rows,
     the paths ``rows`` (left-endpoint running-cost integral plus terminal
     cost); the padding after them is never costed or checked.  ``trace``,
-    when given, gets the table of the block's first row once it is stepped:
-    a row (t, z0, z1, a_0, ..., a_{N-1}) per step, the state and the control
-    applied on [t, t + dt)."""
+    when given, gets the block's first row in the step chunks of a
+    ``spde.recorder``: a row (t, z0, z1, a_0, ..., a_{N-1}) per step, the
+    state and the control applied on [t, t + dt)."""
     times, dts = time_steps(config, basis)
     n, n_modes = len(rows), basis.n_modes
-    step_dts = iter(dts)
+    steps = iter(range(len(dts)))
     # an accumulator, since state_cost and terminal_cost may return scalars
     cost = np.zeros(n)
-    table = []
+    add = trace and recorder([trace], times[:-1], n_modes + 2, 1)
 
     def drift(t, state):
         nonlocal cost
+        i = next(steps)
         a = state.reshape(-1, n_modes)
         z = np.asarray(policy(t, a), dtype=float)
         outside = ~problem.Z.contains(z[:n], tol=1e-9)
@@ -338,16 +341,14 @@ def _rollout(policy, problem, config, coeffs, basis, initial, rows, dW, trace=No
                 f"inadmissible control {z[r]} at t={t} on path {rows[r]}"
             )
         # left-endpoint running cost, sampled before the step leaves state
-        cost += problem.running_cost(t, a[:n], z[:n]) * next(step_dts)
-        if trace:
-            table.append(np.hstack((t, z[0], a[0])))
+        cost += problem.running_cost(t, a[:n], z[:n]) * dts[i]
+        if add:
+            add(i, np.hstack((z[:1], a[:1])))
         return control_drift(t, z, coeffs, basis).reshape(state.shape)
 
     for state in rollout(times, dts, initial, dW, coeffs, basis, drift):
         pass
     cost += problem.terminal_cost(state.reshape(-1, n_modes)[:n])
-    if trace:
-        trace(np.array(table))
     return cost
 
 
@@ -405,8 +406,8 @@ def compare_policies(
     is drawn.
     Deterministic given the config seed, whatever ``threads`` is.
     ``trace(k, table)``, when given, gets path 0 under ``policies[k]`` (see
-    ``_rollout``) as soon as it is stepped, on the worker stepping the
-    first block: one table is held at a time."""
+    ``_rollout``) as it is stepped, on the worker stepping the first block,
+    in step chunks in time order, possibly several per policy."""
     if len(policies) < 2:
         raise ValueError("need at least 2 policies to compare")
     if n_paths < 2:

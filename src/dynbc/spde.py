@@ -28,7 +28,7 @@ a time.  Recorded paths are rows of ``terminal_states``' pass.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from threading import Event
 
 import numpy as np
@@ -45,7 +45,7 @@ PATH_BLOCK = 64
 # hold at once may take when there is more than one
 MAX_BLOCK_NOISE_BYTES = 2**30
 # largest noise array a block wider than PATH_BLOCK rows may draw, steps x
-# m_noise x rows doubles, and largest recorded history the blocks hold
+# m_noise x rows doubles, and largest history of recorded rows held at once
 MAX_WIDE_NOISE_BYTES = 2**24
 # largest array of one step's terms a wide block may hold:
 # rows x n_modes doubles
@@ -417,19 +417,21 @@ def run_blocks(config, coeffs, basis, n_paths, threads, work):
         pool.shutdown(cancel_futures=True)
 
 
-def _recorded(path, times, rows, record, n_modes, sink):
-    # pass ``path`` on, handing its first rows, the paths ``rows``, to
-    # ``sink`` as tables in step chunks sized so that ``record`` recorded
-    # paths, in however many blocks, hold at most MAX_WIDE_NOISE_BYTES
-    k = max(1, MAX_WIDE_NOISE_BYTES // (record * (n_modes + 1) * 8))
-    held = np.empty((min(k, len(times)), len(rows), n_modes + 1))
-    for i, state in enumerate(path):
-        held[i % k, :, 0] = times[i]
-        held[i % k, :, 1:] = state.reshape(-1, n_modes)[: len(rows)]
+def recorder(sinks, times, width, record):
+    """``add(i, values)`` records row (times[i], *values[r]) of each path r
+    and hands path r's rows to ``sinks[r](table)`` in time order: a chunk when
+    ``record`` paths' rows, in all recorders, fill MAX_WIDE_NOISE_BYTES, and
+    one at the last time.  ``table`` is overwritten once the sink returns."""
+    k = max(1, MAX_WIDE_NOISE_BYTES // (record * (width + 1) * 8))
+    held = np.empty((len(sinks), min(k, len(times)), width + 1))
+
+    def add(i, values):
+        held[:, i % k, 0], held[:, i % k, 1:] = times[i], values
         if i % k == k - 1 or i == len(times) - 1:
-            for r, p in enumerate(rows):
-                sink(p, held[: i % k + 1, r])
-        yield state
+            for keep, table in zip(sinks, held[:, : i % k + 1]):
+                keep(table)
+
+    return add
 
 
 def terminal_states(
@@ -439,21 +441,18 @@ def terminal_states(
     ``threads`` workers; the bits do not depend on ``threads``.
 
     Paths 0 to ``record`` - 1 are handed out as they are stepped, as rows
-    (t, a_0, ..., a_{N-1}): ``sink(p, table)`` gets path p's in step chunks,
-    in time order, each as long as keeps all ``record`` paths' held rows
-    within ``MAX_WIDE_NOISE_BYTES``, and overwritten once ``sink`` returns.
-    ``sink`` runs on the worker stepping the path, at the same time as the
-    calls for paths of other blocks."""
+    (t, a_0, ..., a_{N-1}): ``sink(p, table)`` gets path p's in ``recorder``
+    chunks shared by all ``record`` paths, on the worker stepping the path,
+    at the same time as the calls for paths of other blocks."""
     times, dts = time_steps(config, basis)
     out = np.empty((n_paths, config.n_modes))
 
     def work(rows, dW):
-        path = rollout(times, dts, initial, dW, coeffs, basis)
-        recorded = range(rows.start, min(rows.stop, record))
-        if recorded:
-            path = _recorded(path, times, recorded, record, config.n_modes, sink)
-        for state in path:
-            pass
+        sinks = [partial(sink, p) for p in range(rows.start, min(rows.stop, record))]
+        add = sinks and recorder(sinks, times, config.n_modes, record)
+        for i, state in enumerate(rollout(times, dts, initial, dW, coeffs, basis)):
+            if add:
+                add(i, state.reshape(-1, config.n_modes)[: len(sinks)])
         out[rows.start : rows.stop] = state.reshape(-1, config.n_modes)[: len(rows)]
 
     run_blocks(config, coeffs, basis, n_paths, threads, work)

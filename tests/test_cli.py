@@ -736,27 +736,72 @@ class TestControlCommand:
 
     def test_traces_stay_within_cap(self, tmp_path, monkeypatch):
         # the shape of test_recorded_blocks_stay_within_cap, for six traces
-        # of 2,000 steps at 64 modes: each is handed out and dropped before
-        # the next policy steps
+        # of 2,000 steps at 64 modes: with the cap cut to 700 rows of
+        # (t, z0, z1, a_0..a_63), each leaves its policy's rollout in chunks
+        # of 700, 700 and 600 steps, in time order, and the files are those
+        # of an unpatched run, which writes each trace as one table
         text = (
             "n_modes = 64\nm_noise = 1\ndt = 2.5e-4\nn_paths = 64\n"
             "policies = zero, grid:2, feedback:terminal_proxy\n"
         )
+        (tmp_path / "whole").mkdir()
+        code, out = run_cli(tmp_path / "whole", "control", text)
+        assert code == 0
+        whole = read_files(out)
+        assert len(whole) == 7
+        monkeypatch.setattr(spde, "MAX_WIDE_NOISE_BYTES", 700 * 67 * 8)
         written = []
+        real = formats.write_csv
 
         def write_csv(path, header, rows, append=False):
             written.append((os.path.basename(path)[:8], rows.shape, append))
+            return real(path, header, rows, append)
 
         monkeypatch.setattr(formats, "write_csv", write_csv)
         tracemalloc.start()
         try:
-            code, _ = run_cli(tmp_path, "control", text)
+            code, out = run_cli(tmp_path, "control", text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert written == [(f"trace_{k:02d}", (2000, 67), False) for k in range(6)]
-        assert peak < 1.25 * MAX_WIDE_NOISE_BYTES
+        chunks = [(700, False), (700, True), (600, True)]
+        assert written == [
+            (f"trace_{k:02d}", (rows, 67), append)
+            for k in range(6)
+            for rows, append in chunks
+        ]
+        assert read_files(out) == whole
+        # a 700-row chunk is 0.38 MB and writing it as text about 1.4 MB:
+        # the run peaks at about 4.0 MB, against 8.7 MB when each trace is
+        # held whole and written as one 2,000-row table
+        assert peak < 6e6
+
+    def test_non_finite_chunk_leaves_no_trace(self, tmp_path, monkeypatch):
+        # the shape of test_non_finite_chunk_leaves_no_table: the drift
+        # turns infinite after the first 3-step chunks of the first trace
+        # are written, and the run exits 1 and leaves no file behind
+        blowup = Coefficients(
+            f=lambda t, x, u: math.inf if t > 0.1 else 0.0,
+            g=lambda t, x, u: 0.2,
+            h=lambda t: (1.0, 1.0),
+            K=1.0,
+            L=0.0,
+        )
+        monkeypatch.setattr(cli, "named_coefficients", lambda *a, **k: blowup)
+        monkeypatch.setattr(spde, "MAX_WIDE_NOISE_BYTES", 3 * 11 * 8)
+        appended = []
+        real = formats.write_csv
+
+        def write_csv(path, header, rows, append=False):
+            appended.append(append)
+            return real(path, header, rows, append)
+
+        monkeypatch.setattr(formats, "write_csv", write_csv)
+        code, out = run_cli(tmp_path, "control", self.CONFIG)
+        assert code == 1
+        assert True in appended
+        assert os.listdir(out) == []
 
     def test_unknown_policy_rejected(self, tmp_path, capsys):
         code, _ = run_cli(
