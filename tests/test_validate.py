@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,40 @@ class TestHamiltonianCheck:
             )
         passed, measured = validate._check_hamiltonian(ctx)
         assert passed is False, measured
+
+
+def _drop_lowest(basis):
+    """The basis without its lowest eigenvalue, which a root scan that
+    loses it would return."""
+    return dataclasses.replace(
+        basis,
+        modes=basis.modes[1:],
+        lam=basis.lam[1:],
+        values=basis.values[:, 1:],
+        derivs=basis.derivs[:, 1:],
+        trace0=basis.trace0[1:],
+        trace1=basis.trace1[1:],
+        interior_gram=basis.interior_gram[1:, 1:],
+        interior_integrals=basis.interior_integrals[1:],
+    )
+
+
+class TestRankIndexedGaps:
+    # k* = 0 and k* = 2: every eigenvalue still lies inside some Dirichlet
+    # gap, but mode j no longer lies in the gap of rank j
+    @pytest.mark.parametrize("b0, b1", [(1.0, 1.0), (50.0, 50.0)])
+    def test_dropped_lowest_eigenvalue_fails_both_checks(self, b0, b1):
+        params = BoundaryParams(b0, b1)
+        full = build_basis(params, 9)
+        ctx = {"basis": full}
+        assert validate._check_brackets(ctx)[0] is True
+        ctx["basis"] = _drop_lowest(full)
+        passed, measured = validate._check_brackets(ctx)
+        assert passed is False, measured
+        op = fem_oracle.build(400, params)
+        verdict = validate.spectrum_verdict(ctx["basis"], op)[2]
+        assert verdict["eigenvalues_in_dirichlet_gaps"] is False
+        assert verdict["eigenvalues_decreasing"] is True
 
 
 class TestSpectrumVerdict:
