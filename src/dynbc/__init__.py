@@ -3,7 +3,6 @@ the 1-D stochastic heat equation with dynamical boundary conditions."""
 
 from .control import (
     AdmissibleSet,
-    BenchmarkBundle,
     ComparisonReport,
     ConstantPolicy,
     ControlProblem,
@@ -14,7 +13,6 @@ from .control import (
     ZeroGradient,
     ZeroPolicy,
     ball,
-    benchmark_bundle,
     boundary_costate,
     boundary_immersion,
     compare_policies,
@@ -53,7 +51,6 @@ from .spectral import (
     EigenMode,
     build_basis,
     build_mode,
-    characteristic_determinant,
     characteristic_regularized,
     dirichlet_gap,
     find_eigenvalues,

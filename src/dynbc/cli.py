@@ -3,8 +3,9 @@
 Four subcommands (spectrum, simulate, control, validate) driven by a flat
 key-value config file; every run is a pure function of (config, seed), so
 reruns emit byte-identical artifacts.  Exit codes: 0 success, 1 invariant
-failure, 2 config error.  A command maps the config to package calls and
-writes what they return.
+failure, 2 config error, rates whose spectrum the root scan cannot resolve
+among them.  A command maps the config to package calls and writes what
+they return.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 from . import control as ctl
 from . import fem_oracle, validate
 from .config import RunConfig, default_config, load_config, with_overrides
-from .errors import ConfigError, DynbcError
+from .errors import BracketError, ConfigError, DynbcError
 from .formats import csv_tables, write_csv, write_json
 from .semigroup import initial_state
 from .spde import MAX_BLOCK_NOISE_BYTES, ensemble_stats, named_coefficients, sim_config
@@ -276,6 +277,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args.out, args.threads)
     except ConfigError as exc:
         return _emit_error(str(exc), 2)
+    except BracketError as exc:
+        # the root scan cannot resolve the rates: the config alone fails,
+        # before anything is written (validate's own hs_modes solve reports
+        # its failure as a FAIL line instead)
+        return _emit_error(f"BracketError: {exc}", 2)
     except DynbcError as exc:
         return _emit_error(f"{type(exc).__name__}: {exc}", 1)
 

@@ -35,19 +35,17 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InadmissibleControlError
-from .semigroup import initial_state
 from .spde import (
     Coefficients,
     SimConfig,
     block_increments,
     mean_var_se,
-    named_coefficients,
     recorder,
     rollout,
     run_blocks,
     time_steps,
 )
-from .spectral import BoundaryParams, EigenBasis, build_basis
+from .spectral import EigenBasis
 
 # relative bump of the nested Monte Carlo finite differences
 NESTED_BUMP_REL = 1e-2
@@ -439,37 +437,3 @@ def constant_grid_policies(Z: AdmissibleSet, per_axis: int = 3):
     square [-r, r]^2 around the ball Z, projected onto Z."""
     zs = 0.5 * np.linspace(-Z.radius, Z.radius, per_axis)
     return [ConstantPolicy((z0, z1), Z) for z0 in zs for z1 in zs]
-
-
-@dataclass(frozen=True)
-class BenchmarkBundle:
-    """Self-contained convex benchmark control problem at desk scale."""
-
-    params: BoundaryParams
-    basis: EigenBasis
-    coeffs: Coefficients
-    config: SimConfig
-    problem: ControlProblem
-    initial: np.ndarray
-
-
-def benchmark_bundle(seed: int = 12345) -> BenchmarkBundle:
-    """Benchmark: additive noise (g=0.2, h=(1,1)), b0=b1=1, unit-ball
-    controls, quadratic costs |z|^2/2 + |state|^2 running and |state|^2
-    terminal, horizon 0.5 with dt=5e-3, N=M=8, initial state u=1 with
-    matching boundary values.  No command builds it; it is kept for the
-    README's quick start and as the tests' fixture."""
-    params = BoundaryParams(1.0, 1.0)
-    basis = build_basis(params, n_modes=8)
-    coeffs = named_coefficients("additive", g_scale=0.2, h0=1.0, h1=1.0)
-    config = SimConfig(n_modes=8, m_noise=8, dt=5e-3, T=0.5, t0=0.0, seed=seed)
-    problem = benchmark_problem()
-    initial = initial_state("one", basis)
-    return BenchmarkBundle(
-        params=params,
-        basis=basis,
-        coeffs=coeffs,
-        config=config,
-        problem=problem,
-        initial=initial,
-    )

@@ -5,14 +5,6 @@ class DynbcError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PoleError(DynbcError):
-    """Characteristic determinant evaluated at a pole (lambda = -b0 or -b1)."""
-
-
-class DirichletPointError(DynbcError):
-    """Characteristic determinant evaluated at a Dirichlet eigenvalue -pi^2 k^2."""
-
-
 class BracketError(DynbcError):
     """A scanned Dirichlet gap does not hold the roots the counting rule
     predicts: a root lies too near a gap end or another root for the scan

@@ -60,9 +60,6 @@ class DiscreteOperator:
     mass: np.ndarray
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def mass_norm(self, vec: np.ndarray) -> float:
-        return float(np.sqrt(vec @ _band_apply(self.mass, vec)))
-
 
 def _band_apply(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Product of a symmetric tridiagonal matrix in band form with vec."""

@@ -98,10 +98,9 @@ class Coefficients:
 
     ``f`` and ``g`` map (t, x, u) -> value, vectorized over node arrays
     (a scalar return is broadcast); ``h`` maps t to the pair of boundary
-    noise gains.  ``K`` bounds |f|, |g| and |h|; ``L`` is the Lipschitz
-    constant of f, g in u.  The bounds are declared, not proven:
-    ``spot_check_coefficients`` samples them, and the test suite runs it
-    on every family ``named_coefficients`` builds; loading a config does not.
+    noise gains.  ``L`` is the Lipschitz constant of f, g in u.  It is
+    declared, not proven: the test suite samples it on every family
+    ``named_coefficients`` builds; loading a config does not.
 
     ``L == 0`` is a contract the stepper relies on: f and g must then not
     depend on u at all.  They are called with a zero nodal field of shape
@@ -112,7 +111,6 @@ class Coefficients:
     f: callable
     g: callable
     h: callable
-    K: float
     L: float
 
 
@@ -505,38 +503,6 @@ def ensemble_stats(
     return EnsembleStats(n_paths, *mean_var_se(terminal), *norm_stats)
 
 
-def spot_check_coefficients(
-    coeffs: Coefficients, seed: int = 0, samples: int = 200, t_max: float = 1.0
-):
-    """Sample-test the declared bound K and Lipschitz constant L.
-
-    Raises ValueError on a violated bound; a passing check is evidence,
-    not proof.
-    """
-    rng = Generator(Philox(key=seed))
-    slack = 1e-9
-    for _ in range(samples):
-        t = float(rng.uniform(0.0, t_max))
-        x = rng.uniform(0.0, 1.0, size=4)
-        u1 = rng.normal(scale=2.0, size=4)
-        u2 = rng.normal(scale=2.0, size=4)
-        fv1, fv2 = coeffs.f(t, x, u1), coeffs.f(t, x, u2)
-        gv1, gv2 = coeffs.g(t, x, u1), coeffs.g(t, x, u2)
-        if np.max(np.abs(fv1)) > coeffs.K + slack:
-            raise ValueError("|f| exceeds the declared bound K")
-        if np.max(np.abs(gv1)) > coeffs.K + slack:
-            raise ValueError("|g| exceeds the declared bound K")
-        if np.max(np.abs(np.asarray(coeffs.h(t)))) > coeffs.K + slack:
-            raise ValueError("|h| exceeds the declared bound K")
-        du = np.abs(u1 - u2)
-        if np.any(np.abs(fv1 - fv2) > coeffs.L * du + slack) or np.any(
-            np.abs(gv1 - gv2) > coeffs.L * du + slack
-        ):
-            if coeffs.L == 0:
-                raise ValueError("f or g depends on u under a declared L = 0")
-            raise ValueError("Lipschitz constant L violated on samples")
-
-
 COEFFICIENT_FAMILIES = ("zero", "additive", "multiplicative", "forced")
 
 
@@ -560,7 +526,6 @@ def named_coefficients(
             f=lambda t, x, u: 0.0,
             g=lambda t, x, u: 0.0,
             h=lambda t: (0.0, 0.0),
-            K=0.0,
             L=0.0,
         )
     if name == "additive":
@@ -568,7 +533,6 @@ def named_coefficients(
             f=lambda t, x, u: 0.0,
             g=lambda t, x, u: g_scale,
             h=lambda t: hpair,
-            K=max(abs(g_scale), abs(h0), abs(h1)),
             L=0.0,
         )
     if name == "multiplicative":
@@ -576,7 +540,6 @@ def named_coefficients(
             f=lambda t, x, u: 0.0,
             g=lambda t, x, u: g_scale * np.sin(u),
             h=lambda t: hpair,
-            K=max(abs(g_scale), abs(h0), abs(h1)),
             L=abs(g_scale),
         )
     if name == "forced":
@@ -584,7 +547,6 @@ def named_coefficients(
             f=lambda t, x, u: f_scale * np.cos(np.pi * x),
             g=lambda t, x, u: g_scale,
             h=lambda t: hpair,
-            K=max(abs(f_scale), abs(g_scale), abs(h0), abs(h1)),
             L=0.0,
         )
     raise ValueError(f"unknown coefficient family: {name!r}")

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    DegenerateModeError,
-    DirichletPointError,
-    DomainError,
-    PoleError,
-)
+from .errors import BracketError, DegenerateModeError, DomainError
 from .quadrature import (
     DEFAULT_NODES_PER_PANEL,
     DEFAULT_PANELS,
@@ -31,8 +25,6 @@ from .quadrature import (
     gauss_legendre_rule,
 )
 
-_POLE_RTOL = 1e-13
-_DIRICHLET_RTOL = 1e-9
 _REFINE_RTOL = 1e-12
 # margin of the root scan at each gap end, relative to 1 + |end|
 SCAN_MARGIN = 1e-9
@@ -57,49 +49,14 @@ class BoundaryParams:
             raise ValueError("b1 must be positive")
 
 
-def characteristic_determinant(lam: float, params: BoundaryParams) -> float:
-    """Scalar characteristic function whose negative roots are eigenvalues.
-
-    Continuous on each pole-free interval; poles sit at -b0, -b1 and (for
-    lam < 0) at the Dirichlet points -pi^2 k^2.  Strictly positive for
-    lam > 0, so the spectrum is negative.
-    """
-    b0, b1 = params.b0, params.b1
-    ptol = _POLE_RTOL * (1.0 + abs(lam))
-    if abs(lam + b0) <= ptol or abs(lam + b1) <= ptol:
-        raise PoleError(f"lambda={lam} is a pole (-b0 or -b1)")
-    if lam == 0.0:
-        # analytic limit: sqrt(-lam)*cot(sqrt(-lam)) -> 1
-        return 1.0 + 1.0 / b0 + 1.0 / b1
-    if lam < 0.0:
-        s = math.sqrt(-lam)
-        k = round(s / math.pi)
-        if k >= 1 and abs(s - k * math.pi) <= _DIRICHLET_RTOL * (1.0 + s):
-            raise DirichletPointError(f"lambda={lam} is a Dirichlet point")
-        cot = math.cos(s) / math.sin(s)
-        return (
-            1.0
-            + s * cot * (1.0 / (lam + b0) + 1.0 / (lam + b1))
-            + lam / ((lam + b0) * (lam + b1))
-        )
-    # lam > 0: exponential form, arranged with exp(-2 sqrt(lam)) so that it
-    # stays finite for large lam (the raw (1+e^{2r})/(e^{2r}-1) overflows)
-    r = math.sqrt(lam)
-    em = math.exp(-2.0 * r)
-    ratio = (1.0 + em) / (1.0 - em)
-    return (
-        1.0
-        + r * ratio * (1.0 / (b0 + lam) + 1.0 / (b1 + lam))
-        + lam / ((b0 + lam) * (b1 + lam))
-    )
-
-
 def characteristic_regularized(lam, params: BoundaryParams):
     """Pole-free rescaling of the characteristic function for lam < 0.
 
-    Equals (lam+b0)(lam+b1) sin(sqrt(-lam)) times the determinant, expanded
-    so that it is continuous across the determinant's poles.  Shares the
-    determinant's roots away from those poles; accepts scalars or arrays.
+    Equals (lam+b0)(lam+b1) sin(sqrt(-lam)) times the characteristic
+    determinant (whose unregularized form the tests keep as a reference),
+    expanded so that it is continuous across the determinant's poles.
+    Shares the determinant's roots away from those poles; accepts scalars
+    or arrays.
     """
     arr = np.asarray(lam, dtype=float)
     if np.any(arr >= 0.0):

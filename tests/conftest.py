@@ -1,10 +1,14 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dynbc import BoundaryParams, build_basis
-from dynbc import fem_oracle
+from dynbc import cli, fem_oracle
+from dynbc.config import default_config, with_overrides
+from dynbc.control import benchmark_problem
+from dynbc.semigroup import initial_state
 
 ACCEPTANCE_PARAM_SETS = ((1.0, 1.0), (0.5, 2.0), (10.0, 0.1))
 
@@ -14,6 +18,23 @@ def densify(band):
     (row 0 superdiagonal with an unused first entry, row 1 diagonal)."""
     off = band[0, 1:]
     return np.diag(band[1]) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def control_benchmark():
+    """The control benchmark at desk scale, built as ``dynbc control``
+    builds it from the default config at eight modes: additive noise
+    (g = 0.2, h = (1, 1)), b0 = b1 = 1, unit-ball controls, horizon 0.5 in
+    steps of 5e-3, seed 12345 and the initial state u = 1 with matching
+    boundary values."""
+    cfg = with_overrides(default_config(), n_modes=8)
+    _, basis, coeffs, config = cli._build_setup(cfg)
+    return SimpleNamespace(
+        basis=basis,
+        coeffs=coeffs,
+        config=config,
+        problem=benchmark_problem(cfg.ball_radius, cfg.t0, cfg.T),
+        initial=initial_state(cfg.initial, basis),
+    )
 
 
 def _square(half_width, n):

