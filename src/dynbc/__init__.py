@@ -52,7 +52,6 @@ from .spectral import (
     build_basis,
     build_mode,
     characteristic_regularized,
-    dirichlet_gap,
     find_eigenvalues,
     normalization_bound,
 )

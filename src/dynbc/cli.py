@@ -14,8 +14,10 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import control as ctl
-from . import fem_oracle, validate
+from . import validate
 from .config import RunConfig, default_config, load_config, with_overrides
 from .errors import BracketError, ConfigError, DynbcError
 from .formats import csv_tables, write_csv, write_json
@@ -25,8 +27,8 @@ from .spectral import (
     BoundaryParams,
     basis_payload,
     build_basis,
-    dirichlet_gap,
     normalization_bound,
+    rank_gaps,
 )
 
 # largest --threads accepted: the number of ensemble blocks stepped at once
@@ -52,25 +54,31 @@ def _build_setup(cfg: RunConfig):
 
 
 def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
-    params, basis, _, _ = _build_setup(cfg)
-    op = fem_oracle.build(cfg.fd_n, params)
-    fd_lams, rel_errs, verdict = validate.spectrum_verdict(basis, op)
-    rows = [
-        (m.j, m.lam, m.B, m.trace0, m.trace1, *dirichlet_gap(m.lam)[1:], fd, rel)
-        for m, fd, rel in zip(basis.modes, fd_lams, rel_errs)
-    ]
+    ctx = validate.context(cfg)
+    basis = ctx["basis"]
+    fd_lams, rel_errs = validate.oracle_errors(basis, ctx["fd_op"])
+    lo, hi = rank_gaps(basis.params, basis.n_modes)
+    cols = zip(basis.modes, lo, hi, fd_lams, rel_errs)
+    rows = [(m.j, m.lam, m.B, m.trace0, m.trace1, *rest) for m, *rest in cols]
     header = "j lambda B trace0 trace1 bracket_lo bracket_hi fd_lambda rel_err"
     write_csv(os.path.join(out, "spectrum.csv"), header.split(), rows)
+    checks = validate.run_checks(ctx, validate.SPECTRAL_CHECKS)
+    passed = {r.name: r.passed for r in checks}
+    decreasing = bool(np.all(np.diff(basis.lam) < 0.0))
     summary = {
-        "b0": params.b0,
-        "b1": params.b1,
+        "b0": basis.params.b0,
+        "b1": basis.params.b1,
         "N": basis.n_modes,
         "normalization_bound_holds": [normalization_bound(m) for m in basis.modes],
-        **verdict,
+        "gram_max_dev": validate.gram_deviation(basis),
+        "max_rel_err_vs_fd": float(rel_errs.max()),
+        "eigenvalues_in_dirichlet_gaps": passed["spectral_brackets"],
+        "eigenvalues_decreasing": decreasing,
+        "passed": decreasing and all(passed.values()),
     }
     write_json(os.path.join(out, "spectrum.json"), summary)
     write_json(os.path.join(out, "basis.json"), basis_payload(basis))
-    if not verdict["passed"]:
+    if not summary["passed"]:
         return _emit_error("spectrum invariants failed (see spectrum.json)", 1)
     return 0
 
@@ -198,7 +206,7 @@ def cmd_control(cfg: RunConfig, out: str, threads: int) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out: str, threads: int) -> int:
-    results = validate.run_all(cfg)
+    results = validate.run_checks(validate.context(cfg))
     for res in results:
         sys.stdout.write(
             f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.measured}\n"

@@ -124,6 +124,14 @@ def doubled_gap(params: BoundaryParams) -> int:
     return math.floor(math.sqrt(0.5 * params.b0 + 0.5 * params.b1) / math.pi)
 
 
+def rank_gaps(params: BoundaryParams, n_modes: int):
+    """Endpoints (lo, hi) of the Dirichlet gap of each rank j < n_modes, the
+    one the counting rule puts eigenvalue j in: gap j up to k*, j - 1 beyond."""
+    j = np.arange(n_modes)
+    k = j - (j > doubled_gap(params))
+    return -np.pi**2 * (k + 1) ** 2, -np.pi**2 * k**2
+
+
 def find_eigenvalues(params: BoundaryParams, n_modes: int) -> np.ndarray:
     """First ``n_modes`` eigenvalues, in decreasing order (all negative).
 
@@ -219,14 +227,6 @@ def normalization_bound(mode: EigenMode):
     if mode.s <= 1.0:
         return None
     return bool(mode.B < (1.0 + mode.s) / (mode.s - 1.0))
-
-
-def dirichlet_gap(lam: float) -> tuple[int, float, float]:
-    """Index k and endpoints of the Dirichlet gap containing ``lam``."""
-    if lam >= 0.0:
-        raise DomainError("eigenvalues are negative")
-    k = int(math.floor(math.sqrt(-lam) / math.pi))
-    return k, -math.pi**2 * (k + 1) ** 2, -math.pi**2 * k**2
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Test-side references that no command uses.
 
-``characteristic_determinant`` is the unregularized characteristic function
-of the coupled operator, the reference the root solve and
+``dirichlet_gap`` takes the Dirichlet gap that contains an eigenvalue, the
+reference for the gaps the package assigns by rank through the counting
+rule.  ``characteristic_determinant`` is the unregularized characteristic
+function of the coupled operator, the reference the root solve and
 ``characteristic_regularized`` are checked against.  ``spot_check_coefficients``
 samples a coefficient family against the bound K on |f|, |g| and |h| that
 the paper's hypotheses state, and against the family's declared Lipschitz
@@ -13,6 +15,8 @@ import math
 import numpy as np
 from numpy.random import Generator, Philox
 
+from dynbc.errors import DomainError
+
 _POLE_RTOL = 1e-13
 _DIRICHLET_RTOL = 1e-9
 
@@ -23,6 +27,14 @@ class PoleError(Exception):
 
 class DirichletPointError(Exception):
     """Characteristic determinant evaluated at a Dirichlet eigenvalue -pi^2 k^2."""
+
+
+def dirichlet_gap(lam: float) -> tuple[int, float, float]:
+    """Index k and endpoints of the Dirichlet gap containing ``lam``."""
+    if lam >= 0.0:
+        raise DomainError("eigenvalues are negative")
+    k = int(math.floor(math.sqrt(-lam) / math.pi))
+    return k, -math.pi**2 * (k + 1) ** 2, -math.pi**2 * k**2
 
 
 def characteristic_determinant(lam: float, params) -> float:

@@ -27,7 +27,6 @@ from dynbc import (
     apply_semigroup,
     compare_policies,
     constant_grid_policies,
-    dirichlet_gap,
     find_eigenvalues,
     hs_norm_sq,
     mode_grid_state,
@@ -44,7 +43,7 @@ from dynbc.semigroup import energy_form
 from dynbc.validate import HS_WEYL_RTOL, exact_additive_covariance, weyl_fit
 
 from conftest import ACCEPTANCE_PARAM_SETS, control_benchmark, grid_minimizer
-from reference import characteristic_determinant
+from reference import characteristic_determinant, dirichlet_gap
 
 
 def report(number, name, passed, measured, started):

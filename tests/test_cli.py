@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -44,6 +45,8 @@ from dynbc.spde import (
     time_steps,
 )
 from dynbc.spectral import find_eigenvalues
+
+from reference import dirichlet_gap
 
 SMALL_RATE_ERROR = (
     "b0 + b1 + b0 b1 must be above about 3e-9: the lowest eigenvalue lies "
@@ -245,6 +248,13 @@ class TestQuadratureAndScanBounds:
             parse_config("panels = 262145\n")
 
 
+# a log grid of rates, then (50, 50) (k* = 2), (300, 1) (k* = 3) and the
+# asymmetric (1, 3) (k* = 0)
+_RATE_GRID = (1e-3, 1e-1, 10.0, 1e3, 1e5)
+GAP_RATES = [(b0, b1) for b0 in _RATE_GRID for b1 in _RATE_GRID]
+GAP_RATES += [(50.0, 50.0), (300.0, 1.0), (1.0, 3.0)]
+
+
 class TestSpectrumCommand:
     CONFIG = "n_modes = 8\nfd_n = 400\n"
 
@@ -329,6 +339,18 @@ class TestSpectrumCommand:
         checks = json.loads((tmp_path / "out" / "validate.json").read_text())["checks"]
         (measured,) = [c["measured"] for c in checks if c["name"] == "fd_eigenvalues"]
         assert f"FEM oracle = {summary['max_rel_err_vs_fd']:.3e} (tol" in measured
+
+    @pytest.mark.parametrize("b0, b1", GAP_RATES)
+    def test_bracket_columns_are_the_containing_gap(self, tmp_path, b0, b1):
+        # the columns follow the counting rule's rank, gap j up to k* and
+        # j - 1 beyond; every mode's rank gap is the gap that contains it
+        run_cli(tmp_path, "spectrum", f"b0 = {b0!r}\nb1 = {b1!r}\nfd_n = 400\n")
+        with open(tmp_path / "out" / "spectrum.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 16
+        for row in rows:
+            _, lo, hi = dirichlet_gap(float(row["lambda"]))
+            assert (row["bracket_lo"], row["bracket_hi"]) == (repr(lo), repr(hi))
 
     def test_rerun_byte_identical(self, tmp_path):
         code1, out = run_cli(tmp_path, "spectrum", self.CONFIG)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dynbc import dirichlet_gap, find_eigenvalues
+from dynbc import find_eigenvalues
 from dynbc import fem_oracle
 from dynbc.errors import ConvergenceError, DomainError, ShapeError, TruncationError
 from dynbc.spectral import BoundaryParams
 
 from conftest import ACCEPTANCE_PARAM_SETS, densify
+from reference import dirichlet_gap
 
 # acceptance sets, the criterion-01 sets whose doubled Dirichlet gap is not
 # the first (k* = 2 and 3), and a strongly lopsided pair

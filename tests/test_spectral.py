@@ -10,7 +10,6 @@ from dynbc import (
     BoundaryParams,
     build_mode,
     characteristic_regularized,
-    dirichlet_gap,
     find_eigenvalues,
     normalization_bound,
 )
@@ -28,7 +27,12 @@ from dynbc.spectral import basis_payload, build_basis
 from dynbc.validate import GRAM_TOL, ORACLE_REL_TOL
 
 from conftest import ACCEPTANCE_PARAM_SETS
-from reference import DirichletPointError, PoleError, characteristic_determinant
+from reference import (
+    DirichletPointError,
+    PoleError,
+    characteristic_determinant,
+    dirichlet_gap,
+)
 
 
 class TestCharacteristicDeterminant:

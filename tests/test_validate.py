@@ -1,10 +1,13 @@
+import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from dynbc import ball, control, fem_oracle, validate
+from dynbc import ball, control, validate
+from dynbc.cli import main
 from dynbc.control import _dot2
 from dynbc.config import MIN_BALL_RADIUS, default_config, with_overrides
 from dynbc.errors import TruncationError
@@ -18,6 +21,9 @@ def _hs_context(b0, b1, **overrides):
 
 # distinct rates and gains at the two ends, so a swap of the ends shows
 ASYMMETRIC = {"b0": 1.0, "b1": 3.0, "h0": 1.0, "h1": 0.3}
+# the checks that judge the spectrum alone, named here independently of
+# validate.SPECTRAL_CHECKS
+SPECTRAL = ("spectral_brackets", "gram_orthonormality", "fd_eigenvalues")
 # every check but ito_isometry, whose seed-dependent false alarms are a
 # matter of its gate
 DETERMINISTIC_CHECKS = [
@@ -32,7 +38,9 @@ DETERMINISTIC_CHECKS = [
 
 
 def test_deterministic_checks_pass_at_asymmetric_ends():
-    results = validate.run_all(with_overrides(default_config(), **ASYMMETRIC))
+    results = validate.run_checks(
+        validate.context(with_overrides(default_config(), **ASYMMETRIC))
+    )
     verdicts = {r.name: (r.passed, r.measured) for r in results}
     assert [r.name for r in results if r.name != "ito_isometry"] == DETERMINISTIC_CHECKS
     for name in DETERMINISTIC_CHECKS:
@@ -140,11 +148,32 @@ def _drop_lowest(basis):
     )
 
 
+def _spectrum(tmp_path, config_text=""):
+    """Exit code, spectrum.json and spectrum.csv rows of ``dynbc spectrum``."""
+    (tmp_path / "run.cfg").write_text(config_text)
+    out = tmp_path / "spectrum"
+    code = main(["spectrum", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    with open(out / "spectrum.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return code, json.loads((out / "spectrum.json").read_text()), rows
+
+
+def _drop_lowest_root(monkeypatch):
+    # every basis the checks see loses its lowest eigenvalue
+    monkeypatch.setattr(
+        validate,
+        "build_basis",
+        lambda params, n, *rule: _drop_lowest(build_basis(params, n + 1, *rule)),
+    )
+
+
 class TestRankIndexedGaps:
     # k* = 0 and k* = 2: every eigenvalue still lies inside some Dirichlet
     # gap, but mode j no longer lies in the gap of rank j
     @pytest.mark.parametrize("b0, b1", [(1.0, 1.0), (50.0, 50.0)])
-    def test_dropped_lowest_eigenvalue_fails_both_checks(self, b0, b1):
+    def test_dropped_lowest_eigenvalue_fails_both_checks(
+        self, b0, b1, tmp_path, monkeypatch
+    ):
         params = BoundaryParams(b0, b1)
         full = build_basis(params, 9)
         ctx = {"basis": full}
@@ -152,28 +181,72 @@ class TestRankIndexedGaps:
         ctx["basis"] = _drop_lowest(full)
         passed, measured = validate._check_brackets(ctx)
         assert passed is False, measured
-        op = fem_oracle.build(400, params)
-        verdict = validate.spectrum_verdict(ctx["basis"], op)[2]
-        assert verdict["eigenvalues_in_dirichlet_gaps"] is False
-        assert verdict["eigenvalues_decreasing"] is True
+        _drop_lowest_root(monkeypatch)
+        config = f"b0 = {b0}\nb1 = {b1}\nn_modes = 8\nfd_n = 400\n"
+        code, summary, _ = _spectrum(tmp_path, config)
+        assert code == 1
+        assert summary["eigenvalues_in_dirichlet_gaps"] is False
+        assert summary["eigenvalues_decreasing"] is True
 
 
 class TestSpectrumVerdict:
-    @pytest.fixture(scope="class")
-    def spectrum(self):
-        params = BoundaryParams(1.0, 1.0)
-        return build_basis(params, 8), fem_oracle.build(2000, params)
+    # b0 = b1 = 1 at eight modes, against the default 2000-element oracle
+    CONFIG = "n_modes = 8\n"
 
-    def test_passes_on_a_correct_spectrum(self, spectrum):
-        fd_lams, rel_errs, verdict = validate.spectrum_verdict(*spectrum)
-        assert len(fd_lams) == len(rel_errs) == 8
-        assert verdict["max_rel_err_vs_fd"] == float(rel_errs.max())
-        assert verdict["passed"] is True
+    def test_passes_on_a_correct_spectrum(self, tmp_path):
+        code, summary, rows = _spectrum(tmp_path, self.CONFIG)
+        assert len(rows) == 8
+        rel_errs = [float(row["rel_err"]) for row in rows]
+        assert summary["max_rel_err_vs_fd"] == max(rel_errs)
+        assert summary["passed"] is True
+        assert code == 0
 
     @pytest.mark.parametrize("tol", ["GRAM_TOL", "ORACLE_REL_TOL"])
-    def test_each_tolerance_decides(self, spectrum, monkeypatch, tol):
+    def test_each_tolerance_decides(self, tmp_path, monkeypatch, tol):
         monkeypatch.setattr(validate, tol, 0.0)
-        verdict = validate.spectrum_verdict(*spectrum)[2]
-        assert verdict["eigenvalues_in_dirichlet_gaps"] is True
-        assert verdict["eigenvalues_decreasing"] is True
-        assert verdict["passed"] is False
+        code, summary, _ = _spectrum(tmp_path, self.CONFIG)
+        assert summary["eigenvalues_in_dirichlet_gaps"] is True
+        assert summary["eigenvalues_decreasing"] is True
+        assert summary["passed"] is False
+        assert code == 1
+
+
+class TestOneSpectralVerdict:
+    """``spectrum`` passes exactly when ``validate``'s three spectral checks
+    pass and the eigenvalues decrease, on one config per branch."""
+
+    @pytest.mark.parametrize(
+        "config_text, dropped_root, failing",
+        [
+            ("", False, set()),
+            # the oracle's (s h)^4 / 240 term: 2.6e-3 against the 1e-3 gate
+            ("n_modes = 30\nfd_n = 100\n", False, {"fd_eigenvalues"}),
+            # the default 64 x 8 rule: max |G - I| = 1.2e-3
+            ("n_modes = 200\n", False, {"gram_orthonormality"}),
+            # a basis that lost its lowest root: mode j sits in the gap of
+            # rank j + 1, and the oracle's mode j is the basis's mode j - 1
+            (
+                "n_modes = 8\nfd_n = 400\n",
+                True,
+                {"spectral_brackets", "fd_eigenvalues"},
+            ),
+        ],
+        ids=["defaults", "coarse_oracle", "gram_200_modes", "dropped_root"],
+    )
+    def test_spectrum_passes_by_the_spectral_checks(
+        self, tmp_path, monkeypatch, config_text, dropped_root, failing
+    ):
+        if dropped_root:
+            _drop_lowest_root(monkeypatch)
+        code, summary, _ = _spectrum(tmp_path, config_text)
+        out = tmp_path / "validate"
+        main(["validate", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+        checks = json.loads((out / "validate.json").read_text())["checks"]
+        spectral = {c["name"]: c["passed"] for c in checks if c["name"] in SPECTRAL}
+        assert {name for name, ok in spectral.items() if not ok} == failing
+        assert summary["eigenvalues_decreasing"] is True
+        assert summary["eigenvalues_in_dirichlet_gaps"] is spectral["spectral_brackets"]
+        assert summary["passed"] is (
+            all(spectral.values()) and summary["eigenvalues_decreasing"]
+        )
+        assert code == (0 if summary["passed"] else 1)
