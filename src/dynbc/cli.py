@@ -50,7 +50,7 @@ def _build_setup(cfg: RunConfig):
     coeffs = named_coefficients(
         cfg.coefficients, g_scale=cfg.g_scale, h0=cfg.h0, h1=cfg.h1, f_scale=cfg.f_scale
     )
-    return params, basis, coeffs, sim_config(cfg)
+    return basis, coeffs, sim_config(cfg)
 
 
 def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
@@ -84,7 +84,7 @@ def cmd_spectrum(cfg: RunConfig, out: str, threads: int) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
-    _, basis, coeffs, sim = _build_setup(cfg)
+    basis, coeffs, sim = _build_setup(cfg)
     initial = initial_state(cfg.initial, basis)
     header = ["t"] + [f"a_{k}" for k in range(cfg.n_modes)]
     recorded = range(min(cfg.record_paths, cfg.n_paths))
@@ -179,7 +179,7 @@ def _sanitize(name: str) -> str:
 
 
 def cmd_control(cfg: RunConfig, out: str, threads: int) -> int:
-    _, basis, coeffs, sim = _build_setup(cfg)
+    basis, coeffs, sim = _build_setup(cfg)
     initial = initial_state(cfg.initial, basis)
     problem = ctl.benchmark_problem(cfg.ball_radius, cfg.t0, cfg.T)
     policies = _make_policies(cfg, problem, coeffs, basis)

@@ -19,11 +19,13 @@ controlled paths and the inner paths of the nested Monte Carlo provider all
 advance through it.  For state-free coefficients (``L == 0``: f and g do
 not read u) the step never builds the nodal field u; for state-dependent
 ones it writes u and the noise field into one pair of (P, nodes) arrays
-that ``rollout`` holds for the whole block.  ``run_blocks`` is the one
-pass over an ensemble, controlled or not, in blocks of whole slabs as wide
-as ``block_rows`` allows: each of its workers draws and steps one block at
-a time.  Recorded paths are rows of ``terminal_states``' pass.
-``mean_var_se`` is the one mean/standard-error estimator.
+that ``rollout`` holds for the whole block.  A constant g reads no
+quadrature: the modes are orthonormal in X, so its noise is g dW plus two
+rank-one boundary terms.  ``run_blocks`` is the one pass over an ensemble,
+controlled or not, in blocks of whole slabs as wide as ``block_rows``
+allows: each of its workers draws and steps one block at a time.
+Recorded paths are rows of ``terminal_states``' pass.  ``mean_var_se`` is
+the one mean/standard-error estimator.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -225,30 +227,27 @@ def _interior_moments(fv, basis: EigenBasis) -> np.ndarray:
     return (basis.quad.weights * fv) @ basis.values
 
 
-def _interior_noise(gv, dW, basis: EigenBasis, out=None) -> np.ndarray:
-    # the interior noise field g dW projected on the modes, with the bits of
-    # _interior_moments(gv * field); the field is built in ``out`` when
-    # given, else in a fresh array, and weighted in place, since a fresh
-    # node-sized array each time is handed back to the OS and faulted in
-    # again (see ``rollout``)
+def _apply_diffusion(gv, h, dW, basis: EigenBasis, out=None) -> np.ndarray:
+    # G(u) dW row by row without forming G, h0 and h1 broadcasting against
+    # dW without its last axis.  For a constant g, X-orthonormality gives
+    # int g e_j e_k = g (delta_jk - e_j(0) e_k(0) - e_j(1) e_k(1)): g dW
+    # padded to n_modes, then boundary gains h_i - g.  A nodal g's field is
+    # built in ``out`` when given, weighted in place (see ``rollout``) and
+    # projected on the rule, then boundary gains h_i, added in that order
     m = np.shape(dW)[-1]
     if np.ndim(gv) == 0:
-        return float(gv) * (dW @ basis.interior_gram[:m])
-    field = np.matmul(dW, basis.values[:, :m].T, out=out)
-    field *= gv
-    field *= basis.quad.weights
-    return field @ basis.values
-
-
-def _apply_diffusion(interior, h, dW, basis: EigenBasis) -> np.ndarray:
-    # G(u) dW row by row without forming G: the interior noise plus the two
-    # rank-one boundary terms, added in that order into ``interior``, a
-    # fresh array of the result's shape; the gains h0, h1 broadcast against
-    # dW without its last axis
-    m = np.shape(dW)[-1]
+        gv = float(gv)
+        noise = np.zeros(np.shape(dW)[:-1] + (basis.n_modes,))
+        np.multiply(dW, gv, out=noise[..., :m])
+        h = [gain - gv for gain in h]
+    else:
+        field = np.matmul(dW, basis.values[:, :m].T, out=out)
+        field *= gv
+        field *= basis.quad.weights
+        noise = field @ basis.values
     for gain, trace in zip(h, (basis.trace0, basis.trace1)):
-        interior += (gain * (dW @ trace[:m]))[..., None] * trace
-    return interior
+        noise += (gain * (dW @ trace[:m]))[..., None] * trace
+    return noise
 
 
 def galerkin_drift(
@@ -282,8 +281,7 @@ def galerkin_diffusion(
         raise ShapeError("m_noise must not exceed the basis size")
     gv = coeffs.g(t, basis.quad.nodes, basis.values @ state)
     # column j is G applied to the j-th unit noise direction
-    dW = np.eye(m)
-    return _apply_diffusion(_interior_noise(gv, dW, basis), coeffs.h(t), dW, basis).T
+    return _apply_diffusion(gv, coeffs.h(t), np.eye(m), basis).T
 
 
 def step_exp_euler(
@@ -316,8 +314,7 @@ def step_exp_euler(
     drift = _interior_moments(coeffs.f(t, x, u), basis)
     if extra_drift is not None:
         drift = drift + extra_drift
-    interior = _interior_noise(coeffs.g(t, x, u), dW, basis, noise_out)
-    noise = _apply_diffusion(interior, coeffs.h(t), dW, basis)
+    noise = _apply_diffusion(coeffs.g(t, x, u), coeffs.h(t), dW, basis, noise_out)
     # exp(lambda dt) * (a + F dt + G dW), summed left to right and scaled
     # in place; ``state`` is left as it is
     out = state + drift * dt + noise

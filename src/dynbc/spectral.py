@@ -236,8 +236,9 @@ class EigenBasis:
     ``values`` and ``derivs`` hold the mode profiles and their derivatives
     sampled at the quadrature nodes, one column per mode; ``trace0`` and
     ``trace1`` collect the endpoint traces, ``interior_integrals`` the
-    interior integrals of the modes.  Immutable after construction and safe
-    to share across threads.
+    interior integrals (e'(1) - e'(0)) / lambda of the modes, exact by
+    e'' = lambda e.  Immutable after construction and safe to share across
+    threads.
     """
 
     params: BoundaryParams
@@ -248,7 +249,6 @@ class EigenBasis:
     derivs: np.ndarray
     trace0: np.ndarray
     trace1: np.ndarray
-    interior_gram: np.ndarray
     interior_integrals: np.ndarray
 
     @property
@@ -256,9 +256,10 @@ class EigenBasis:
         return len(self.modes)
 
     def gram_matrix(self) -> np.ndarray:
-        """Full X inner products <phi_j, phi_k> on the quadrature grid."""
+        """Full X inner products <phi_j, phi_k> of the modes sampled on the
+        quadrature rule, which nodal coefficients and ``initial_state`` use."""
         return (
-            self.interior_gram
+            self.values.T @ (self.quad.weights[:, None] * self.values)
             + np.outer(self.trace0, self.trace0)
             + np.outer(self.trace1, self.trace1)
         )
@@ -276,6 +277,7 @@ def build_basis(
     modes = [build_mode(lam, j, params) for j, lam in enumerate(lams)]
     values = np.column_stack([m(quad.nodes) for m in modes])
     derivs = np.column_stack([m.derivative(quad.nodes) for m in modes])
+    slopes = np.array([m.derivative(1.0) - m.derivative(0.0) for m in modes])
     return EigenBasis(
         params=params,
         modes=tuple(modes),
@@ -285,8 +287,7 @@ def build_basis(
         derivs=derivs,
         trace0=np.array([m.trace0 for m in modes]),
         trace1=np.array([m.trace1 for m in modes]),
-        interior_gram=values.T @ (quad.weights[:, None] * values),
-        interior_integrals=values.T @ quad.weights,
+        interior_integrals=slopes / lams,
     )
 
 

@@ -27,7 +27,7 @@ def control_benchmark():
     steps of 5e-3, seed 12345 and the initial state u = 1 with matching
     boundary values."""
     cfg = with_overrides(default_config(), n_modes=8)
-    _, basis, coeffs, config = cli._build_setup(cfg)
+    basis, coeffs, config = cli._build_setup(cfg)
     return SimpleNamespace(
         basis=basis,
         coeffs=coeffs,

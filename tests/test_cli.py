@@ -582,7 +582,7 @@ class TestRecordedPaths:
             text = self.CONFIG
             monkeypatch.setattr(cli, "named_coefficients", lambda *a, **k: NODAL)
         cfg = parse_config(text)
-        _, basis, coeffs, sim = _build_setup(cfg)
+        basis, coeffs, sim = _build_setup(cfg)
         times, dts = time_steps(sim, basis)
         assert dts[-1] < 0.9 * dts[0]
         held = cfg.record_paths * (1 + sim.n_modes) * 8

@@ -26,6 +26,7 @@ from dynbc import (
 from dynbc.config import default_config, with_overrides
 from dynbc.control import FeedbackPolicy, TerminalProxyGradient, benchmark_problem
 from dynbc.errors import ConfigError, ShapeError
+from dynbc.quadrature import gauss_legendre_rule
 from dynbc import spde
 from dynbc.spde import (
     COEFFICIENT_FAMILIES,
@@ -193,6 +194,36 @@ class TestGalerkinDiffusion:
         expected += h0 * np.outer(ends[0], ends[0]) + h1 * np.outer(ends[1], ends[1])
         G = galerkin_diffusion(0.0, state, coeffs, basis)
         assert np.max(np.abs(G - expected)) < 1e-12
+
+    @pytest.mark.parametrize("n_modes", [16, 64, 200])
+    @pytest.mark.parametrize(
+        "b0, b1, h0, h1",
+        [
+            (1.0, 3.0, 1.0, 0.3),
+            (1e9, 1e9, 1.0, 1.0),
+            (5e-8, 1.0, 1.0, 1.0),
+            (1e5, 1e-3, 1.0, 1.0),
+        ],
+    )
+    def test_constant_g_matches_refined_quadrature(self, n_modes, b0, b1, h0, h1):
+        # a constant g reads the modes' X-orthonormality, not the basis's
+        # 64 x 8 rule: G and int e_k dx against the mode profiles on a
+        # 1024-panel rule, which resolves mode 199 (the default rule's Gram
+        # is off by 1.2e-3 there).  G within 1e-9, what the root solve's
+        # rounding leaves (4.4e-11 measured); the integrals within 1e-13
+        # (3.3e-15 measured)
+        basis = build_basis(BoundaryParams(b0, b1), n_modes)
+        coeffs = named_coefficients("additive", g_scale=0.4, h0=h0, h1=h1)
+        m = n_modes - 1
+        rule = gauss_legendre_rule(1024, 8)
+        e = np.array([mode(rule.nodes) for mode in basis.modes])
+        ends = [np.array([mode(end) for mode in basis.modes]) for end in (0.0, 1.0)]
+        expected = 0.4 * (e * rule.weights) @ e[:m].T
+        for gain, trace in zip((h0, h1), ends):
+            expected += gain * np.outer(trace, trace[:m])
+        G = galerkin_diffusion(0.0, np.zeros(n_modes), coeffs, basis, m_noise=m)
+        assert np.max(np.abs(G - expected)) <= 1e-9
+        assert np.max(np.abs(basis.interior_integrals - e @ rule.weights)) <= 1e-13
 
     def test_operator_norm_bound(self, basis8, rng):
         # |G|_op <= K (1 + |u|), sampled; constant-in-u families meet the

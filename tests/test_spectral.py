@@ -451,6 +451,19 @@ class TestEigenBasis:
         gram = basis32.gram_matrix()
         assert np.abs(gram - np.eye(32)).max() <= 1e-6
 
+    @pytest.mark.parametrize(
+        "panels, lo, hi",
+        [(64, 1e-3, 2e-3), (512, 0.0, GRAM_TOL)],
+        ids=["default_rule", "fine_rule"],
+    )
+    def test_gram_measures_the_rule(self, params11, panels, lo, hi):
+        # gram_orthonormality's Gram is that of the modes sampled on the
+        # rule nodal coefficients read: 64 panels under-resolve mode 199 by
+        # 1.2e-3, so the check fails there, and 512 panels resolve it
+        basis = build_basis(params11, 200, panels=panels)
+        dev = np.abs(basis.gram_matrix() - np.eye(200)).max()
+        assert lo <= dev <= hi
+
     def test_modes_sorted_decreasing(self, basis16):
         assert np.all(np.diff(basis16.lam) < 0.0)
 

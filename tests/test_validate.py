@@ -143,7 +143,6 @@ def _drop_lowest(basis):
         derivs=basis.derivs[:, 1:],
         trace0=basis.trace0[1:],
         trace1=basis.trace1[1:],
-        interior_gram=basis.interior_gram[1:, 1:],
         interior_integrals=basis.interior_integrals[1:],
     )
 
